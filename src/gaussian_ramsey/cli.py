@@ -19,6 +19,7 @@ output paths.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import secrets
@@ -289,6 +290,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     missing = [key for key in table["required"] if merged.get(key) is None]
     if missing:
         raise UsageError(f"{namespace.command}: missing required key(s): {', '.join(missing)}")
+    if merged.get("threads") is not None and merged["threads"] < 1:
+        raise UsageError(f"threads must be at least 1, got {merged['threads']}")
     return ExperimentConfig(command=namespace.command, parameters=merged)
 
 
@@ -317,8 +320,7 @@ def render_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         inner = ",".join(f"{render_json(str(k))}:{render_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -588,7 +590,7 @@ def run(config: ExperimentConfig) -> tuple[int, str]:
     params = dict(config.parameters)
     try:
         result, passed, artifact = _HANDLERS[config.command](params)
-    except (ValueError, KeyError, CapabilityError) as exc:
+    except (ValueError, KeyError, ArithmeticError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, ""
 

@@ -1,11 +1,12 @@
 """Exact monochromatic clique search and witness-coloring certificates.
 
 The search is a complete branch-and-bound over packed adjacency bitmasks:
-vertices are relabeled into degeneracy order, candidate sets are pruned by
-popcount and by a greedy-coloring upper bound, and the first clique of the
-requested size is returned (or None, with the guarantee that none exists).
-Completeness is what makes a verified certificate meaningful: a coloring
-of K_n with no red K_ell and no blue K_k establishes R(ell, k) > n.
+it runs directly on the graph's blue or red rows, branches on the lowest
+remaining vertex, prunes candidate sets by popcount and by a greedy-coloring
+upper bound, and returns the first clique of the requested size (or None,
+with the guarantee that none exists).  Completeness is what makes a
+verified certificate meaningful: a coloring of K_n with no red K_ell and
+no blue K_k establishes R(ell, k) > n.
 
 The witness search samples fresh colorings (geometric or binomial) and
 verifies each; the first attempt index that verifies wins, so results are
@@ -17,12 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from gaussian_ramsey.analytic import solve_cp
-from gaussian_ramsey.geometry import adjacency, gram_batch, sample_cloud_batch
+from gaussian_ramsey.geometry import gram_batch, sample_cloud_batch
 from gaussian_ramsey.graphs import (
     DEFAULT_MAX_WORDS,
     ColoredGraph,
     capability_check,
+    from_blue_matrix,
     graph_from_text,
     graph_to_text,
 )
@@ -32,24 +36,6 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 
 #: attempts sampled per derived stream in search_witness.
 ATTEMPT_BATCH = 256
-
-
-def _degeneracy_order(adj: list[int], n: int) -> list[int]:
-    """Vertices in degeneracy order (smallest remaining degree first)."""
-    remaining = (1 << n) - 1
-    order = []
-    for _ in range(n):
-        best_v, best_deg = -1, n + 1
-        rem = remaining
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            deg = (adj[v] & remaining).bit_count()
-            if deg < best_deg:
-                best_v, best_deg = v, deg
-        order.append(best_v)
-        remaining ^= 1 << best_v
-    return order
 
 
 def _greedy_color_bound(P: int, adj: list[int]) -> int:
@@ -105,21 +91,8 @@ def find_mono_clique(
     if size == 1:
         return (0,)
     rows = g.blue_rows if color == "blue" else g.red_rows
-    order = _degeneracy_order(list(rows), g.n)
-    # relabel so the branch order follows reversed degeneracy order
-    rank = {v: g.n - 1 - i for i, v in enumerate(order)}
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = rows[v]
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            adj[rank[v]] |= 1 << rank[u]
-    found = _search([], (1 << g.n) - 1, size, adj)
-    if found is None:
-        return None
-    inverse = {r: v for v, r in rank.items()}
-    return tuple(sorted(inverse[r] for r in found))
+    found = _search([], (1 << g.n) - 1, size, list(rows))
+    return None if found is None else tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -146,20 +119,6 @@ def verify_witness(
     return WitnessCertificate(n=g.n, ell=ell, k=k, graph=g, checked=red is None and blue is None)
 
 
-def _binomial_coloring_batch(count: int, n: int, p: float, gen) -> list[list[int]]:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    u = gen.random((count, len(pairs)))
-    batches = []
-    for t in range(count):
-        rows = [0] * n
-        for idx, (i, j) in enumerate(pairs):
-            if u[t, idx] >= p:  # blue with probability 1 - p
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        batches.append(rows)
-    return batches
-
-
 def search_witness(
     n: int,
     ell: int,
@@ -183,10 +142,15 @@ def search_witness(
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     p = float(params["p"])
+    base_provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
     if sampler == "geometric":
         d = int(params["d"])
+        if d < 1:
+            raise ValueError(f"dimension must be at least 1, got d={d}")
         c_p = solve_cp(p)
         threshold = -c_p / math.sqrt(d)
+        base_provenance.update(d=d, c_p=c_p)
+    iu = np.triu_indices(n, 1)
 
     attempt = 0
     bi = 0
@@ -194,31 +158,12 @@ def search_witness(
         count = min(ATTEMPT_BATCH, max_attempts - attempt)
         gen = stream.offset(bi).generator()
         if sampler == "geometric":
-            clouds = sample_cloud_batch(count, n, d, gen)
-            grams = gram_batch(clouds)
-            candidates = None
+            blue = gram_batch(sample_cloud_batch(count, n, d, gen)) >= threshold
         else:
-            candidates = _binomial_coloring_batch(count, n, p, gen)
+            blue = np.zeros((count, n, n), dtype=bool)
+            blue[:, iu[0], iu[1]] = gen.random((count, len(iu[0]))) >= p  # blue with probability 1 - p
         for t in range(count):
-            if sampler == "geometric":
-                provenance = {
-                    "d": d,
-                    "p": p,
-                    "c_p": c_p,
-                    "seed": stream.master_seed,
-                    "attempt": attempt,
-                    "sampler": sampler,
-                }
-                graph = adjacency(grams[t], c_p, d, provenance)
-            else:
-                rows = candidates[t]
-                provenance = {
-                    "p": p,
-                    "seed": stream.master_seed,
-                    "attempt": attempt,
-                    "sampler": sampler,
-                }
-                graph = ColoredGraph(n, tuple(rows), provenance)
+            graph = from_blue_matrix(blue[t], dict(base_provenance, attempt=attempt))
             cert = verify_witness(graph, ell, k, max_words)
             if cert.checked:
                 return cert

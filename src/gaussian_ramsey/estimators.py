@@ -123,6 +123,8 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got n={n}")
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     c_p = solve_cp(p)
@@ -233,6 +235,8 @@ def estimate_clique_prob(
     """
     if r < 1:
         raise ValueError(f"clique size must be positive, got {r}")
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     if trials < 1:
@@ -319,6 +323,8 @@ def correction_scaling(
         raise ValueError(f"scaling diagnostic supports r in {{3, 4}}, got {r}")
     if list(dims) != sorted(dims) or len(dims) < 2:
         raise ValueError("dims must be at least two dimensions in ascending order")
+    if dims[0] < 1:
+        raise ValueError(f"dimensions must be at least 1, got d={dims[0]}")
     pairs = r * (r - 1) // 2
     triples = r * (r - 1) * (r - 2) // 6
     a = std_normal_pdf(solve_cp(p))
@@ -393,6 +399,8 @@ def conditional_edge_check(
     """
     if diag <= 0.0:
         raise ValueError(f"diagonal entry must be positive, got {diag}")
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     c_p = solve_cp(p)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gaussian_ramsey.graphs import ColoredGraph
+from gaussian_ramsey.graphs import ColoredGraph, from_blue_matrix
 from gaussian_ramsey.sampling import as_generator
 
 #: Orthogonality tolerance of the incremental Gram-Schmidt basis.
@@ -204,15 +204,7 @@ def adjacency(gram_matrix: np.ndarray, c_p: float, d: int, provenance: dict | No
     """Blue edge iff <x_i, x_j> >= -c_p/sqrt(d), inclusive at equality."""
     if c_p < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {c_p}")
-    n = gram_matrix.shape[0]
-    threshold = -c_p / math.sqrt(d)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram_matrix[i, j] >= threshold:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return ColoredGraph(n, tuple(rows), provenance or {})
+    return from_blue_matrix(gram_matrix >= -c_p / math.sqrt(d), provenance)
 
 
 # ---------------------------------------------------------------------------

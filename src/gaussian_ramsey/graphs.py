@@ -5,12 +5,17 @@ row i set iff edge ij is blue); red is the complement off the diagonal.
 Rows are Python ints, serialized as fixed-width hex lines (64 vertices
 per machine word) under a small key=value header carrying the sampler
 provenance (n, d, p, c_p, seed).  The format is stable and byte-exact:
-parsing and re-serializing reproduces the file.
+parsing and re-serializing reproduces the file.  Parsing is strict: each
+row is exactly its fixed width of lowercase hex digits, and only empty
+lines may follow the last row.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 WORD_BITS = 64
 
@@ -86,15 +91,14 @@ class ColoredGraph:
 
 
 def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
-    """Build a graph from a boolean matrix; only the upper triangle is read."""
-    n = len(blue)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if blue[i][j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return ColoredGraph(n, tuple(rows), provenance or {})
+    """Build a graph from a boolean n x n matrix; only the upper triangle is read."""
+    blue = np.asarray(blue, dtype=bool)
+    if blue.ndim != 2 or blue.shape[0] != blue.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {blue.shape}")
+    upper = np.triu(blue, 1)
+    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return ColoredGraph(len(packed), rows, provenance or {})
 
 
 def _format_value(value) -> str:
@@ -143,7 +147,15 @@ def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
     if "n" not in header:
         raise ValueError("header missing vertex count n")
     n = header.pop("n")
-    rows = [int(line, 16) for line in lines[idx + 1 : idx + 1 + n]]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} adjacency rows, found {len(rows)}")
-    return ColoredGraph(n, tuple(rows), header)
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    body = lines[idx + 1 :]
+    if len(body) < n:
+        raise ValueError(f"expected {n} adjacency rows, found {len(body)}")
+    if any(body[n:]):
+        raise ValueError(f"unexpected content after the {n} adjacency rows")
+    width = _words_for(n) * (WORD_BITS // 4)
+    for i, line in enumerate(body[:n]):
+        if not re.fullmatch(f"[0-9a-f]{{{width}}}", line):
+            raise ValueError(f"row {i} is not {width} lowercase hex digits: {line!r}")
+    return ColoredGraph(n, tuple(int(line, 16) for line in body[:n]), header)

@@ -59,6 +59,8 @@ def _frequency(stream: RngStream, trials: int, per_trial: int, batch_draw) -> tu
 
 def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
     d, delta = int(params["d"]), float(params["delta"])
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     bound = 2.0 * math.exp(-delta * delta * d / 10.0)
@@ -133,6 +135,8 @@ def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
 
 def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
     d, k, lam = int(params["d"]), int(params["k"]), float(params["lam"])
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
     cutoffs = np.asarray(params["cutoffs"], dtype=float)
     if cutoffs.shape != (k,):
         raise ValueError(f"need exactly k={k} cutoffs, got shape {cutoffs.shape}")

@@ -70,3 +70,19 @@ def mills_asymptotic(t: float) -> tuple[float, float]:
 def log2_exact(x: float, dps: int = 30) -> float:
     with mp.workdps(dps):
         return float(mp.log(mp.mpf(x), 2))
+
+
+def pack_blue_rows(blue) -> tuple[int, ...]:
+    """Blue bitmask rows by a per-pair loop over the upper triangle.
+
+    Bit j of row i is set iff i != j and blue[min(i, j)][max(i, j)] is
+    true; the diagonal and the lower triangle are never read.
+    """
+    n = len(blue)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if blue[i][j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)

@@ -264,3 +264,61 @@ def test_seed_defaults_to_recorded_random(capsys):
     seed = rec["invocation"]["seed"]
     assert isinstance(seed, int)
     assert rec["result"]["seed"] == seed  # echoed, reusable for a re-run
+
+
+def test_verify_record_escapes_control_characters(tmp_path, capsys):
+    cert = tmp_path / "cert.txt"
+    run_main(
+        ["search", "--n", "5", "--ell", "3", "--k", "3", "--sampler", "binomial",
+         "--p", "0.5", "--max-attempts", "1000", "--seed", "55", "--out", str(cert)],
+        capsys,
+    )
+    odd = tmp_path / 'tab\there\nnewline "quoted" \\ é\x01.txt'
+    odd.write_text(cert.read_text())
+    code, out, _ = run_main(["verify", "--in", str(odd)], capsys)
+    assert code == 0
+    assert json.loads(out)["invocation"]["infile"] == str(odd)
+    assert "é" in out and "\t" not in out and out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--kind", "density", "--d", "0", "--p", "0.4", "--trials", "10"],
+        ["estimate", "--kind", "clique", "--r", "3", "--color", "red", "--d", "0", "--p", "0.4",
+         "--trials", "10"],
+        ["scaling", "--r", "3", "--p", "0.4", "--dims", "0,4", "--trials", "10"],
+        ["validate", "--check", "norm_concentration", "--d", "0", "--delta", "0.5", "--trials", "10"],
+        ["validate", "--check", "quadratic_moment", "--d", "0", "--k", "1", "--lam", "0",
+         "--cutoffs", "0", "--trials", "10"],
+        ["validate", "--check", "conditional_edge", "--p", "0.4", "--d", "0", "--inner", "0",
+         "--diag", "1", "--trials", "10"],
+        ["search", "--n", "5", "--ell", "3", "--k", "3", "--sampler", "geometric", "--d", "0",
+         "--p", "0.5", "--max-attempts", "10"],
+    ],
+)
+def test_zero_dimension_is_an_error_exit(argv, capsys):
+    code, out, err = run_main(argv + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert "dimension" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(threads, tmp_path, capsys):
+    argv = ["estimate", "--kind", "density", "--d", "4", "--p", "0.4", "--trials", "10", "--seed", "1"]
+    code, out, err = run_main(argv + ["--threads", threads], capsys)
+    assert code == 2 and out == ""
+    assert "threads" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"threads={threads}\n")
+    assert run_main(argv + ["--config", str(cfg)], capsys)[0] == 2
+
+
+def test_arithmetic_error_is_an_error_exit(monkeypatch, capsys):
+    def overflow(C):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr("gaussian_ramsey.cli.solve_pC", overflow)
+    code, out, err = run_main(["solve", "--C", "2"], capsys)
+    assert code == 1 and out == ""
+    assert "math range error" in err

@@ -178,3 +178,61 @@ def test_tampered_certificate_fails_verification():
     assert bad_text != text
     parsed = certificate_from_text(bad_text)
     assert not verify_witness(parsed.graph, 3, 3).checked
+
+
+# classical critical colorings, built by modular arithmetic (blue edges)
+
+
+def paley(q: int) -> ColoredGraph:
+    """Paley graph on Z_q, q = 1 (mod 4) prime: ij blue iff i - j is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return circulant(q, squares)
+
+
+def circulant(n: int, distances) -> ColoredGraph:
+    """ij blue iff (i - j) mod n or (j - i) mod n lies in distances."""
+    blue = np.zeros((n, n), bool)
+    for i in range(n):
+        for j in range(n):
+            blue[i, j] = (i - j) % n in distances or (j - i) % n in distances
+    return from_blue_matrix(blue)
+
+
+def flipped(g: ColoredGraph, i: int, j: int) -> ColoredGraph:
+    rows = list(g.blue_rows)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return ColoredGraph(g.n, tuple(rows))
+
+
+CRITICAL = {
+    "paley5-33": (lambda: paley(5), 3, 3),
+    "c13-53": (lambda: circulant(13, {1, 5}), 5, 3),
+    "paley17-44": (lambda: paley(17), 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITICAL))
+def test_classical_witness_checked_and_every_flip_breaks_it(name):
+    # each is the unique critical coloring for its pair, so any single
+    # edge flip must create a monochromatic clique the engine finds
+    build, ell, k = CRITICAL[name]
+    g = build()
+    assert verify_witness(g, ell, k).checked
+    for i, j in combinations(range(g.n), 2):
+        assert not verify_witness(flipped(g, i, j), ell, k).checked, (i, j)
+
+
+def test_classical_witness_shapes():
+    assert paley(5).blue_count() == 5
+    assert paley(17).blue_count() == 68
+    c13 = circulant(13, {1, 5})
+    assert c13.blue_count() == 26
+    assert not brute_has_clique(c13, 3, "blue") and not brute_has_clique(c13, 5, "red")
+
+
+def test_paley17_has_red_triangle():
+    g = paley(17)
+    assert not verify_witness(g, 3, 4).checked
+    found = find_mono_clique(g, 3, "red")
+    assert found is not None and not brute_has_clique(g, 4, "blue")

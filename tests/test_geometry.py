@@ -23,6 +23,7 @@ from gaussian_ramsey.geometry import (
     sample_cloud_batch,
 )
 from gaussian_ramsey.sampling import RngStream
+from oracles import pack_blue_rows
 
 TIGHT = PerfectSpec(alpha_proj=6.0, delta=0.3, ell=4, d=1600, p=0.38, C=2.0)
 
@@ -86,6 +87,19 @@ def test_adjacency_tie_is_edge():
     assert adjacency(G, c_p, d).blue_edge(0, 1)
     G[0, 1] = G[1, 0] = -c_p / math.sqrt(d) - 1e-15
     assert not adjacency(G, c_p, d).blue_edge(0, 1)
+
+
+def test_adjacency_matches_loop_packer_with_ties():
+    # entries drawn from a grid that contains the threshold exactly, so ties
+    # are common; the asymmetric lower triangle must be ignored
+    d, c_p = 64, 0.5
+    threshold = -c_p / math.sqrt(d)
+    grid = threshold + np.array([-1.0, 0.0, 0.0, 1.0]) / 16.0
+    gen = RngStream(9).generator()
+    for n in (1, 2, 17, 63, 64, 65, 130):
+        G = gen.choice(grid, size=(n, n))
+        expected = pack_blue_rows(G >= threshold)
+        assert adjacency(G, c_p, d).blue_rows == expected, n
 
 
 def test_adjacency_half_density_at_zero_threshold():

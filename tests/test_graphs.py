@@ -13,6 +13,7 @@ from gaussian_ramsey.graphs import (
     graph_to_text,
 )
 from gaussian_ramsey.sampling import RngStream
+from oracles import pack_blue_rows
 
 
 def test_validation_rejects_asymmetry_and_loops():
@@ -30,6 +31,24 @@ def test_red_rows_complement():
     red = g.red_rows
     assert red[0] == 0b100 and red[2] == 0b011
     assert g.blue_count() == 1
+
+
+def test_from_blue_matrix_matches_loop_packer():
+    # asymmetric input with a random diagonal: only the upper triangle counts;
+    # n up to 130 spans rows of one, two and three 64-bit words
+    gen = RngStream(8).generator()
+    for n in range(1, 131):
+        blue = gen.random((n, n)) < gen.random()
+        g = from_blue_matrix(blue)
+        assert g.blue_rows == pack_blue_rows(blue), n
+        assert g.blue_rows == from_blue_matrix(blue.tolist()).blue_rows
+
+
+def test_from_blue_matrix_rejects_non_square():
+    with pytest.raises(ValueError):
+        from_blue_matrix(np.ones((2, 3), bool))
+    with pytest.raises(ValueError):
+        from_blue_matrix(np.ones(3, bool))
 
 
 def test_capability_limit():
@@ -80,3 +99,34 @@ def test_relabeled_preserves_structure():
     h = g.relabeled([2, 0, 1])
     assert h.blue_edge(2, 0) and h.blue_edge(2, 1) and not h.blue_edge(0, 1)
     assert h.blue_count() == g.blue_count()
+
+
+def _k4_text() -> str:
+    # complete blue K_4: rows 0xe, 0xd, 0xb, 0x7
+    return graph_to_text(from_blue_matrix(np.ones((4, 4), bool)))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("000000000000000e\n", "e\n"),  # short row
+        ("000000000000000e\n", "0000000000000000e\n"),  # long row
+        ("000000000000000e\n", "000000000000000E\n"),
+        ("000000000000000e\n", "000000000000_00e\n"),
+        ("000000000000000e\n", "+00000000000000e\n"),
+        ("000000000000000e\n", "0x0000000000000e\n"),
+        ("000000000000000e\n", " 00000000000000e\n"),
+        ("0000000000000007\n", "0000000000000007\n0000000000000000\n"),  # row after row n
+        ("0000000000000007\n", "0000000000000007\n \n"),
+    ],
+)
+def test_graph_parsing_is_strict(old, new):
+    text = _k4_text()
+    assert old in text
+    with pytest.raises(ValueError):
+        graph_from_text(text.replace(old, new, 1))
+
+
+def test_graph_parsing_allows_trailing_empty_lines():
+    text = _k4_text()
+    assert graph_from_text(text + "\n\n") == graph_from_text(text)
