@@ -27,8 +27,6 @@ from gaussian_ramsey.analytic import (
 from gaussian_ramsey.sampling import (
     RngStream,
     TruncatedSpec,
-    sample_chi,
-    sample_normal,
     sample_truncated,
     truncated_mean,
 )
@@ -99,9 +97,7 @@ __all__ = [
     "is_perfect",
     "mills_ratio",
     "sample_bartlett",
-    "sample_chi",
     "sample_cloud",
-    "sample_normal",
     "sample_truncated",
     "search_witness",
     "solve_cp",

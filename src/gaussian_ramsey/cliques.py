@@ -23,7 +23,6 @@ import numpy as np
 from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import gram_batch, sample_cloud_batch
 from gaussian_ramsey.graphs import (
-    DEFAULT_MAX_WORDS,
     ColoredGraph,
     capability_check,
     from_blue_matrix,
@@ -74,16 +73,14 @@ def _search(R: list[int], P: int, size: int, adj: list[int]) -> list[int] | None
     return None
 
 
-def find_mono_clique(
-    g: ColoredGraph, size: int, color: str, max_words: int = DEFAULT_MAX_WORDS
-) -> tuple[int, ...] | None:
+def find_mono_clique(g: ColoredGraph, size: int, color: str) -> tuple[int, ...] | None:
     """A monochromatic clique of the given size, or None if none exists.
 
     Complete: a None return is a proof of absence.  Graphs beyond the
-    configured word budget raise CapabilityError instead of silently
-    taking exponential time.
+    word budget raise CapabilityError instead of silently taking
+    exponential time (and the recursion stays within Python's limit).
     """
-    capability_check(g.n, max_words)
+    capability_check(g.n)
     if not 1 <= size <= g.n:
         raise ValueError(f"size must lie in [1, {g.n}], got {size}")
     if color not in ("red", "blue"):
@@ -110,12 +107,10 @@ class WitnessCertificate:
     checked: bool
 
 
-def verify_witness(
-    g: ColoredGraph, ell: int, k: int, max_words: int = DEFAULT_MAX_WORDS
-) -> WitnessCertificate:
+def verify_witness(g: ColoredGraph, ell: int, k: int) -> WitnessCertificate:
     """Exhaustively check for red K_ell and blue K_k; checked=True iff neither exists."""
-    red = find_mono_clique(g, ell, "red", max_words) if ell <= g.n else None
-    blue = find_mono_clique(g, k, "blue", max_words) if k <= g.n else None
+    red = find_mono_clique(g, ell, "red") if ell <= g.n else None
+    blue = find_mono_clique(g, k, "blue") if k <= g.n else None
     return WitnessCertificate(n=g.n, ell=ell, k=k, graph=g, checked=red is None and blue is None)
 
 
@@ -127,7 +122,6 @@ def search_witness(
     params: dict,
     max_attempts: int,
     stream: RngStream,
-    max_words: int = DEFAULT_MAX_WORDS,
 ) -> WitnessCertificate | None:
     """Sample colorings until one verifies; None after max_attempts failures.
 
@@ -136,7 +130,7 @@ def search_witness(
     params {p}.  The attempt index of the returned certificate is recorded
     in the graph provenance.
     """
-    capability_check(n, max_words)
+    capability_check(n)
     if sampler not in ("geometric", "binomial"):
         raise ValueError(f"sampler must be 'geometric' or 'binomial', got {sampler!r}")
     if max_attempts < 1:
@@ -164,7 +158,7 @@ def search_witness(
             blue[:, iu[0], iu[1]] = gen.random((count, len(iu[0]))) >= p  # blue with probability 1 - p
         for t in range(count):
             graph = from_blue_matrix(blue[t], dict(base_provenance, attempt=attempt))
-            cert = verify_witness(graph, ell, k, max_words)
+            cert = verify_witness(graph, ell, k)
             if cert.checked:
                 return cert
             attempt += 1

@@ -13,6 +13,7 @@ events never multiply raw tiny floats.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,16 +48,17 @@ def _batch_size(elements_per_trial: int) -> int:
 
 
 def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worker):
-    """Run worker(gen, count) over every batch; results in batch order."""
+    """Run worker(gen, count) over every batch on min(threads, batches, CPUs) threads; results in order."""
     nbatches = (trials + batch - 1) // batch
 
     def run(bi: int):
         count = min(batch, trials - bi * batch)
         return worker(stream.offset(bi).generator(), count)
 
-    if threads <= 1:
+    workers = min(threads, nbatches, os.cpu_count() or 1)
+    if workers <= 1:
         return [run(bi) for bi in range(nbatches)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(nbatches)))
 
 

@@ -6,8 +6,8 @@ Rows are Python ints, serialized as fixed-width hex lines (64 vertices
 per machine word) under a small key=value header carrying the sampler
 provenance (n, d, p, c_p, seed).  The format is stable and byte-exact:
 parsing and re-serializing reproduces the file.  Parsing is strict: each
-row is exactly its fixed width of lowercase hex digits, and only empty
-lines may follow the last row.
+row is exactly its fixed width of lowercase hex digits, only empty lines
+may follow the last row, and header keys are unique and values canonical.
 """
 
 from __future__ import annotations
@@ -20,23 +20,25 @@ import numpy as np
 WORD_BITS = 64
 
 #: Exact-search capability limit, in 64-bit words per adjacency row.
-DEFAULT_MAX_WORDS = 8
+MAX_WORDS = 8
 
 _MAGIC = "%gaussian-ramsey-graph v1"
 _HEADER_END = "--"
 #: Provenance keys serialized (in this order) when present.
 _PROVENANCE_KEYS = ("d", "p", "c_p", "seed", "ell", "k", "attempt", "sampler")
+#: Typed header keys; any other value is kept as text.
+_HEADER_TYPES = dict.fromkeys(("n", "d", "seed", "ell", "k", "attempt"), int) | {"p": float, "c_p": float}
 
 
 class CapabilityError(Exception):
-    """The requested graph exceeds the exact engine's configured word budget."""
+    """The requested graph exceeds the exact engine's word budget."""
 
 
-def capability_check(n: int, max_words: int = DEFAULT_MAX_WORDS) -> None:
-    if n > max_words * WORD_BITS:
+def capability_check(n: int) -> None:
+    if n > MAX_WORDS * WORD_BITS:
         raise CapabilityError(
             f"graph on {n} vertices exceeds the exact-engine budget of "
-            f"{max_words} words ({max_words * WORD_BITS} vertices)"
+            f"{MAX_WORDS} words ({MAX_WORDS * WORD_BITS} vertices)"
         )
 
 
@@ -123,11 +125,10 @@ def graph_to_text(g: ColoredGraph, magic: str = _MAGIC) -> str:
 
 
 def _parse_header_value(key: str, raw: str):
-    if key in ("n", "d", "seed", "ell", "k", "attempt"):
-        return int(raw)
-    if key in ("p", "c_p"):
-        return float(raw)
-    return raw
+    value = _HEADER_TYPES.get(key, str)(raw)
+    if _format_value(value) != raw:
+        raise ValueError(f"header value {key}={raw!r} does not re-serialize as written")
+    return value
 
 
 def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
@@ -140,6 +141,8 @@ def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
         key, sep, raw = lines[idx].partition("=")
         if not sep:
             raise ValueError(f"malformed header line {lines[idx]!r}")
+        if key in header:
+            raise ValueError(f"repeated header key {key!r}")
         header[key] = _parse_header_value(key, raw)
         idx += 1
     if idx == len(lines):

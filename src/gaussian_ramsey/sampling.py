@@ -76,24 +76,6 @@ class TruncatedSpec:
             raise ValueError("conditioning event has probability zero")
 
 
-def sample_normal(stream, variance: float = 1.0, size=None):
-    """Draw N(0, variance); scalar when size is None."""
-    if variance <= 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    gen = as_generator(stream)
-    out = gen.standard_normal(size) * math.sqrt(variance)
-    return float(out) if size is None else out
-
-
-def sample_chi(freedom: int, stream, size=None):
-    """Draw sqrt(chi-square with `freedom` degrees of freedom)."""
-    if freedom < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {freedom}")
-    gen = as_generator(stream)
-    out = np.sqrt(gen.chisquare(freedom, size=size))
-    return float(out) if size is None else out
-
-
 def sample_truncated(spec: TruncatedSpec, stream, size=None):
     """Exact one-sided truncated N(0, 1/d) draws via the inverse cdf.
 

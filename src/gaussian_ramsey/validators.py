@@ -24,6 +24,9 @@ Checks:
 
 chi_square_tail_check covers the chi-square deviation inequalities
 P[Y - d >= 2 sqrt(dt) + 2t] <= e^-t and P[d - Y >= 2 sqrt(dt)] <= e^-t.
+
+Trials run in the estimators' batch runner, so memory is bounded per batch:
+frequency checks add hit counts, moment checks merge batch moments.
 """
 
 from __future__ import annotations
@@ -32,29 +35,44 @@ import math
 
 import numpy as np
 
+from gaussian_ramsey import estimators
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated, truncated_mean
 
 #: registered check names for the dispatcher.
 CHECKS = ("norm_concentration", "projection_tail", "exp_square_moment", "quadratic_moment")
 
-#: target elements per sampling batch (doubles); keeps batches ~32 MB.
-_BATCH_ELEMENTS = 1 << 22
+
+def _batches(stream: RngStream, trials: int, per_trial: int, worker) -> list:
+    """Per-batch results of worker(gen, count) over the trial budget, in batch order."""
+    # no _MAX_BATCH cap here: it would repartition every record above 8192 trials
+    batch = max(1, estimators._BATCH_ELEMENTS // max(1, per_trial))
+    return estimators._map_batches(trials, batch, stream, 1, worker)
 
 
-def _frequency(stream: RngStream, trials: int, per_trial: int, batch_draw) -> tuple[int, float]:
-    """Count events over batched trials; batch_draw(gen, count) -> hit count."""
-    batch = max(1, _BATCH_ELEMENTS // max(1, per_trial))
-    hits = 0
-    done = 0
-    bi = 0
-    while done < trials:
-        count = min(batch, trials - done)
-        hits += int(batch_draw(stream.offset(bi).generator(), count))
-        done += count
-        bi += 1
+def _rate(hits: int, trials: int) -> tuple[float, float]:
+    """Event frequency and its binomial standard error."""
     freq = hits / trials
-    se = math.sqrt(freq * (1.0 - freq) / trials)
-    return hits, se
+    return freq, math.sqrt(freq * (1.0 - freq) / trials)
+
+
+def _moments(vals) -> tuple[int, float, float]:
+    """One batch as (count, sum, squared deviations from the batch mean)."""
+    total = float(vals.sum())
+    dev = vals - total / len(vals)
+    dev *= dev
+    return len(vals), total, float(dev.sum())
+
+
+def _merged_mean(parts) -> tuple[float, float]:
+    """Mean and standard error of batches merged in order (Chan, Golub & LeVeque 1979)."""
+    n, total, m2 = parts[0]
+    for nb, total_b, m2_b in parts[1:]:
+        delta = total_b / nb - total / n
+        m2 += m2_b + delta * delta * n * nb / (n + nb)
+        n += nb
+        total += total_b
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    return total / n, se
 
 
 def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
@@ -68,10 +86,9 @@ def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
     def draw(gen, count):
         x = gen.standard_normal((count, d)) / math.sqrt(d)
         norms = np.linalg.norm(x, axis=1)
-        return ((norms <= 1.0 - delta) | (norms >= 1.0 + delta)).sum()
+        return int(((norms <= 1.0 - delta) | (norms >= 1.0 + delta)).sum())
 
-    hits, se = _frequency(stream, trials, d, draw)
-    freq = hits / trials
+    freq, se = _rate(sum(_batches(stream, trials, d, draw)), trials)
     return {
         "empirical": freq,
         "bound": bound,
@@ -97,10 +114,9 @@ def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
         # rotation invariance: project onto the first s coordinate axes,
         # so the remaining d - s coordinates never need to be drawn
         coords = gen.standard_normal((count, s)) / math.sqrt(d)
-        return ((coords * coords).sum(axis=1) >= threshold_sq).sum()
+        return int(((coords * coords).sum(axis=1) >= threshold_sq).sum())
 
-    hits, se = _frequency(stream, trials, s, draw)
-    freq = hits / trials
+    freq, se = _rate(sum(_batches(stream, trials, s, draw)), trials)
     return {
         "empirical": freq,
         "bound": bound,
@@ -119,11 +135,12 @@ def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
     if lam < 0.0 or lam >= 1.0 / (2.0 * sigma2):
         raise ValueError(f"requires 0 <= lambda < 1/(2 sigma^2) = {1.0 / (2.0 * sigma2)}, got {lam}")
     bound = 1.0 + 4.0 * lam * sigma2 / (1.0 - 2.0 * lam * sigma2)
-    gen = stream.generator()
-    x = gen.standard_normal(trials) * math.sqrt(sigma2)
-    vals = np.exp(lam * x * x)
-    empirical = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+
+    def draw(gen, count):
+        x = gen.standard_normal(count) * math.sqrt(sigma2)
+        return _moments(np.exp(lam * x * x))
+
+    empirical, se = _merged_mean(_batches(stream, trials, 1, draw))
     return {
         "empirical": empirical,
         "bound": bound,
@@ -148,14 +165,13 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
     exponent = lam * mean_S + lam * lam * k * k / d * (means**2).sum() + 4.0 * abs(lam) * k / d
     bound = math.exp(exponent)
 
-    gen = stream.generator()
-    cols = [sample_truncated(spec, gen, size=trials) for spec in specs]
-    X = np.stack(cols, axis=1)
-    row_sum = X.sum(axis=1)
-    S = 0.5 * (row_sum * row_sum - (X * X).sum(axis=1))
-    vals = np.exp(lam * S)
-    empirical = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    def draw(gen, count):
+        X = np.stack([sample_truncated(spec, gen, size=count) for spec in specs], axis=1)
+        row_sum = X.sum(axis=1)
+        S = 0.5 * (row_sum * row_sum - (X * X).sum(axis=1))
+        return _moments(np.exp(lam * S))
+
+    empirical, se = _merged_mean(_batches(stream, trials, k, draw))
     return {
         "empirical": empirical,
         "bound": bound,
@@ -202,13 +218,14 @@ def chi_square_tail_check(freedom: int, t: float, trials: int, stream: RngStream
     bound = math.exp(-t)
     upper_cut = freedom + 2.0 * math.sqrt(freedom * t) + 2.0 * t
     lower_cut = freedom - 2.0 * math.sqrt(freedom * t)
-    gen = stream.generator()
-    y = gen.chisquare(freedom, size=trials)
-    up = int((y >= upper_cut).sum())
-    lo = int((y <= lower_cut).sum())
-    freq_up, freq_lo = up / trials, lo / trials
-    se_up = math.sqrt(freq_up * (1.0 - freq_up) / trials)
-    se_lo = math.sqrt(freq_lo * (1.0 - freq_lo) / trials)
+
+    def draw(gen, count):
+        y = gen.chisquare(freedom, size=count)
+        return int((y >= upper_cut).sum()), int((y <= lower_cut).sum())
+
+    parts = _batches(stream, trials, 1, draw)
+    freq_up, se_up = _rate(sum(part[0] for part in parts), trials)
+    freq_lo, se_lo = _rate(sum(part[1] for part in parts), trials)
     return {
         "check": "chi_square_tail",
         "freedom": freedom,

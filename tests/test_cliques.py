@@ -100,6 +100,13 @@ def test_capability_error():
         verify_witness(big, 3, 3)
 
 
+def test_deepest_search_at_the_word_cap():
+    # a clique as large as the capability limit allows recurses 512 deep,
+    # which stays inside Python's default recursion limit
+    full = from_blue_matrix(np.ones((512, 512), bool))
+    assert find_mono_clique(full, 512, "blue") == tuple(range(512))
+
+
 def test_verify_pentagon_and_tiny():
     assert verify_witness(pentagon(), 3, 3).checked
     tiny = ColoredGraph(2, (0b10, 0b01))

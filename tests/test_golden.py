@@ -1,11 +1,13 @@
-"""Byte-exact CLI records and certificates for search, verify and sample.
+"""Byte-exact CLI records: search, verify, sample and the Monte-Carlo commands.
 
 Each case runs ``main`` in-process and compares stdout, byte for byte,
 with a file under ``tests/golden/``.  The files pin the bit layout of
 packed colorings (rows of one, two and three 64-bit words), the attempt
 index at which each sampler first verifies, and the certificate text, so
 any change to graph building or to the clique engine that alters a
-record fails here.
+record fails here.  The estimate, validate and scaling cases pin the
+batch partition, the stream of each batch and the fold order of the
+Monte-Carlo runner; several of them span more than one batch.
 """
 
 from pathlib import Path
@@ -32,6 +34,27 @@ CASES = {
         "search --n 18 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 300 --seed 1", 1),
     "sample-n20": ("sample --n 20 --d 64 --p 0.4 --seed 3", 0),
     "sample-n130": ("sample --n 130 --d 16 --p 0.25 --seed 9", 0),
+    "estimate-density": ("estimate --kind density --n 6 --d 32 --p 0.4 --trials 3000 --seed 4", 0),
+    "estimate-clique-direct": (
+        "estimate --kind clique --r 3 --d 64 --p 0.4 --color blue --trials 20000 --threads 2 --seed 5", 0),
+    "estimate-clique-bartlett-perfect": (
+        "estimate --kind clique --r 4 --d 400 --p 0.4 --color blue --sampler bartlett --restrict-perfect "
+        "--trials 20000 --seed 6", 0),
+    "validate-norm-concentration": (
+        "validate --check norm_concentration --d 400 --delta 0.3 --trials 25000 --seed 7", 0),
+    "validate-projection-tail": (
+        "validate --check projection_tail --d 2500 --ell 4 --s 8 --p 0.38 --C 2 --trials 1100000 --seed 8", 0),
+    "validate-exp-square-moment": (
+        "validate --check exp_square_moment --sigma2 1 --lam 0.2 --trials 50000 --seed 9", 0),
+    "validate-quadratic-moment": (
+        "validate --check quadratic_moment --d 400 --k 5 --lam 2.5 --cutoffs=-0.3,-0.3,0,0.5,-1 "
+        "--trials 20000 --seed 10", 0),
+    "validate-chi-square-tail": (
+        "validate --check chi_square_tail --freedom 100 --t 2 --trials 30000 --seed 11", 0),
+    "validate-conditional-edge": (
+        "validate --check conditional_edge --p 0.38 --d 400 --inner=-0.05 --diag 0.9 --trials 20000 --seed 12", 0),
+    "scaling-bartlett": (
+        "scaling --r 3 --p 0.4 --dims 64,256 --sampler bartlett --trials 20000 --seed 13", 0),
 }
 
 

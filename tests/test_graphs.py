@@ -55,8 +55,6 @@ def test_capability_limit():
     capability_check(512)
     with pytest.raises(CapabilityError):
         capability_check(513)
-    with pytest.raises(CapabilityError):
-        capability_check(65, max_words=1)
 
 
 def test_serialization_round_trip_bytes():
@@ -130,3 +128,22 @@ def test_graph_parsing_is_strict(old, new):
 def test_graph_parsing_allows_trailing_empty_lines():
     text = _k4_text()
     assert graph_from_text(text + "\n\n") == graph_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("n=4\n", "n=0_4\n"),
+        ("seed=7\n", "seed=+7\n"),
+        ("seed=7\n", "seed=7\nseed=8\n"),  # repeated key
+        ("p=0.5\n", "p=.5\n"),
+        ("d=16\n", "d=016\n"),
+        ("p=0.5\n", "p=5e-1\n"),
+    ],
+)
+def test_header_values_must_reserialize(old, new):
+    text = graph_to_text(from_blue_matrix(np.ones((4, 4), bool), {"d": 16, "p": 0.5, "seed": 7}))
+    assert graph_to_text(graph_from_text(text)) == text
+    assert old in text
+    with pytest.raises(ValueError):
+        graph_from_text(text.replace(old, new, 1))

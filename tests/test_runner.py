@@ -1,0 +1,170 @@
+"""The shared Monte-Carlo batch runner: moment merging, per-batch draws, thread clamp."""
+
+import math
+
+import numpy as np
+import pytest
+
+from gaussian_ramsey import estimators
+from gaussian_ramsey.estimators import (
+    conditional_edge_check,
+    correction_scaling,
+    estimate_clique_prob,
+    estimate_edge_density,
+)
+from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated
+from gaussian_ramsey.validators import chi_square_tail_check, validate_bound
+
+
+def _concatenated(stream, trials, batch, draw):
+    """draw(gen, count) over the runner's partition, concatenated in batch order."""
+    starts = range(0, trials, batch)
+    return np.concatenate(
+        [draw(stream.offset(bi).generator(), min(batch, trials - start)) for bi, start in enumerate(starts)]
+    )
+
+
+def _assert_moments(rec, vals, exact):
+    mean = vals.mean()
+    se = vals.std(ddof=1) / math.sqrt(len(vals))
+    if exact:
+        assert rec["empirical"] == mean
+        assert rec["mc_stderr"] == se
+    else:
+        assert rec["empirical"] == pytest.approx(mean, rel=1e-13)
+        assert rec["mc_stderr"] == pytest.approx(se, rel=1e-11)
+
+
+@pytest.mark.parametrize("elements", [1000, estimators._BATCH_ELEMENTS])
+def test_exp_square_moment_merges_to_numpy(monkeypatch, elements):
+    monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", elements)
+    sigma2, lam, trials, stream = 2.0, 0.1, 4500, RngStream(3)
+    rec = validate_bound("exp_square_moment", {"sigma2": sigma2, "lam": lam}, trials, stream)
+
+    def draw(gen, count):
+        x = gen.standard_normal(count) * math.sqrt(sigma2)
+        return np.exp(lam * x * x)
+
+    # five batches (the last one short) when small, else exactly numpy's one-pass values
+    _assert_moments(rec, _concatenated(stream, trials, elements, draw), exact=elements > trials)
+
+
+@pytest.mark.parametrize("elements", [1000, estimators._BATCH_ELEMENTS])
+def test_quadratic_moment_merges_to_numpy(monkeypatch, elements):
+    monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", elements)
+    d, lam, cutoffs, trials, stream = 100, -2.0, [-0.3, 0.0, 0.5], 1000, RngStream(4)
+    params = {"d": d, "k": 3, "lam": lam, "cutoffs": cutoffs}
+    rec = validate_bound("quadratic_moment", params, trials, stream)
+    specs = [TruncatedSpec(b, "lower", d) for b in cutoffs]
+
+    def draw(gen, count):
+        X = np.stack([sample_truncated(spec, gen, size=count) for spec in specs], axis=1)
+        row_sum = X.sum(axis=1)
+        S = 0.5 * (row_sum * row_sum - (X * X).sum(axis=1))
+        return np.exp(lam * S)
+
+    # when small: batches of 333 trials, three full ones and a final single trial
+    batch = elements // 3
+    _assert_moments(rec, _concatenated(stream, trials, batch, draw), exact=batch >= trials)
+
+
+def _record_draws(monkeypatch) -> list[int]:
+    """Patch every stream's generator to log the number of values each draw asks for."""
+    sizes = []
+
+    class Recording(np.random.Generator):
+        def standard_normal(self, size=None, *args, **kwargs):
+            sizes.append(int(np.prod(size)))
+            return super().standard_normal(size, *args, **kwargs)
+
+        def chisquare(self, df, size=None):
+            sizes.append(int(np.prod(size)))
+            return super().chisquare(df, size)
+
+        def random(self, size=None, *args, **kwargs):
+            sizes.append(int(np.prod(size)))
+            return super().random(size, *args, **kwargs)
+
+    plain = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: Recording(plain(self).bit_generator))
+    return sizes
+
+
+_RUNS = {
+    "density": lambda s: estimate_edge_density(4, 8, 0.4, 5000, s, threads=2),
+    "clique-direct": lambda s: estimate_clique_prob(3, 8, 0.4, "blue", True, trials=5000, stream=s),
+    "clique-bartlett": lambda s: estimate_clique_prob(4, 8, 0.4, "blue", trials=5000, stream=s, sampler="bartlett"),
+    "scaling": lambda s: correction_scaling(3, 0.4, [8, 16], 5000, s, sampler="bartlett"),
+    "conditional_edge": lambda s: conditional_edge_check(0.4, 16, 0.0, 1.0, 5000, s),
+    "norm_concentration": lambda s: validate_bound("norm_concentration", {"d": 16, "delta": 0.5}, 5000, s),
+    "projection_tail": lambda s: validate_bound(
+        "projection_tail", {"d": 100, "ell": 4, "s": 8, "p": 0.38, "C": 2.0}, 5000, s
+    ),
+    "exp_square_moment": lambda s: validate_bound("exp_square_moment", {"sigma2": 1.0, "lam": 0.2}, 5000, s),
+    "quadratic_moment": lambda s: validate_bound(
+        "quadratic_moment", {"d": 100, "k": 3, "lam": 1.0, "cutoffs": [-0.3, 0.0, 0.5]}, 5000, s
+    ),
+    "chi_square_tail": lambda s: chi_square_tail_check(20, 1.0, 5000, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_no_draw_spans_more_than_one_batch(monkeypatch, name):
+    # 5000 trials of at least one value each exceed 512 values several times
+    # over, so a draw of the whole budget (or of two batches) would show here
+    monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 512)
+    sizes = _record_draws(monkeypatch)
+    _RUNS[name](RngStream(5))
+    assert len(sizes) > 1
+    assert max(sizes) <= 512
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """A serial stand-in for ThreadPoolExecutor on a 3-CPU machine; yields each max_workers."""
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 3)
+    return opened
+
+
+def _counts(trials, batch, threads):
+    return estimators._map_batches(trials, batch, RngStream(1), threads, lambda gen, count: count)
+
+
+def test_thread_clamp_to_cpu_count(pools):
+    assert _counts(10, 2, 10**6) == [2, 2, 2, 2, 2]
+    assert pools == [3]
+
+
+def test_thread_clamp_to_batch_count(pools):
+    assert _counts(3, 2, 10**6) == [2, 1]
+    assert pools == [2]
+
+
+def test_one_worker_runs_serially(pools, monkeypatch):
+    assert _counts(10, 2, 1) == [2] * 5
+    assert _counts(2, 2, 10**6) == [2]
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: None)
+    assert _counts(10, 2, 10**6) == [2] * 5
+    assert pools == []
+
+
+def test_clamped_estimate_matches_serial(pools):
+    kwargs = dict(r=3, d=64, p=0.4, color="blue", trials=20000, stream=RngStream(6))
+    assert estimate_clique_prob(threads=10**6, **kwargs) == estimate_clique_prob(threads=1, **kwargs)
+    assert pools == [3]

@@ -8,8 +8,6 @@ import pytest
 from gaussian_ramsey.sampling import (
     RngStream,
     TruncatedSpec,
-    sample_chi,
-    sample_normal,
     sample_truncated,
     truncated_mean,
 )
@@ -25,7 +23,6 @@ def test_identical_streams_identical_sequences():
     a = RngStream(42, 0).generator().standard_normal(64)
     b = RngStream(42, 0).generator().standard_normal(64)
     assert (a == b).all()
-    assert sample_normal(RngStream(42, 0)) == sample_normal(RngStream(42, 0))
 
 
 def test_distinct_streams_differ():
@@ -38,43 +35,6 @@ def test_distinct_streams_differ():
 
 def test_offset():
     assert RngStream(5, 3).offset(4) == RngStream(5, 7)
-
-
-def test_normal_moments():
-    x = sample_normal(RngStream(7), variance=1.0, size=10**6)
-    assert abs(x.mean()) <= 0.004  # 4 sigma
-    assert abs(x.var() - 1.0) <= 0.006
-    y = sample_normal(RngStream(8), variance=0.25, size=10**5)
-    assert abs(y.var() - 0.25) <= 4.0 * 0.25 * math.sqrt(2.0 / 10**5)
-    with pytest.raises(ValueError):
-        sample_normal(RngStream(1), variance=0.0)
-
-
-def test_chi_half_normal_mean():
-    x = sample_chi(1, RngStream(11), size=10**6)
-    se = math.sqrt((1.0 - HALF_NORMAL_MEAN**2) / 10**6)
-    assert abs(x.mean() - HALF_NORMAL_MEAN) <= 4.0 * se
-
-
-@pytest.mark.parametrize("freedom", [2, 17, 400])
-def test_chi_squared_mean(freedom):
-    x = sample_chi(freedom, RngStream(freedom), size=200000)
-    se = math.sqrt(2.0 * freedom / 200000)
-    assert abs((x * x).mean() - freedom) <= 4.0 * se
-
-
-def test_chi_domain():
-    with pytest.raises(ValueError):
-        sample_chi(0, RngStream(1))
-
-
-def test_chi_laurent_massart_window():
-    # squared chi draws stay within d +/- (2 sqrt(dt) + 2t) at t = 20 except
-    # with probability <= 2 e^-20 plus Monte-Carlo slack
-    d, t, trials = 400, 20.0, 10**5
-    y = sample_chi(d, RngStream(21), size=trials) ** 2
-    outside = ((y - d >= 2.0 * math.sqrt(d * t) + 2.0 * t) | (d - y >= 2.0 * math.sqrt(d * t))).mean()
-    assert outside <= 2.0 * math.exp(-t) + 3.0 * math.sqrt(1.0 / trials)
 
 
 @pytest.mark.parametrize(
