@@ -176,22 +176,13 @@ def sample_bartlett(r: int, d: int, stream) -> TriangularSample:
 # ---------------------------------------------------------------------------
 
 
-def _symmetrize(raw: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one (one value per pair)."""
-    upper = np.triu(raw, 1)
-    sym = upper + np.swapaxes(upper, -1, -2)
-    diag = np.zeros_like(raw)
-    idx = np.arange(raw.shape[-1])
-    diag[..., idx, idx] = raw[..., idx, idx]
-    return sym + diag
-
-
 def gram_batch(clouds: np.ndarray) -> np.ndarray:
-    return _symmetrize(clouds @ np.swapaxes(clouds, -1, -2))
+    """Batched inner products; consumers read only the pairs i < j."""
+    return clouds @ np.swapaxes(clouds, -1, -2)
 
 
 def gram(cloud: PointCloud) -> np.ndarray:
-    """Pairwise inner products; exactly symmetric (computed once per pair)."""
+    """Pairwise inner products; exactly symmetric (numpy's X @ X.T is a syrk)."""
     return gram_batch(cloud.coords[None])[0]
 
 

@@ -7,7 +7,8 @@ per machine word) under a small key=value header carrying the sampler
 provenance (n, d, p, c_p, seed).  The format is stable and byte-exact:
 parsing and re-serializing reproduces the file.  Parsing is strict: each
 row is exactly its fixed width of lowercase hex digits, only empty lines
-may follow the last row, and header keys are unique and values canonical.
+may follow the last row, and the header is exactly as it re-serializes:
+unique keys, in serialization order, with canonical values.
 """
 
 from __future__ import annotations
@@ -66,10 +67,12 @@ class ColoredGraph:
                 raise ValueError(f"row {i} has bits beyond vertex {self.n - 1}")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.blue_rows[i] >> j & 1) != (self.blue_rows[j] >> i & 1):
-                    raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
+        blue = _unpack(self.blue_rows, self.n)
+        mismatch = blue != blue.T
+        if mismatch.any():
+            # symmetric with a zero diagonal: the first hit in row-major order has i < j
+            i, j = np.argwhere(mismatch)[0]
+            raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
 
     @property
     def red_rows(self) -> tuple[int, ...]:
@@ -84,12 +87,17 @@ class ColoredGraph:
 
     def relabeled(self, perm: list[int]) -> "ColoredGraph":
         """The same coloring with vertex i renamed perm[i]."""
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.blue_rows[i] >> j & 1:
-                    rows[int(perm[i])] |= 1 << int(perm[j])
-        return ColoredGraph(self.n, tuple(rows), dict(self.provenance))
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"not a permutation of 0..{self.n - 1}: {list(perm)}")
+        inv = np.argsort(perm)
+        return from_blue_matrix(_unpack(self.blue_rows, self.n)[np.ix_(inv, inv)], dict(self.provenance))
+
+
+def _unpack(rows, n: int) -> np.ndarray:
+    """Boolean matrix of rows in [0, 2**n); the inverse of the packing in from_blue_matrix."""
+    width = (n + 7) // 8
+    data = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
@@ -109,26 +117,19 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _header_lines(n: int, provenance: dict) -> list[str]:
+    """n, then the provenance in _PROVENANCE_KEYS order, then the other keys sorted."""
+    keys = [key for key in _PROVENANCE_KEYS if key in provenance]
+    keys += sorted(key for key in provenance if key not in _PROVENANCE_KEYS)
+    return [f"n={n}"] + [f"{key}={_format_value(provenance[key])}" for key in keys]
+
+
 def graph_to_text(g: ColoredGraph, magic: str = _MAGIC) -> str:
     """Serialize: magic line, key=value header, '--', one hex row per vertex."""
     width = _words_for(g.n) * (WORD_BITS // 4)
-    lines = [magic, f"n={g.n}"]
-    for key in _PROVENANCE_KEYS:
-        if key in g.provenance:
-            lines.append(f"{key}={_format_value(g.provenance[key])}")
-    for key in sorted(g.provenance):
-        if key not in _PROVENANCE_KEYS:
-            lines.append(f"{key}={_format_value(g.provenance[key])}")
-    lines.append(_HEADER_END)
+    lines = [magic, *_header_lines(g.n, g.provenance), _HEADER_END]
     lines.extend(format(row, f"0{width}x") for row in g.blue_rows)
     return "\n".join(lines) + "\n"
-
-
-def _parse_header_value(key: str, raw: str):
-    value = _HEADER_TYPES.get(key, str)(raw)
-    if _format_value(value) != raw:
-        raise ValueError(f"header value {key}={raw!r} does not re-serialize as written")
-    return value
 
 
 def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
@@ -141,15 +142,16 @@ def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
         key, sep, raw = lines[idx].partition("=")
         if not sep:
             raise ValueError(f"malformed header line {lines[idx]!r}")
-        if key in header:
-            raise ValueError(f"repeated header key {key!r}")
-        header[key] = _parse_header_value(key, raw)
+        header[key] = _HEADER_TYPES.get(key, str)(raw)
         idx += 1
     if idx == len(lines):
         raise ValueError("missing header terminator")
     if "n" not in header:
         raise ValueError("header missing vertex count n")
     n = header.pop("n")
+    written = _header_lines(n, header)
+    if lines[1:idx] != written:  # one check for unique keys, their order and canonical values
+        raise ValueError(f"header {lines[1:idx]} does not re-serialize as written: {written}")
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     body = lines[idx + 1 :]

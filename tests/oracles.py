@@ -3,7 +3,8 @@
 These paths intentionally avoid the library's own implementations: the
 normal cdf comes from adaptive quadrature of the density (no erf), the
 solvers from plain interval bisection, and the deep-tail Mills ratio from
-its asymptotic series with an explicit truncation error.  Frozen constants
+its asymptotic series with an explicit truncation error, and the graph
+bit layouts from per-pair loops over the rows.  Frozen constants
 in the tests were computed with these functions at 30 decimal digits.
 """
 
@@ -86,3 +87,25 @@ def pack_blue_rows(blue) -> tuple[int, ...]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return tuple(rows)
+
+
+def first_asymmetric_pair(rows) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row-major order, where bit j of row i
+    differs from bit i of row j; None for symmetric rows.  A per-pair loop."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] >> j & 1) != (rows[j] >> i & 1):
+                return (i, j)
+    return None
+
+
+def relabel_rows(rows, perm) -> tuple[int, ...]:
+    """Rows with vertex i renamed perm[i], by a loop over every bit."""
+    n = len(rows)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return tuple(out)

@@ -55,6 +55,8 @@ CASES = {
         "validate --check conditional_edge --p 0.38 --d 400 --inner=-0.05 --diag 0.9 --trials 20000 --seed 12", 0),
     "scaling-bartlett": (
         "scaling --r 3 --p 0.4 --dims 64,256 --sampler bartlett --trials 20000 --seed 13", 0),
+    "scaling-direct": (
+        "scaling --r 3 --p 0.4 --dims 64,256 --sampler direct --threads 2 --trials 12000 --seed 14", 0),
 }
 
 

@@ -13,7 +13,7 @@ from gaussian_ramsey.graphs import (
     graph_to_text,
 )
 from gaussian_ramsey.sampling import RngStream
-from oracles import pack_blue_rows
+from oracles import first_asymmetric_pair, pack_blue_rows, relabel_rows
 
 
 def test_validation_rejects_asymmetry_and_loops():
@@ -99,6 +99,72 @@ def test_relabeled_preserves_structure():
     assert h.blue_count() == g.blue_count()
 
 
+def _random_graph(gen, n: int) -> ColoredGraph:
+    return from_blue_matrix(gen.random((n, n)) < gen.random())
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 130])
+def test_single_bit_flip_names_the_oracle_pair(n):
+    # every off-diagonal bit at n <= 65; a seeded sample at n = 130
+    gen = RngStream(60 + n).generator()
+    g = _random_graph(gen, n)
+    flips = [(a, b) for a in range(n) for b in range(n) if a != b]
+    if n > 65:
+        flips = [flips[t] for t in gen.choice(len(flips), 600, replace=False)]
+    for a, b in flips:
+        rows = list(g.blue_rows)
+        rows[a] ^= 1 << b
+        pair = first_asymmetric_pair(rows)
+        assert pair == (min(a, b), max(a, b))
+        with pytest.raises(ValueError, match=rf"^adjacency not symmetric at pair \({pair[0]}, {pair[1]}\)$"):
+            ColoredGraph(n, tuple(rows))
+    for a in range(n):
+        rows = list(g.blue_rows)
+        rows[a] ^= 1 << a
+        with pytest.raises(ValueError, match=f"^self-loop at vertex {a}$"):
+            ColoredGraph(n, tuple(rows))
+
+
+def test_asymmetry_error_names_the_first_pair():
+    # rows with many asymmetric pairs: the error names the oracle's first one
+    gen = RngStream(59).generator()
+    for n in range(2, 131):
+        blue = gen.random((n, n)) < gen.random()
+        np.fill_diagonal(blue, False)
+        rows = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in blue)
+        pair = first_asymmetric_pair(rows)
+        if pair is None:
+            assert ColoredGraph(n, rows).blue_rows == rows
+            continue
+        with pytest.raises(ValueError, match=rf"^adjacency not symmetric at pair \({pair[0]}, {pair[1]}\)$"):
+            ColoredGraph(n, rows)
+
+
+def test_relabeled_matches_the_oracle_and_inverts():
+    gen = RngStream(61).generator()
+    for n in range(1, 131):
+        g = _random_graph(gen, n)
+        perm = [int(v) for v in gen.permutation(n)]
+        h = g.relabeled(perm)
+        assert h.blue_rows == relabel_rows(g.blue_rows, perm), n
+        assert h.relabeled(np.argsort(perm)).blue_rows == g.blue_rows, n
+
+
+@pytest.mark.parametrize("perm", [[0, 1], [0, 0, 1], [0, 1, 3], [0, 1, 2, 3], [-1, 0, 1]])
+def test_relabeled_rejects_non_permutations(perm):
+    g = ColoredGraph(3, (2, 1, 0))
+    with pytest.raises(ValueError, match="not a permutation"):
+        g.relabeled(perm)
+
+
+def test_header_key_before_n_is_rejected():
+    text = "%gaussian-ramsey-graph v1\nseed=7\nn=2\np=0.5\n--\n0000000000000002\n0000000000000001\n"
+    with pytest.raises(ValueError, match="does not re-serialize as written"):
+        graph_from_text(text)
+    reordered = text.replace("seed=7\nn=2\np=0.5", "n=2\np=0.5\nseed=7")
+    assert graph_to_text(graph_from_text(reordered)) == reordered
+
+
 def _k4_text() -> str:
     # complete blue K_4: rows 0xe, 0xd, 0xb, 0x7
     return graph_to_text(from_blue_matrix(np.ones((4, 4), bool)))
@@ -139,10 +205,16 @@ def test_graph_parsing_allows_trailing_empty_lines():
         ("p=0.5\n", "p=.5\n"),
         ("d=16\n", "d=016\n"),
         ("p=0.5\n", "p=5e-1\n"),
+        ("n=4\nd=16\n", "d=16\nn=4\n"),  # keys out of serialization order
+        ("d=16\np=0.5\n", "p=0.5\nd=16\n"),
+        ("seed=7\nalpha=x\n", "alpha=x\nseed=7\n"),
+        ("alpha=x\nbeta=y\n", "beta=y\nalpha=x\n"),
     ],
 )
 def test_header_values_must_reserialize(old, new):
-    text = graph_to_text(from_blue_matrix(np.ones((4, 4), bool), {"d": 16, "p": 0.5, "seed": 7}))
+    provenance = {"d": 16, "p": 0.5, "seed": 7, "beta": "y", "alpha": "x"}
+    text = graph_to_text(from_blue_matrix(np.ones((4, 4), bool), provenance))
+    assert text.splitlines()[1:7] == ["n=4", "d=16", "p=0.5", "seed=7", "alpha=x", "beta=y"]
     assert graph_to_text(graph_from_text(text)) == text
     assert old in text
     with pytest.raises(ValueError):
