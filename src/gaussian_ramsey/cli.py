@@ -316,7 +316,7 @@ def render_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, float):
-        return _render_float(obj)
+        return _render_float(obj) if math.isfinite(obj) else "null"  # JSON has no NaN or Infinity
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, ndtri
 
 from gaussian_ramsey.analytic import solve_cp, std_normal_cdf, std_normal_pdf
 from gaussian_ramsey.geometry import (
@@ -42,6 +42,9 @@ STREAM_STRIDE = 1 << 24
 #: expected-success threshold below which an estimate is flagged underpowered.
 MIN_EXPECTED_SUCCESSES = 100.0
 
+#: two-sided 95% normal quantile.
+_Z95 = float(ndtri(0.975))
+
 
 def _batch_size(elements_per_trial: int) -> int:
     return max(1, min(_MAX_BATCH, _BATCH_ELEMENTS // max(1, elements_per_trial)))
@@ -62,23 +65,20 @@ def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worke
         return list(pool.map(run, range(nbatches)))
 
 
-def _wald_interval(successes: int, trials: int) -> tuple[float, float]:
-    p = successes / trials
-    half = 1.959963984540054 * math.sqrt(p * (1.0 - p) / trials)
-    return max(0.0, p - half), min(1.0, p + half)
-
-
 def _clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
-    lo = 0.0 if successes == 0 else float(beta_dist.ppf(0.025, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(beta_dist.ppf(0.975, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, 0.025))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 0.975))
     return lo, hi
 
 
-def _binomial_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% interval: normal approximation, exact fallback at low counts."""
+def _binomial_interval(successes: int, trials: int, se: float | None = None) -> tuple[float, float]:
+    """95% interval: exact below 30 successes or failures, else normal with
+    standard error se (default: the binomial one)."""
     if successes < 30 or trials - successes < 30:
         return _clopper_pearson(successes, trials)
-    return _wald_interval(successes, trials)
+    p = successes / trials
+    half = _Z95 * (math.sqrt(p * (1.0 - p) / trials) if se is None else se)
+    return max(0.0, p - half), min(1.0, p + half)
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,12 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
 
     total_pairs = trials * pairs_per_cloud
     point = edges_total / total_pairs
-    if n == 2 or trials < 2:
-        ci_low, ci_high = _binomial_interval(edges_total, total_pairs)
-    elif edges_total < 30 or total_pairs - edges_total < 30:
-        ci_low, ci_high = _clopper_pearson(edges_total, total_pairs)
-    else:
+    se = None  # pairs within one cloud share vertices: use the spread of cloud-level counts
+    if n > 2 and trials > 1:
         mean_count = edges_total / trials
         var_count = (edges_sq_total - trials * mean_count**2) / (trials - 1)
         se = math.sqrt(max(var_count, 0.0) / trials) / pairs_per_cloud
-        half = 1.959963984540054 * se
-        ci_low, ci_high = max(0.0, point - half), min(1.0, point + half)
+    ci_low, ci_high = _binomial_interval(edges_total, total_pairs, se)
 
     config = {
         "op": "edge_density",

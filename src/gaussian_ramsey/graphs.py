@@ -8,7 +8,8 @@ provenance (n, d, p, c_p, seed).  The format is stable and byte-exact:
 parsing and re-serializing reproduces the file.  Parsing is strict: each
 row is exactly its fixed width of lowercase hex digits, only empty lines
 may follow the last row, and the header is exactly as it re-serializes:
-unique keys, in serialization order, with canonical values.
+unique keys, in serialization order, with canonical values.  Writing is
+as strict: provenance that would not parse back as given is refused.
 """
 
 from __future__ import annotations
@@ -124,8 +125,35 @@ def _header_lines(n: int, provenance: dict) -> list[str]:
     return [f"n={n}"] + [f"{key}={_format_value(provenance[key])}" for key in keys]
 
 
+def _parse_header(lines: list[str]) -> tuple[int, dict]:
+    """n and the provenance from the header lines, which must be exactly what _header_lines writes."""
+    header: dict = {}
+    for line in lines:
+        key, sep, raw = line.partition("=")
+        if not sep:
+            raise ValueError(f"malformed header line {line!r}")
+        header[key] = _HEADER_TYPES.get(key, str)(raw)
+    if "n" not in header:
+        raise ValueError("header missing vertex count n")
+    n = header.pop("n")
+    written = _header_lines(n, header)
+    if lines != written:  # one check for unique keys, their order and canonical values
+        raise ValueError(f"header {lines} does not re-serialize as written: {written}")
+    return n, header
+
+
 def graph_to_text(g: ColoredGraph, magic: str = _MAGIC) -> str:
-    """Serialize: magic line, key=value header, '--', one hex row per vertex."""
+    """Serialize: magic line, key=value header, '--', one hex row per vertex.
+
+    Raises ValueError, naming the key, for a provenance entry that would not parse back as given.
+    """
+    for key, value in g.provenance.items():
+        try:
+            if _parse_header("\n".join(_header_lines(g.n, {key: value})).splitlines()) == (g.n, {key: value}):
+                continue
+        except ValueError:
+            pass
+        raise ValueError(f"provenance {key!r}={value!r} does not parse back from a graph header")
     width = _words_for(g.n) * (WORD_BITS // 4)
     lines = [magic, *_header_lines(g.n, g.provenance), _HEADER_END]
     lines.extend(format(row, f"0{width}x") for row in g.blue_rows)
@@ -136,22 +164,10 @@ def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
     lines = text.splitlines()
     if not lines or lines[0] != magic:
         raise ValueError(f"not a serialized graph (expected magic line {magic!r})")
-    header: dict = {}
-    idx = 1
-    while idx < len(lines) and lines[idx] != _HEADER_END:
-        key, sep, raw = lines[idx].partition("=")
-        if not sep:
-            raise ValueError(f"malformed header line {lines[idx]!r}")
-        header[key] = _HEADER_TYPES.get(key, str)(raw)
-        idx += 1
-    if idx == len(lines):
+    if _HEADER_END not in lines:
         raise ValueError("missing header terminator")
-    if "n" not in header:
-        raise ValueError("header missing vertex count n")
-    n = header.pop("n")
-    written = _header_lines(n, header)
-    if lines[1:idx] != written:  # one check for unique keys, their order and canonical values
-        raise ValueError(f"header {lines[1:idx]} does not re-serialize as written: {written}")
+    idx = lines.index(_HEADER_END)
+    n, header = _parse_header(lines[1:idx])
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     body = lines[idx + 1 :]

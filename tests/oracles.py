@@ -109,3 +109,16 @@ def relabel_rows(rows, perm) -> tuple[int, ...]:
             if rows[i] >> j & 1:
                 out[perm[i]] |= 1 << perm[j]
     return tuple(out)
+
+
+def inv_cdf_mp(q: float, dps: int = 40) -> float:
+    """Inverse normal cdf by bisection against mpmath's ncdf; q may be as small as 1e-300."""
+    with mp.workdps(dps):
+        lo, hi = mp.mpf(-40), mp.mpf(40)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if mp.ncdf(mid) < q:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)

@@ -22,7 +22,7 @@ from gaussian_ramsey.analytic import (
     union_bases,
     union_bound_report,
 )
-from oracles import cdf_quad, inv_cdf_bisect, mills_asymptotic, solve_pC_bisect
+from oracles import cdf_quad, inv_cdf_bisect, inv_cdf_mp, mills_asymptotic, solve_pC_bisect
 
 C_GRID = [1.1, 1.5, 2.0, 3.0, 5.0, 10.0]
 
@@ -118,6 +118,18 @@ def test_solve_cp_examples():
 def test_solve_cp_inverts_cdf():
     for p in [0.01, 0.1, 0.25, 0.4999]:
         assert std_normal_cdf(-solve_cp(p)) == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.38, 0.4, 0.4503, solve_pC(2.0), solve_pC(3.0)])
+def test_solve_cp_within_4_ulp_of_the_mpmath_quantile(p):
+    exact = -inv_cdf_mp(p)
+    assert abs(solve_cp(p) - exact) <= 4 * math.ulp(exact)
+
+
+@pytest.mark.parametrize("p", [1e-2, 1e-5, 1e-10, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300])
+def test_solve_cp_relative_accuracy_in_the_tail(p):
+    exact = -inv_cdf_mp(p)
+    assert abs(solve_cp(p) - exact) <= 1e-15 * exact
 
 
 def test_mills_examples():

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gaussian_ramsey
 from gaussian_ramsey.cli import ExperimentConfig, main, parse_config, render_json, run
 from gaussian_ramsey.cliques import certificate_from_text
 from gaussian_ramsey.graphs import graph_from_text
@@ -210,9 +213,38 @@ def test_bounds_command(capsys):
 
 def test_float_rendering_17_digits():
     assert render_json(0.1) == "0.10000000000000001"
-    assert render_json(-math.inf) == "-Infinity"
+    assert render_json(-math.inf) == "null"
     assert render_json({"a": 1.0, "b": [True, None]}) == '{"a":1,"b":[true,null]}'
     assert json.loads(render_json({"x": 0.1}))["x"] == 0.1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_zero_success_record_is_strict_json(capsys):
+    argv = "estimate --kind clique --r 6 --d 64 --p 0.1 --color red --trials 10 --seed 1"
+    with pytest.warns(UserWarning, match="noise-dominated"):
+        code, out, _ = run_main(argv.split(), capsys)
+    assert code == 1  # underpowered
+    rec = json.loads(out, parse_constant=_reject_constant)["result"]
+    assert rec["successes"] == 0 and rec["log_point"] is None
+    assert render_json([math.nan, math.inf, -math.inf]) == "[null,null,null]"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # the package needs scipy.special only; scipy.stats alone costs more start-up than the rest
+    src = os.path.dirname(os.path.dirname(gaussian_ramsey.__file__))
+    code = "import sys, gaussian_ramsey.cli; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_csv_format(capsys):

@@ -1,5 +1,7 @@
 """Packed graph invariants and the hex serialization format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,34 @@ def test_header_values_must_reserialize(old, new):
     assert old in text
     with pytest.raises(ValueError):
         graph_from_text(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("x=y", "z"),  # would parse back as key x with value y=z
+        ("n", 5),
+        ("n", 4),  # even the graph's own n is a second n line
+        ("d", True),
+        ("d", "16"),
+        ("seed", 7.5),
+        ("source", 3),  # untyped keys parse back as text
+        ("source", 0.5),
+        ("p", float("nan")),
+        *(("source", f"a{sep}b") for sep in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+        ("so\nurce", "a"),
+        ("source", "a\n--\n0000000000000000"),
+    ],
+)
+def test_graph_to_text_rejects_provenance_that_does_not_parse_back(key, value):
+    g = from_blue_matrix(np.ones((4, 4), bool), {"seed": 7, key: value})
+    with pytest.raises(ValueError, match=f"^provenance {re.escape(repr(key))}="):
+        graph_to_text(g)
+
+
+@pytest.mark.parametrize("value", ["", " a b ", "a=b", "--", "%gaussian-ramsey-graph v1", "é\t\x00"])
+def test_graph_to_text_writes_any_text_without_line_breaks(value):
+    g = from_blue_matrix(np.ones((4, 4), bool), {"seed": 7, "source": value, "": value})
+    text = graph_to_text(g)
+    assert graph_from_text(text) == g
+    assert graph_to_text(graph_from_text(text)) == text

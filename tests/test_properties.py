@@ -1,9 +1,11 @@
-"""Property tests: the clique engine against brute force, and text round-trips.
+"""Property tests: the clique engine against brute force and under relabeling,
+adjacency thresholding against a per-pair loop, and text round-trips.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +18,9 @@ from gaussian_ramsey.cliques import (
     certificate_to_text,
     find_mono_clique,
 )
+from gaussian_ramsey.geometry import adjacency
 from gaussian_ramsey.graphs import ColoredGraph, from_blue_matrix, graph_from_text, graph_to_text
+from oracles import pack_blue_rows
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -29,7 +33,8 @@ def graphs(draw, max_n: int) -> ColoredGraph:
     return from_blue_matrix(bits.reshape(n, n).astype(bool))
 
 
-_text = st.text(st.characters(codec="ascii", categories=("L", "N"), include_characters="_.-"), min_size=1)
+# any text: "=", line separators such as "\n", "\r", "\x85" and "\u2028", and the empty string
+_text = st.text()
 _provenance = st.fixed_dictionaries(
     {},
     optional={
@@ -42,6 +47,12 @@ _provenance = st.fixed_dictionaries(
         "source": _text,
         "zeta": _text,
     },
+)
+#: entries under any key, typed header keys and "n" included, with values of any type
+_extra = st.dictionaries(
+    st.one_of(st.sampled_from(["n", "d", "p", "seed", "sampler"]), _text),
+    st.one_of(_text, st.integers(), st.floats(), st.booleans()),
+    max_size=3,
 )
 
 
@@ -65,10 +76,56 @@ def test_find_mono_clique_matches_brute_force(g):
 
 
 @_SETTINGS
-@given(graphs(max_n=130), _provenance)
-def test_graph_text_round_trip(g, provenance):
-    g = ColoredGraph(g.n, g.blue_rows, provenance)
-    text = graph_to_text(g)
+@given(graphs(max_n=9), st.data())
+def test_find_mono_clique_is_relabel_invariant(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = g.relabeled(perm)
+    back = np.argsort(perm)  # vertex v of h is vertex back[v] of g
+    for color, rows in (("blue", g.blue_rows), ("red", g.red_rows)):
+        for size in range(1, g.n + 1):
+            found = find_mono_clique(h, size, color)
+            assert (found is None) == (find_mono_clique(g, size, color) is None), (color, size)
+            if found is not None:
+                mapped = [int(back[v]) for v in found]
+                assert all(rows[i] >> j & 1 for i, j in combinations(mapped, 2))
+
+
+@st.composite
+def grams_with_ties(draw):
+    """(gram, c_p, d) with entries at, one ulp either side of, or away from -c_p/sqrt(d)."""
+    n = draw(st.integers(1, 70))
+    d = draw(st.integers(1, 4096))
+    c_p = draw(st.floats(0.0, 6.0))
+    t = -c_p / math.sqrt(d)
+    kinds = np.frombuffer(draw(st.binary(min_size=n * n, max_size=n * n)), np.uint8).reshape(n, n) % 4
+    free = np.random.default_rng(draw(st.integers(0, 2**32))).uniform(-2.0, 2.0, (n, n))
+    upper = np.choose(kinds, [free, t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)])
+    return np.triu(upper) + np.triu(upper, 1).T, c_p, d
+
+
+@_SETTINGS
+@given(grams_with_ties())
+def test_adjacency_matches_the_loop_packer(case):
+    gram, c_p, d = case
+    assert adjacency(gram, c_p, d).blue_rows == pack_blue_rows(gram >= -c_p / math.sqrt(d))
+
+
+def _written(write, obj) -> str | None:
+    """write(obj), or None when it refuses an entry that would not parse back."""
+    try:
+        return write(obj)
+    except ValueError as exc:
+        assert str(exc).startswith("provenance ")
+        return None
+
+
+@_SETTINGS
+@given(graphs(max_n=130), _provenance, _extra)
+def test_graph_text_round_trip(g, provenance, extra):
+    g = ColoredGraph(g.n, g.blue_rows, provenance | extra)
+    text = _written(graph_to_text, g)
+    if text is None:
+        return
     back = graph_from_text(text)
     assert back == g
     assert graph_to_text(back) == text
@@ -79,7 +136,9 @@ def test_graph_text_round_trip(g, provenance):
 def test_certificate_text_round_trip(g, provenance, ell, k, checked):
     graph = ColoredGraph(g.n, g.blue_rows, provenance)
     cert = WitnessCertificate(n=g.n, ell=ell, k=k, graph=graph, checked=checked)
-    text = certificate_to_text(cert)
+    text = _written(certificate_to_text, cert)
+    if text is None:
+        return
     back = certificate_from_text(text)
     assert (back.n, back.ell, back.k, back.graph, back.checked) == (g.n, ell, k, graph, False)
     assert certificate_to_text(back) == text
