@@ -351,7 +351,7 @@ def _render_csv_cell(v) -> str:
     if v is None:
         return ""
     text = str(v)
-    if "," in text or '"' in text or "\n" in text:
+    if any(ch in text for ch in ',"\n\r'):  # RFC 4180 quotes line breaks, CR included
         return '"' + text.replace('"', '""') + '"'
     return text
 

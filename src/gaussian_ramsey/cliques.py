@@ -9,8 +9,8 @@ verified certificate meaningful: a coloring of K_n with no red K_ell and
 no blue K_k establishes R(ell, k) > n.
 
 The witness search samples fresh colorings (geometric or binomial) and
-verifies each; the first attempt index that verifies wins, so results are
-reproducible and parallelization cannot change the returned certificate.
+verifies each in attempt order; the certificate returned is the one with
+the lowest attempt index that verifies, so a seed determines it.
 """
 
 from __future__ import annotations

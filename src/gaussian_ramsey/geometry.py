@@ -7,16 +7,19 @@ Two equivalent ways to draw the vertex vectors:
   N(0, 1/d) entries followed by a sqrt(chi^2_{d-i+1}/d) diagonal entry.
 
 The triangular form is the direct cloud re-expressed in the orthonormal
-basis aligned with the prefix spans, so the two samplers induce the same
-joint law of inner products (and hence the same random graph).  The graph
-itself connects i ~ j (blue) precisely when <x_i, x_j> >= -c_p/sqrt(d),
-inclusive at equality.
+basis aligned with the prefix spans, that is, the Cholesky factor of its
+Gram matrix, so the two samplers induce the same joint law of inner
+products (and hence the same random graph).  The graph itself connects
+i ~ j (blue) precisely when <x_i, x_j> >= -c_p/sqrt(d), inclusive at
+equality.
 
 A sequence is *perfect* for a given spec when every vector's norm lies in
-(1 - delta, 1 + delta) and every prefix-span projection is short; the
-canonical spec uses alpha = 100 C log(10/p) and delta = alpha d^{-1/4},
-which at moderate dimensions is degenerate (delta >= 1) and is flagged as
-such rather than rejected.
+(1 - delta, 1 + delta) and every prefix-span projection is short.  Both
+are read off the triangular form, into which a cloud is brought by one
+row-by-row Cholesky routine.  The canonical spec uses
+alpha = 100 C log(10/p) and delta = alpha d^{-1/4}, which at moderate
+dimensions is degenerate (delta >= 1) and is flagged as such rather than
+rejected.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ import numpy as np
 from gaussian_ramsey.graphs import ColoredGraph, from_blue_matrix
 from gaussian_ramsey.sampling import as_generator
 
-#: Orthogonality tolerance of the incremental Gram-Schmidt basis.
-ORTHO_TOL = 1e-10
+#: Relative Cholesky pivot at or below which a vector counts as dependent
+#: on its predecessors; well above the Gram's rounding (pivots of exactly
+#: dependent rows carry about eps * G_ii, and up to 3e-11 relative on
+#: near-square rank-deficient clouds).
+PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -203,50 +209,50 @@ def adjacency(gram_matrix: np.ndarray, c_p: float, d: int, provenance: dict | No
 # ---------------------------------------------------------------------------
 
 
-class _IncrementalBasis:
-    """Batched orthonormal basis grown one vector at a time.
+def _gram_lower(X: np.ndarray) -> np.ndarray:
+    """Lower triangle of a single cloud's Gram; each entry sums x_i * x_j over d alone.
 
-    One classical Gram-Schmidt step plus one reorthogonalization pass per
-    extension; residual directions below ORTHO_TOL (relative) are treated
-    as linearly dependent and do not extend the basis.  Both is_perfect
-    and extract_perfect project through this engine, so the two computations
-    agree bit for bit on identical vector sequences (padding with zero
-    basis slots does not perturb the sums).
+    So the Gram of a subsequence is bit for bit a submatrix of the full
+    Gram; BLAS tiling promises no such thing.
     """
+    G = np.zeros((len(X), len(X)))
+    for i, x in enumerate(X):
+        G[i, : i + 1] = (X[: i + 1] * x).sum(axis=1)
+    return G
 
-    def __init__(self, B: int, slots: int, d: int) -> None:
-        self.basis = np.zeros((B, slots, d))
-        self.mask = np.zeros((B, slots), dtype=bool)
-        self.rank = np.zeros(B, dtype=np.intp)
 
-    def project(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients against the live basis and projection norms; x is (B, d).
+def _factor_row(L: np.ndarray, g: np.ndarray) -> None:
+    """Fill the last row of the batched lower factor L, shape (B, k+1, k+1).
 
-        The squared norm accumulates slot by slot: sequential adds of the
-        exact zeros in dead slots keep the value independent of the slot
-        count, so engines of different widths agree bit for bit.
-        """
-        coeff = np.einsum("bkd,bd->bk", self.basis, x) * self.mask
-        sq = np.zeros(coeff.shape[0])
-        for k in range(coeff.shape[1]):
-            sq = sq + coeff[:, k] * coeff[:, k]
-        return coeff, np.sqrt(sq)
+    g, shape (B, k+1), holds the new vector's inner products with the k
+    earlier vectors and with itself; rows 0..k-1 of L factor the earlier
+    vectors' Gram.  A pivot at or below PIVOT_TOL * max(g_k, 1) marks the
+    vector as dependent on the earlier ones: its diagonal is 0 and later
+    rows get no coefficient on it.  Every operation is elementwise in the
+    batch, so a row's bits do not depend on the batch it is computed in.
+    """
+    k = g.shape[1] - 1
+    diag = np.diagonal(L, 0, 1, 2)[:, :k]
+    inv = np.divide(1.0, diag, out=np.zeros(diag.shape), where=diag > 0.0)
+    resid = g.copy()
+    for j in range(k):
+        L[:, k, j] = resid[:, j] * inv[:, j]
+        resid[:, j + 1 :] -= L[:, k, j, None] * L[:, j + 1 :, j]
+    pivot = resid[:, k]
+    L[:, k, k] = np.sqrt(np.where(pivot > PIVOT_TOL * np.maximum(g[:, k], 1.0), pivot, 0.0))
 
-    def extend(self, x: np.ndarray, coeff: np.ndarray, scale: np.ndarray, keep: np.ndarray) -> None:
-        """Add the normalized residual of x for the trials flagged in keep."""
-        resid = x - np.einsum("bk,bkd->bd", coeff, self.basis)
-        coeff2 = np.einsum("bkd,bd->bk", self.basis, resid) * self.mask
-        resid = resid - np.einsum("bk,bkd->bd", coeff2, self.basis)
-        rnorm = np.linalg.norm(resid, axis=1)
-        ok = keep & (rnorm > ORTHO_TOL * np.maximum(scale, 1.0))
-        rows = np.nonzero(ok)[0]
-        if not len(rows):
-            return
-        safe = np.where(rnorm > 0.0, rnorm, 1.0)
-        newdir = resid / safe[:, None]
-        self.basis[rows, self.rank[rows], :] = newdir[rows]
-        self.mask[rows, self.rank[rows]] = True
-        self.rank[rows] += 1
+
+def _cholesky(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of batched Gram matrices (B, r, r), row by row.
+
+    Only the lower triangle of G is read.  The factor is the triangular
+    form of the vectors: row i's first i coordinates are its projection
+    onto the span of vectors 0..i-1.
+    """
+    L = np.zeros(G.shape)
+    for i in range(G.shape[1]):
+        _factor_row(L[:, : i + 1, : i + 1], G[:, i, : i + 1])
+    return L
 
 
 def prefix_norms_batch(clouds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,19 +260,10 @@ def prefix_norms_batch(clouds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For clouds of shape (B, r, d) returns (norms, proj_norms), both
     (B, r), where proj_norms[b, i] is the length of the projection of
-    vector i onto the span of vectors 0..i-1 of the same trial.
+    vector i onto the span of vectors 0..i-1 of the same trial: the
+    triangular reading of the Cholesky factor of each cloud's Gram.
     """
-    B, r, d = clouds.shape
-    norms = np.linalg.norm(clouds, axis=2)
-    proj = np.zeros((B, r))
-    engine = _IncrementalBasis(B, r, d)
-    every = np.ones(B, dtype=bool)
-    for i in range(r):
-        x = clouds[:, i, :]
-        coeff, proj[:, i] = engine.project(x)
-        if i < r - 1:
-            engine.extend(x, coeff, norms[:, i], every)
-    return norms, proj
+    return bartlett_prefix_norms(_cholesky(gram_batch(clouds)))
 
 
 def bartlett_prefix_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,20 +272,14 @@ def bartlett_prefix_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     In triangular coordinates the prefix span of rows 0..i-1 is exactly the
     span of the first i coordinate axes (the diagonal entries are positive
     almost surely), so the projection norm of row i is the norm of its
-    first i coordinates: no orthogonalization is needed.
+    first i coordinates: no orthogonalization is needed.  It is read from
+    the running sum of squares one column before the diagonal, not as
+    sqrt(norm^2 - diag^2), which cancels for short projections.
     """
-    single = M.ndim == 2
-    if single:
-        M = M[None]
-    sq = np.cumsum(M * M, axis=2)
-    r = M.shape[1]
-    idx = np.arange(r)
-    norms_sq = sq[:, idx, idx]
-    diag_sq = M[:, idx, idx] ** 2
-    norms = np.sqrt(norms_sq)
-    proj = np.sqrt(np.maximum(norms_sq - diag_sq, 0.0))
-    if single:
-        return norms[0], proj[0]
+    sq = np.cumsum(M * M, axis=-1)
+    norms = np.sqrt(np.diagonal(sq, 0, -2, -1))
+    proj = np.zeros(norms.shape)
+    proj[..., 1:] = np.sqrt(np.diagonal(sq, -1, -2, -1))
     return norms, proj
 
 
@@ -319,16 +310,15 @@ def _check_from_norms(norms: np.ndarray, proj: np.ndarray, spec: PerfectSpec) ->
 def is_perfect(obj: PointCloud | TriangularSample, spec: PerfectSpec) -> PerfectCheck:
     """Test the norm window and prefix-projection threshold for every index.
 
-    For clouds the prefix span is that of the full preceding subsequence;
-    for triangular samples the projection norm is read off the coordinates
-    directly.
+    For clouds the prefix span is that of the full preceding subsequence:
+    the cloud is brought to triangular form as the Cholesky factor of its
+    Gram, and both inputs are read off the triangular coordinates.
     """
     if isinstance(obj, TriangularSample):
-        norms, proj = bartlett_prefix_norms(obj.M)
+        M = obj.M
     else:
-        norms, proj = prefix_norms_batch(obj.coords[None])
-        norms, proj = norms[0], proj[0]
-    return _check_from_norms(norms, proj, spec)
+        M = _cholesky(_gram_lower(obj.coords)[None])[0]
+    return _check_from_norms(*bartlett_prefix_norms(M), spec)
 
 
 @dataclass(frozen=True)
@@ -345,27 +335,23 @@ def extract_perfect(cloud: PointCloud, spec: PerfectSpec) -> Extraction:
 
     Walks the rows in order; a row is kept when its norm lies in the window
     and its projection onto the span of the *already kept* rows (not the
-    full prefix) is below the threshold.  A perfect input is kept in full,
-    and the output always re-verifies as perfect: the filter sees exactly
-    the projections that is_perfect recomputes on the kept subsequence
-    (same engine, and enlarging a subspace only lengthens projections).
-    The returned check is that re-verification.
+    full prefix) is at most the threshold.  Each candidate is factored as
+    the next Cholesky row of the kept rows' Gram, which is the row
+    is_perfect computes at that position of the kept subsequence: same Gram
+    entries, same factor rows before it, same arithmetic.  So a perfect
+    input is kept in full, and the output re-verifies as perfect by
+    construction.  The returned check is that re-verification.
     """
-    X = cloud.coords
-    norms = np.linalg.norm(X, axis=1)
+    G = _gram_lower(cloud.coords)
     lo, hi = 1.0 - spec.delta, 1.0 + spec.delta
     thr = spec.projection_threshold
     kept: list[int] = []
-    engine = _IncrementalBasis(1, cloud.n, cloud.d)
+    L = np.zeros((1, cloud.n, cloud.n))
     for i in range(cloud.n):
-        x = X[i : i + 1, :]
-        coeff, proj = engine.project(x)
-        if lo < norms[i] < hi and proj[0] <= thr:
+        k = len(kept)
+        _factor_row(L[:, : k + 1, : k + 1], G[None, i, kept + [i]])
+        norms, proj = bartlett_prefix_norms(L[0, : k + 1, : k + 1])
+        if lo < norms[k] < hi and proj[k] <= thr:
             kept.append(i)
-            engine.extend(x, coeff, norms[i : i + 1], np.ones(1, dtype=bool))
-    sub = PointCloud(X[kept] if kept else X[:0])
-    if kept:
-        check = is_perfect(sub, spec)
-    else:
-        check = PerfectCheck(True, None, None, np.zeros(0), np.zeros(0))
-    return Extraction(tuple(kept), sub, check)
+    sub = PointCloud(cloud.coords[kept])
+    return Extraction(tuple(kept), sub, is_perfect(sub, spec))

@@ -5,11 +5,12 @@ row i set iff edge ij is blue); red is the complement off the diagonal.
 Rows are Python ints, serialized as fixed-width hex lines (64 vertices
 per machine word) under a small key=value header carrying the sampler
 provenance (n, d, p, c_p, seed).  The format is stable and byte-exact:
-parsing and re-serializing reproduces the file.  Parsing is strict: each
-row is exactly its fixed width of lowercase hex digits, only empty lines
-may follow the last row, and the header is exactly as it re-serializes:
-unique keys, in serialization order, with canonical values.  Writing is
-as strict: provenance that would not parse back as given is refused.
+parsing and re-serializing reproduces the file.  Parsing is strict: lines
+end in a bare newline and hold no other line break, each row is exactly
+its fixed width of lowercase hex digits, only empty lines may follow the
+last row, and the header is exactly as it re-serializes: unique keys, in
+serialization order, with canonical values.  Writing is as strict:
+provenance that would not parse back as given is refused.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _parse_header(lines: list[str]) -> tuple[int, dict]:
     header: dict = {}
     for line in lines:
         key, sep, raw = line.partition("=")
-        if not sep:
+        if not sep or line.splitlines() != [line]:  # no line break of any kind in a header line
             raise ValueError(f"malformed header line {line!r}")
         header[key] = _HEADER_TYPES.get(key, str)(raw)
     if "n" not in header:
@@ -149,7 +150,7 @@ def graph_to_text(g: ColoredGraph, magic: str = _MAGIC) -> str:
     """
     for key, value in g.provenance.items():
         try:
-            if _parse_header("\n".join(_header_lines(g.n, {key: value})).splitlines()) == (g.n, {key: value}):
+            if _parse_header("\n".join(_header_lines(g.n, {key: value})).split("\n")) == (g.n, {key: value}):
                 continue
         except ValueError:
             pass
@@ -161,8 +162,8 @@ def graph_to_text(g: ColoredGraph, magic: str = _MAGIC) -> str:
 
 
 def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
-    lines = text.splitlines()
-    if not lines or lines[0] != magic:
+    lines = text.split("\n")
+    if lines[0] != magic:
         raise ValueError(f"not a serialized graph (expected magic line {magic!r})")
     if _HEADER_END not in lines:
         raise ValueError("missing header terminator")

@@ -1,5 +1,7 @@
 """CLI: parsing precedence, record rendering, exit codes, artifacts."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 import gaussian_ramsey
-from gaussian_ramsey.cli import ExperimentConfig, main, parse_config, render_json, run
+from gaussian_ramsey.cli import ExperimentConfig, main, parse_config, render_csv, render_json, run
 from gaussian_ramsey.cliques import certificate_from_text
 from gaussian_ramsey.graphs import graph_from_text
 
@@ -257,6 +259,12 @@ def test_csv_format(capsys):
     header, row = out.strip().splitlines()
     assert "result.point" in header.split(",")
     assert len(header.split(",")) == len(row.split(","))
+
+
+def test_csv_quotes_carriage_returns():
+    rows = [{"a": "x\ry", "b": 1}, {"a": 'p,"q"\nr', "b": 2}]
+    out = render_csv(rows)
+    assert list(csv.reader(io.StringIO(out, newline=""))) == [["a", "b"], ["x\ry", "1"], ['p,"q"\nr', "2"]]
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

@@ -180,6 +180,29 @@ def test_bartlett_prefix_norms_match_cloud_path():
     assert np.allclose(proj_fast, proj_gen[0], atol=1e-10)
 
 
+def test_short_projection_does_not_cancel():
+    # sqrt(norm^2 - diag^2) reads 0 here; the running sum before the diagonal reads 1e-9
+    M = np.array([[1.0, 0.0], [1e-9, 1.0]])
+    for norms, proj in (bartlett_prefix_norms(M), (a[0] for a in prefix_norms_batch(M[None]))):
+        assert proj[0] == 0.0
+        assert proj[1] == pytest.approx(1e-9, rel=1e-15, abs=0.0)
+        assert norms == pytest.approx([1.0, 1.0], rel=1e-15)
+
+
+def test_repeated_row_is_dependent():
+    gen = RngStream(18).generator()
+    a, b, c = gen.standard_normal((3, 64)) / 8.0
+    X = np.array([a, b, a, c])
+    spec = PerfectSpec(alpha_proj=3.0, delta=0.5, ell=1, d=64, p=0.38, C=2.0)
+    check = is_perfect(PointCloud(X), spec)
+    _, batch_proj = prefix_norms_batch(X[None])
+    assert check.proj_norms[2] == check.norms[2]  # the repeat adds no direction
+    assert np.allclose([check.proj_norms[3], batch_proj[0][3]], _svd_projection_norms(X)[3], atol=1e-8)
+    ext = extract_perfect(PointCloud(X), spec)
+    assert ext.indices == (0, 1, 3)
+    assert ext.check.ok
+
+
 def test_perfect_spec_canonical():
     spec = PerfectSpec.from_params(2.0, 4, 1600, 0.38)
     assert spec.alpha_proj == pytest.approx(200.0 * math.log(10.0 / 0.38), rel=1e-12)
@@ -267,6 +290,24 @@ def test_extract_output_reverifies_on_random_clouds():
         if len(ext.indices) < 10:
             dropped_any += 1
     assert dropped_any > 50  # the spec is tight enough to actually filter
+
+
+def test_extract_filter_sees_the_bits_is_perfect_recomputes():
+    # the threshold is is_perfect's projection of the last kept row, so the
+    # filter keeps that row only when it computes the very same bits
+    gen = RngStream(19).generator()
+    kept = (0, 1, 3, 4, 5)
+    for _ in range(20):
+        X = gen.standard_normal((6, 64)) / 8.0
+        X[2] *= 3.0  # dropped on its norm: the kept span is not the prefix span
+        X[5] = 0.5 * X[0] + 0.5 * X[3] + 0.3 * X[5]  # the longest projection
+        probe = PerfectSpec(alpha_proj=1.0, delta=0.9, ell=1, d=1, p=0.38, C=2.0)
+        thr = is_perfect(PointCloud(X[list(kept)]), probe).proj_norms[-1]
+        spec = PerfectSpec(alpha_proj=thr, delta=0.9, ell=1, d=1, p=0.38, C=2.0)
+        assert spec.projection_threshold == thr
+        ext = extract_perfect(PointCloud(X), spec)
+        assert ext.indices == kept
+        assert ext.check.ok
 
 
 def test_projection_monotone_in_subspace():

@@ -37,6 +37,9 @@ CASES = {
     "estimate-density": ("estimate --kind density --n 6 --d 32 --p 0.4 --trials 3000 --seed 4", 0),
     "estimate-clique-direct": (
         "estimate --kind clique --r 3 --d 64 --p 0.4 --color blue --trials 20000 --threads 2 --seed 5", 0),
+    "estimate-clique-direct-perfect": (
+        "estimate --kind clique --r 5 --d 256 --p 0.38 --color blue --sampler direct --restrict-perfect "
+        "--alpha-proj 1.2 --delta 0.12 --trials 20000 --seed 17", 0),
     "estimate-clique-bartlett-perfect": (
         "estimate --kind clique --r 4 --d 400 --p 0.4 --color blue --sampler bartlett --restrict-perfect "
         "--trials 20000 --seed 6", 0),

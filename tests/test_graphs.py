@@ -193,6 +193,13 @@ def test_graph_parsing_is_strict(old, new):
         graph_from_text(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\x0c", "\x1e"])
+def test_graph_parsing_rejects_other_line_ends(end):
+    # str.splitlines would read these files, which do not re-serialize to themselves
+    with pytest.raises(ValueError):
+        graph_from_text(_k4_text().replace("\n", end))
+
+
 def test_graph_parsing_allows_trailing_empty_lines():
     text = _k4_text()
     assert graph_from_text(text + "\n\n") == graph_from_text(text)
@@ -211,6 +218,7 @@ def test_graph_parsing_allows_trailing_empty_lines():
         ("d=16\np=0.5\n", "p=0.5\nd=16\n"),
         ("seed=7\nalpha=x\n", "alpha=x\nseed=7\n"),
         ("alpha=x\nbeta=y\n", "beta=y\nalpha=x\n"),
+        ("alpha=x\n", "alpha=x\x0cy\n"),  # a line break inside a value
     ],
 )
 def test_header_values_must_reserialize(old, new):
