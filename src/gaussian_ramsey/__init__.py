@@ -46,12 +46,11 @@ from gaussian_ramsey.geometry import (
 )
 from gaussian_ramsey.estimators import (
     EstimateResult,
-    conditional_edge_check,
     correction_scaling,
     estimate_clique_prob,
     estimate_edge_density,
 )
-from gaussian_ramsey.validators import chi_square_tail_check, validate_bound
+from gaussian_ramsey.validators import validate_bound
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
     certificate_from_text,
@@ -79,10 +78,8 @@ __all__ = [
     "adjacency",
     "certificate_from_text",
     "certificate_to_text",
-    "chi_square_tail_check",
     "clique_log_bound",
     "compute_analytic_bounds",
-    "conditional_edge_check",
     "correction_scaling",
     "estimate_clique_prob",
     "estimate_edge_density",

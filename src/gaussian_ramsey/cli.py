@@ -34,27 +34,13 @@ from gaussian_ramsey.cliques import (
     search_witness,
     verify_witness,
 )
-from gaussian_ramsey.estimators import (
-    conditional_edge_check,
-    correction_scaling,
-    estimate_clique_prob,
-    estimate_edge_density,
-)
+from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob, estimate_edge_density
 from gaussian_ramsey.geometry import PerfectSpec, adjacency, gram, sample_cloud
 from gaussian_ramsey.graphs import CapabilityError, graph_to_text
 from gaussian_ramsey.sampling import RngStream
-from gaussian_ramsey.validators import chi_square_tail_check, validate_bound
+from gaussian_ramsey.validators import CHECKS, validate_bound
 
 OUTPUT_DIR_ENV = "GAUSSIAN_RAMSEY_OUT"
-
-_VALIDATE_CHECKS = (
-    "norm_concentration",
-    "projection_tail",
-    "exp_square_moment",
-    "quadratic_moment",
-    "chi_square_tail",
-    "conditional_edge",
-)
 
 
 class UsageError(Exception):
@@ -119,13 +105,13 @@ _COMMANDS: dict[str, dict] = {
     },
     "validate": {
         "keys": {
-            "check": ("choice:" + ",".join(_VALIDATE_CHECKS), "which inequality to check"),
+            "check": ("choice:" + ",".join(CHECKS), "which inequality to check"),
             "trials": ("int", "Monte-Carlo trials"),
             "d": ("int", "dimension / variance parameter"),
             "delta": ("float", "norm half-width (norm_concentration)"),
             "ell": ("int", "clique parameter (projection_tail)"),
             "s": ("int", "subspace dimension (projection_tail)"),
-            "p": ("float", "probability (projection_tail)"),
+            "p": ("float", "probability (projection_tail, conditional_edge)"),
             "C": ("float", "clique ratio (projection_tail)"),
             "sigma2": ("float", "variance proxy (exp_square_moment)"),
             "lam": ("float", "exponent scale (moment checks)"),
@@ -475,32 +461,14 @@ def _run_estimate(params: dict):
 
 def _run_validate(params: dict):
     seed = _need_seed(params)
-    stream = RngStream(seed)
     check = params["check"]
-    if check == "chi_square_tail":
-        for key in ("freedom", "t"):
-            if params.get(key) is None:
-                raise UsageError(f"validate --check chi_square_tail requires {key}")
-        result = chi_square_tail_check(params["freedom"], params["t"], params["trials"], stream)
-        return result, bool(result["passed"]), None
-    if check == "conditional_edge":
-        for key in ("p", "d", "inner", "diag"):
-            if params.get(key) is None:
-                raise UsageError(f"validate --check conditional_edge requires {key}")
-        result = conditional_edge_check(
-            params["p"], params["d"], params["inner"], params["diag"], params["trials"], stream
+    keys = CHECKS[check][1]
+    given = [k for k in _COMMANDS["validate"]["keys"] if k not in ("check", "trials") and params.get(k) is not None]
+    if set(given) != set(keys):  # a missing key, or one the check does not read
+        raise UsageError(
+            f"validate --check {check} reads exactly {', '.join(keys)}; got {', '.join(given) or 'none'}"
         )
-        return result, bool(result["passed"]), None
-    needed = {
-        "norm_concentration": ("d", "delta"),
-        "projection_tail": ("d", "ell", "s", "p", "C"),
-        "exp_square_moment": ("sigma2", "lam"),
-        "quadratic_moment": ("d", "k", "lam", "cutoffs"),
-    }[check]
-    missing = [key for key in needed if params.get(key) is None]
-    if missing:
-        raise UsageError(f"validate --check {check} requires: {', '.join(missing)}")
-    result = validate_bound(check, {key: params[key] for key in needed}, params["trials"], stream)
+    result = validate_bound(check, {k: params[k] for k in keys}, params["trials"], RngStream(seed))
     return result, bool(result["passed"]), None
 
 

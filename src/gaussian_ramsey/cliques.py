@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import gram_batch, sample_cloud_batch
 from gaussian_ramsey.graphs import (
@@ -33,7 +34,8 @@ from gaussian_ramsey.sampling import RngStream
 
 _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 
-#: attempts sampled per derived stream in search_witness.
+#: attempts sampled per derived stream in search_witness, at most; fewer when
+#: a batch would exceed the estimators' per-batch element budget.
 ATTEMPT_BATCH = 256
 
 
@@ -145,11 +147,13 @@ def search_witness(
         threshold = -c_p / math.sqrt(d)
         base_provenance.update(d=d, c_p=c_p)
     iu = np.triu_indices(n, 1)
+    elements = n * (n + d) if sampler == "geometric" else n * n  # per attempt: cloud and Gram, or matrix
+    batch = max(1, min(ATTEMPT_BATCH, estimators._BATCH_ELEMENTS // elements))
 
     attempt = 0
     bi = 0
     while attempt < max_attempts:
-        count = min(ATTEMPT_BATCH, max_attempts - attempt)
+        count = min(batch, max_attempts - attempt)
         gen = stream.offset(bi).generator()
         if sampler == "geometric":
             blue = gram_batch(sample_cloud_batch(count, n, d, gen)) >= threshold

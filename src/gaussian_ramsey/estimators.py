@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaincinv, ndtri
 
-from gaussian_ramsey.analytic import solve_cp, std_normal_cdf, std_normal_pdf
+from gaussian_ramsey.analytic import solve_cp, std_normal_pdf
 from gaussian_ramsey.geometry import (
     PerfectSpec,
+    _cholesky,
     bartlett_prefix_norms,
     gram_batch,
-    prefix_norms_batch,
     sample_bartlett_batch,
     sample_cloud_batch,
 )
@@ -186,13 +186,11 @@ def _clique_batch(gen, count, r, d, threshold, color, sampler, spec):
     requested, so runs sharing a stream are coupled trial by trial.
     """
     if sampler == "direct":
-        clouds = sample_cloud_batch(count, r, d, gen)
-        grams = gram_batch(clouds)
-        norms_proj = prefix_norms_batch(clouds) if spec is not None else None
+        grams = gram_batch(sample_cloud_batch(count, r, d, gen))
+        triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
     elif sampler == "bartlett":
-        Ms = sample_bartlett_batch(count, r, d, gen)
-        grams = gram_batch(Ms)
-        norms_proj = bartlett_prefix_norms(Ms) if spec is not None else None
+        triangular = sample_bartlett_batch(count, r, d, gen)
+        grams = gram_batch(triangular)
     else:
         raise ValueError(f"sampler must be 'direct' or 'bartlett', got {sampler!r}")
     iu = np.triu_indices(r, 1)
@@ -200,7 +198,7 @@ def _clique_batch(gen, count, r, d, threshold, color, sampler, spec):
     success = blue.all(axis=1) if color == "blue" else (~blue).all(axis=1)
     if spec is None:
         return success, None
-    norms, proj = norms_proj
+    norms, proj = bartlett_prefix_norms(triangular)
     perfect = (
         (norms > 1.0 - spec.delta)
         & (norms < 1.0 + spec.delta)
@@ -379,64 +377,4 @@ def correction_scaling(
         "predicted_red": predicted_red,
         "predicted_blue": predicted_blue,
         "terms": "main-term",
-    }
-
-
-def conditional_edge_check(
-    p: float, d: int, inner: float, diag: float, trials: int, stream: RngStream
-) -> dict:
-    """Empirical single-edge probability given a revealed prefix, vs its bound.
-
-    The edge event reduces to one Gaussian coordinate y ~ N(0, 1/d)
-    exceeding b = -(c_p/sqrt(d) + inner)/diag, where inner is the inner
-    product of the revealed projections and diag the conditioned diagonal
-    entry.  The exact probability is Phi(-sqrt(d) b); the exponential
-    upper bound (1-p) exp(a (-sqrt(d) b - c_p)/(1-p)) follows from the
-    log-concavity of Phi and holds for every diag > 0 and either sign of
-    inner; its main term freezes the exponent at a sqrt(d) inner / (1-p).
-    """
-    if diag <= 0.0:
-        raise ValueError(f"diagonal entry must be positive, got {diag}")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
-    c_p = solve_cp(p)
-    a = std_normal_pdf(c_p)
-    root_d = math.sqrt(d)
-    b = -(c_p / root_d + inner) / diag
-    shift = -root_d * b - c_p  # 0 when inner = 0 and diag = 1
-
-    exact = std_normal_cdf(-root_d * b)
-    bound = (1.0 - p) * math.exp(a * shift / (1.0 - p))
-    bound_main = (1.0 - p) * math.exp(a * root_d * inner / (1.0 - p))
-
-    def worker(gen, count):
-        y = gen.standard_normal(count) / root_d
-        return (int((y >= b).sum()),)
-
-    batch = _batch_size(1)
-    parts = _map_batches(trials, batch, stream, 1, worker)
-    hits = sum(part[0] for part in parts)
-    empirical = hits / trials
-    se = math.sqrt(max(empirical * (1.0 - empirical), 1.0 / trials) / trials)
-
-    return {
-        "op": "conditional_edge_check",
-        "p": p,
-        "d": d,
-        "inner": inner,
-        "diag": diag,
-        "cutoff": b,
-        "trials": trials,
-        "seed": stream.master_seed,
-        "stream_id": stream.stream_id,
-        "empirical": empirical,
-        "mc_stderr": se,
-        "exact": exact,
-        "bound": bound,
-        "bound_main_term": bound_main,
-        "empirical_within_bound": empirical <= bound + 3.0 * se,
-        "exact_within_bound": exact <= bound,
-        "passed": (empirical <= bound + 3.0 * se) and exact <= bound,
     }

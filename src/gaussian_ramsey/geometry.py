@@ -255,17 +255,6 @@ def _cholesky(G: np.ndarray) -> np.ndarray:
     return L
 
 
-def prefix_norms_batch(clouds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vector norms and prefix-span projection norms, batched.
-
-    For clouds of shape (B, r, d) returns (norms, proj_norms), both
-    (B, r), where proj_norms[b, i] is the length of the projection of
-    vector i onto the span of vectors 0..i-1 of the same trial: the
-    triangular reading of the Cholesky factor of each cloud's Gram.
-    """
-    return bartlett_prefix_norms(_cholesky(gram_batch(clouds)))
-
-
 def bartlett_prefix_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norms and prefix projections of triangular rows, batched or single.
 

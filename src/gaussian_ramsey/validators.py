@@ -6,7 +6,7 @@ check passes when empirical <= bound + 3 * (MC standard error).  Bounds
 far below the resolution of the trial budget are still checked (a zero
 count passes) but flagged vacuous.
 
-Checks:
+Checks, in the order of CHECKS (which also names the parameter keys each reads):
 
 * norm_concentration   -- P[ ||x|| outside (1-delta, 1+delta) ] <= 2 exp(-delta^2 d / 10)
                           for x ~ N(0, I_d/d).
@@ -21,12 +21,25 @@ Checks:
                           lower-truncated N(0,1/d) coordinates, against
                           exp(lambda E S + lambda^2 k^2/d * sum E[X_j]^2 + 4|lambda| k/d),
                           requires d >= 4 |lambda| k.
+* chi_square_tail      -- P[Y - f >= 2 sqrt(f t) + 2t] <= e^-t and P[f - Y >= 2 sqrt(f t)] <= e^-t
+                          for Y ~ chi^2_f (f = freedom), both sides checked.
+* conditional_edge     -- single-edge probability given a revealed prefix.  The edge
+                          event reduces to one Gaussian coordinate y ~ N(0, 1/d)
+                          exceeding b = -(c_p/sqrt(d) + inner)/diag, where inner is the
+                          inner product of the revealed projections and diag the
+                          conditioned diagonal entry.  The exact probability is
+                          Phi(-sqrt(d) b); the exponential upper bound
+                          (1-p) exp(a (-sqrt(d) b - c_p)/(1-p)) follows from the
+                          log-concavity of Phi and holds for every diag > 0 and either
+                          sign of inner; its main term freezes the exponent at
+                          a sqrt(d) inner / (1-p).  Passes when both the empirical
+                          frequency and the exact value respect the bound.
 
-chi_square_tail_check covers the chi-square deviation inequalities
-P[Y - d >= 2 sqrt(dt) + 2t] <= e^-t and P[d - Y >= 2 sqrt(dt)] <= e^-t.
-
-Trials run in the estimators' batch runner, so memory is bounded per batch:
-frequency checks add hit counts, moment checks merge batch moments.
+validate_bound is the one entry point: it runs a check and appends the
+check name, the parameter echo, the trial count and the stream to its
+record.  Trials run in the estimators' batch runner, so memory is bounded
+per batch: frequency checks add hit counts, moment checks merge batch
+moments.
 """
 
 from __future__ import annotations
@@ -36,10 +49,8 @@ import math
 import numpy as np
 
 from gaussian_ramsey import estimators
+from gaussian_ramsey.analytic import solve_cp, std_normal_cdf, std_normal_pdf
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated, truncated_mean
-
-#: registered check names for the dispatcher.
-CHECKS = ("norm_concentration", "projection_tail", "exp_square_moment", "quadratic_moment")
 
 
 def _batches(stream: RngStream, trials: int, per_trial: int, worker) -> list:
@@ -182,35 +193,8 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
     }
 
 
-_DISPATCH = {
-    "norm_concentration": _norm_concentration,
-    "projection_tail": _projection_tail,
-    "exp_square_moment": _exp_square_moment,
-    "quadratic_moment": _quadratic_moment,
-}
-
-
-def validate_bound(name: str, params: dict, trials: int, stream: RngStream) -> dict:
-    """Run one registered empirical check; see the module docstring."""
-    if name not in _DISPATCH:
-        raise ValueError(f"unknown check {name!r}; choose from {CHECKS}")
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
-    result = _DISPATCH[name](dict(params), trials, stream)
-    result.update(
-        {
-            "check": name,
-            "params": dict(params),
-            "trials": trials,
-            "seed": stream.master_seed,
-            "stream_id": stream.stream_id,
-        }
-    )
-    return result
-
-
-def chi_square_tail_check(freedom: int, t: float, trials: int, stream: RngStream) -> dict:
-    """Both one-sided chi-square deviation frequencies against e^-t."""
+def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
+    freedom, t = int(params["freedom"]), float(params["t"])
     if freedom < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {freedom}")
     if t < 0.0:
@@ -227,12 +211,6 @@ def chi_square_tail_check(freedom: int, t: float, trials: int, stream: RngStream
     freq_up, se_up = _rate(sum(part[0] for part in parts), trials)
     freq_lo, se_lo = _rate(sum(part[1] for part in parts), trials)
     return {
-        "check": "chi_square_tail",
-        "freedom": freedom,
-        "t": t,
-        "trials": trials,
-        "seed": stream.master_seed,
-        "stream_id": stream.stream_id,
         "bound": bound,
         "empirical_upper": freq_up,
         "empirical_lower": freq_lo,
@@ -241,3 +219,69 @@ def chi_square_tail_check(freedom: int, t: float, trials: int, stream: RngStream
         "passed": freq_up <= bound + 3.0 * se_up and freq_lo <= bound + 3.0 * se_lo,
         "vacuous": bound < 1.0 / trials,
     }
+
+
+def _conditional_edge(params: dict, trials: int, stream: RngStream) -> dict:
+    p, d = float(params["p"]), int(params["d"])
+    inner, diag = float(params["inner"]), float(params["diag"])
+    if diag <= 0.0:
+        raise ValueError(f"diagonal entry must be positive, got {diag}")
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
+    c_p = solve_cp(p)
+    a = std_normal_pdf(c_p)
+    root_d = math.sqrt(d)
+    b = -(c_p / root_d + inner) / diag
+    shift = -root_d * b - c_p  # 0 when inner = 0 and diag = 1
+
+    exact = std_normal_cdf(-root_d * b)
+    bound = (1.0 - p) * math.exp(a * shift / (1.0 - p))
+    bound_main = (1.0 - p) * math.exp(a * root_d * inner / (1.0 - p))
+
+    def draw(gen, count):
+        y = gen.standard_normal(count) / root_d
+        return int((y >= b).sum())
+
+    empirical = sum(_batches(stream, trials, 1, draw)) / trials
+    se = math.sqrt(max(empirical * (1.0 - empirical), 1.0 / trials) / trials)
+    return {
+        "cutoff": b,
+        "empirical": empirical,
+        "mc_stderr": se,
+        "exact": exact,
+        "bound": bound,
+        "bound_main_term": bound_main,
+        "empirical_within_bound": empirical <= bound + 3.0 * se,
+        "exact_within_bound": exact <= bound,
+        "passed": (empirical <= bound + 3.0 * se) and exact <= bound,
+    }
+
+
+#: every check: name -> (check function, parameter keys it reads).
+CHECKS = {
+    "norm_concentration": (_norm_concentration, ("d", "delta")),
+    "projection_tail": (_projection_tail, ("d", "ell", "s", "p", "C")),
+    "exp_square_moment": (_exp_square_moment, ("sigma2", "lam")),
+    "quadratic_moment": (_quadratic_moment, ("d", "k", "lam", "cutoffs")),
+    "chi_square_tail": (_chi_square_tail, ("freedom", "t")),
+    "conditional_edge": (_conditional_edge, ("p", "d", "inner", "diag")),
+}
+
+
+def validate_bound(name: str, params: dict, trials: int, stream: RngStream) -> dict:
+    """Run one check of CHECKS on params; see the module docstring."""
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
+    if trials < 1:
+        raise ValueError(f"trial count must be positive, got {trials}")
+    result = CHECKS[name][0](dict(params), trials, stream)
+    result.update(
+        {
+            "check": name,
+            "params": dict(params),
+            "trials": trials,
+            "seed": stream.master_seed,
+            "stream_id": stream.stream_id,
+        }
+    )
+    return result

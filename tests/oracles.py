@@ -6,11 +6,16 @@ solvers from plain interval bisection, and the deep-tail Mills ratio from
 its asymptotic series with an explicit truncation error, and the graph
 bit layouts from per-pair loops over the rows.  Frozen constants
 in the tests were computed with these functions at 30 decimal digits.
+The r = 3 clique probabilities come from a quadrature over the triangular
+(Bartlett) variables with the bivariate normal cdf from Owen's T, built
+from scipy.special alone.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
+from scipy.special import gammaincinv, ndtr, ndtri, owens_t
 
 
 def cdf_quad(t: float, dps: int = 30) -> float:
@@ -122,3 +127,40 @@ def inv_cdf_mp(q: float, dps: int = 40) -> float:
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def bivariate_normal_cdf(h, k, rho):
+    """P[X <= h, Y <= k] for standard normals with correlation rho, h k > 0 (Owen 1956)."""
+    s = np.sqrt(1.0 - rho * rho)
+    return 0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * s)) - owens_t(k, (h - rho * k) / (k * s))
+
+
+def clique3_prob(d: int, p: float, color: str, nodes: int = 64) -> float:
+    """P[all three pairs of three N(0, I_d/d) vectors are `color`], 0 < p < 1/2, by quadrature.
+
+    In triangular coordinates x1 = (L11, 0, ...), x2 = (L21, L22, 0, ...)
+    with d L11^2 ~ chi2_d, sqrt(d) L21 = Z ~ N(0, 1), d L22^2 ~ chi2_{d-1}.
+    Given x1 and x2, (<x1, x3>, <x2, x3>) ~ N(0, G/d) for their Gram G, so
+
+        P_red = E[1{G12 < t} Phi2(t/sigma1, t/sigma2; rho)],  t = -c_p/sqrt(d),
+
+    and blue is the same with >= and -t.  Each variable is integrated over
+    (0, 1) through its quantile map by Gauss-Legendre; Z is drawn from its
+    normal truncated to the color's side of G12 = t, so the integrand is
+    smooth.  64 nodes agree with 128 to 5e-6 relative for d >= 64.
+    """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = (x + 1.0) / 2.0, w / 2.0
+    sign = 1.0 if color == "red" else -1.0
+    c_p = -ndtri(p)
+    a = 2.0 * gammaincinv(d / 2.0, u)[:, None, None]  # d L11^2
+    b = 2.0 * gammaincinv((d - 1) / 2.0, u)[None, None, :]  # d L22^2
+    h1 = -sign * c_p * np.sqrt(d / a)  # sign * t / sigma1; the pair (1, 2) has the color iff sign * Z < h1
+    side = ndtr(h1)  # P[sign * Z < h1]
+    z = sign * ndtri(u[None, :, None] * side)
+    h2 = -sign * c_p * np.sqrt(d / (z * z + b))
+    rho = z / np.sqrt(z * z + b)
+    f = side * bivariate_normal_cdf(np.broadcast_to(h1, rho.shape), h2, rho)
+    return float(np.einsum("i,j,k,ijk->", w, w, w, f))

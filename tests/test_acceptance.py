@@ -43,7 +43,7 @@ from gaussian_ramsey.geometry import (
 )
 from gaussian_ramsey.graphs import ColoredGraph
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated, truncated_mean
-from gaussian_ramsey.validators import chi_square_tail_check, validate_bound
+from gaussian_ramsey.validators import validate_bound
 
 C_GRID = [1.1, 1.5, 2.0, 3.0, 5.0, 10.0]
 
@@ -180,7 +180,7 @@ def test_criterion_07_closed_forms_and_validators():
     # chi-square deviation bounds
     for d in (100, 400):
         for t in (1.0, 5.0, 20.0):
-            rec = chi_square_tail_check(d, t, 10**5, RngStream(702 + d + int(t)))
+            rec = validate_bound("chi_square_tail", {"freedom": d, "t": t}, 10**5, RngStream(702 + d + int(t)))
             assert rec["passed"]
     # projection tail (vacuous at this scale, zero exceedances expected)
     rec = validate_bound(

@@ -193,6 +193,23 @@ def test_validate_command_exit_codes(capsys):
     assert code == 2  # missing sigma2/lam
 
 
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["--check", "norm_concentration", "--d", "400", "--delta", "0.3", "--p", "0.4", "--freedom", "3"], ""),
+        (["--check", "chi_square_tail", "--freedom", "100", "--t", "2", "--d", "7"], ""),
+        (["--check", "exp_square_moment", "--sigma2", "1", "--lam", "0"], "d=7\n"),
+    ],
+    ids=["flags", "flag-d", "config-d"],
+)
+def test_validate_rejects_keys_the_check_does_not_read(argv, cfg, tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(cfg)
+    argv = ["validate", *argv, "--trials", "100", "--seed", "1", "--config", str(tmp_path / "run.cfg")]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert "reads exactly" in err
+
+
 def test_validate_conditional_edge(capsys):
     code, out, _ = run_main(
         ["validate", "--check", "conditional_edge", "--p", "0.38", "--d", "10000",

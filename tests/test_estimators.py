@@ -7,13 +7,13 @@ import pytest
 
 from gaussian_ramsey.estimators import (
     _clique_batch,
-    conditional_edge_check,
     correction_scaling,
     estimate_clique_prob,
     estimate_edge_density,
 )
 from gaussian_ramsey.geometry import PerfectSpec
 from gaussian_ramsey.sampling import RngStream
+from gaussian_ramsey.validators import validate_bound
 
 
 def test_single_vertex_probability_one():
@@ -134,7 +134,9 @@ def test_density_converges_with_dimension():
 
 
 def test_conditional_edge_zero_projection_equality():
-    rec = conditional_edge_check(0.38, 10000, 0.0, 1.0, 50000, RngStream(16))
+    rec = validate_bound(
+        "conditional_edge", {"p": 0.38, "d": 10000, "inner": 0.0, "diag": 1.0}, 50000, RngStream(16)
+    )
     assert rec["exact"] == pytest.approx(1.0 - 0.38, abs=1e-12)
     assert rec["bound"] == pytest.approx(1.0 - 0.38, abs=1e-12)
     assert rec["bound_main_term"] == pytest.approx(1.0 - 0.38, abs=1e-12)
@@ -143,7 +145,9 @@ def test_conditional_edge_zero_projection_equality():
 
 @pytest.mark.parametrize("inner", [1e-3, -1e-3])
 def test_conditional_edge_signed_projections(inner):
-    rec = conditional_edge_check(0.38, 10000, inner, 1.0, 10**5, RngStream(17))
+    rec = validate_bound(
+        "conditional_edge", {"p": 0.38, "d": 10000, "inner": inner, "diag": 1.0}, 10**5, RngStream(17)
+    )
     assert rec["exact"] < rec["bound"]
     assert rec["passed"]
     # gap is second order in the threshold shift eps = sqrt(d) * inner = 0.1
@@ -153,14 +157,16 @@ def test_conditional_edge_signed_projections(inner):
 
 @pytest.mark.parametrize("diag", [0.9, 1.1])
 def test_conditional_edge_offcenter_diagonal(diag):
-    rec = conditional_edge_check(0.38, 10000, 5e-4, diag, 10**5, RngStream(18))
+    rec = validate_bound(
+        "conditional_edge", {"p": 0.38, "d": 10000, "inner": 5e-4, "diag": diag}, 10**5, RngStream(18)
+    )
     assert rec["exact"] <= rec["bound"]
     assert rec["passed"]
 
 
 def test_conditional_edge_domain():
     with pytest.raises(ValueError):
-        conditional_edge_check(0.38, 100, 0.0, 0.0, 10, RngStream(1))
+        validate_bound("conditional_edge", {"p": 0.38, "d": 100, "inner": 0.0, "diag": 0.0}, 10, RngStream(1))
 
 
 def test_correction_scaling_signs_and_fit():

@@ -10,13 +10,14 @@ from gaussian_ramsey.geometry import (
     PerfectSpec,
     PointCloud,
     TriangularSample,
+    _cholesky,
     adjacency,
     bartlett_prefix_norms,
     extract_perfect,
     gram,
+    gram_batch,
     gram_from_bartlett,
     is_perfect,
-    prefix_norms_batch,
     sample_bartlett,
     sample_bartlett_batch,
     sample_cloud,
@@ -166,7 +167,7 @@ def test_gram_from_bartlett_two_rows():
 def test_prefix_norms_against_svd_oracle():
     gen = RngStream(12).generator()
     X = gen.standard_normal((10, 40)) / math.sqrt(40)
-    norms, proj = prefix_norms_batch(X[None])
+    norms, proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None])))
     assert np.allclose(norms[0], np.linalg.norm(X, axis=1), atol=1e-12)
     assert np.allclose(proj[0], _svd_projection_norms(X), atol=1e-8)
 
@@ -175,7 +176,7 @@ def test_bartlett_prefix_norms_match_cloud_path():
     # triangular rows are vectors too: coordinate shortcut == generic GS
     ts = sample_bartlett(8, 64, RngStream(13))
     norms_fast, proj_fast = bartlett_prefix_norms(ts.M)
-    norms_gen, proj_gen = prefix_norms_batch(ts.M[None])
+    norms_gen, proj_gen = bartlett_prefix_norms(_cholesky(gram_batch(ts.M[None])))
     assert np.allclose(norms_fast, norms_gen[0], atol=1e-12)
     assert np.allclose(proj_fast, proj_gen[0], atol=1e-10)
 
@@ -183,7 +184,8 @@ def test_bartlett_prefix_norms_match_cloud_path():
 def test_short_projection_does_not_cancel():
     # sqrt(norm^2 - diag^2) reads 0 here; the running sum before the diagonal reads 1e-9
     M = np.array([[1.0, 0.0], [1e-9, 1.0]])
-    for norms, proj in (bartlett_prefix_norms(M), (a[0] for a in prefix_norms_batch(M[None]))):
+    batched = bartlett_prefix_norms(_cholesky(gram_batch(M[None])))
+    for norms, proj in (bartlett_prefix_norms(M), (a[0] for a in batched)):
         assert proj[0] == 0.0
         assert proj[1] == pytest.approx(1e-9, rel=1e-15, abs=0.0)
         assert norms == pytest.approx([1.0, 1.0], rel=1e-15)
@@ -195,7 +197,7 @@ def test_repeated_row_is_dependent():
     X = np.array([a, b, a, c])
     spec = PerfectSpec(alpha_proj=3.0, delta=0.5, ell=1, d=64, p=0.38, C=2.0)
     check = is_perfect(PointCloud(X), spec)
-    _, batch_proj = prefix_norms_batch(X[None])
+    _, batch_proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None])))
     assert check.proj_norms[2] == check.norms[2]  # the repeat adds no direction
     assert np.allclose([check.proj_norms[3], batch_proj[0][3]], _svd_projection_norms(X)[3], atol=1e-8)
     ext = extract_perfect(PointCloud(X), spec)
@@ -316,11 +318,11 @@ def test_projection_monotone_in_subspace():
     clouds = sample_cloud_batch(100, 10, 64, RngStream(17).generator())
     for t in range(100):
         X = clouds[t]
-        _, full_proj = prefix_norms_batch(X[None])
+        _, full_proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None])))
         ext = extract_perfect(PointCloud(X), spec)
         if len(ext.indices) == 10:
             continue
-        _, kept_proj = prefix_norms_batch(ext.subsequence.coords[None])
+        _, kept_proj = bartlett_prefix_norms(_cholesky(gram_batch(ext.subsequence.coords[None])))
         for pos, orig in enumerate(ext.indices):
             assert kept_proj[0][pos] <= full_proj[0][orig] + 1e-9
 

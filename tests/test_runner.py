@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from gaussian_ramsey import estimators
-from gaussian_ramsey.estimators import (
-    conditional_edge_check,
-    correction_scaling,
-    estimate_clique_prob,
-    estimate_edge_density,
-)
+from gaussian_ramsey.cliques import search_witness
+from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob, estimate_edge_density
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated
-from gaussian_ramsey.validators import chi_square_tail_check, validate_bound
+from gaussian_ramsey.validators import validate_bound
 
 
 def _concatenated(stream, trials, batch, draw):
@@ -95,7 +91,9 @@ _RUNS = {
     "clique-direct": lambda s: estimate_clique_prob(3, 8, 0.4, "blue", True, trials=5000, stream=s),
     "clique-bartlett": lambda s: estimate_clique_prob(4, 8, 0.4, "blue", trials=5000, stream=s, sampler="bartlett"),
     "scaling": lambda s: correction_scaling(3, 0.4, [8, 16], 5000, s, sampler="bartlett"),
-    "conditional_edge": lambda s: conditional_edge_check(0.4, 16, 0.0, 1.0, 5000, s),
+    "conditional_edge": lambda s: validate_bound(
+        "conditional_edge", {"p": 0.4, "d": 16, "inner": 0.0, "diag": 1.0}, 5000, s
+    ),
     "norm_concentration": lambda s: validate_bound("norm_concentration", {"d": 16, "delta": 0.5}, 5000, s),
     "projection_tail": lambda s: validate_bound(
         "projection_tail", {"d": 100, "ell": 4, "s": 8, "p": 0.38, "C": 2.0}, 5000, s
@@ -104,7 +102,7 @@ _RUNS = {
     "quadratic_moment": lambda s: validate_bound(
         "quadratic_moment", {"d": 100, "k": 3, "lam": 1.0, "cutoffs": [-0.3, 0.0, 0.5]}, 5000, s
     ),
-    "chi_square_tail": lambda s: chi_square_tail_check(20, 1.0, 5000, s),
+    "chi_square_tail": lambda s: validate_bound("chi_square_tail", {"freedom": 20, "t": 1.0}, 5000, s),
 }
 
 
@@ -117,6 +115,20 @@ def test_no_draw_spans_more_than_one_batch(monkeypatch, name):
     _RUNS[name](RngStream(5))
     assert len(sizes) > 1
     assert max(sizes) <= 512
+
+
+@pytest.mark.parametrize(
+    "sampler, params, elements",
+    [("geometric", {"p": 0.5, "d": 64}, 18 * (18 + 64)), ("binomial", {"p": 0.5}, 18 * 18)],
+    ids=["geometric", "binomial"],
+)
+def test_search_batches_stay_within_the_element_budget(monkeypatch, sampler, params, elements):
+    # n = 18 = R(4, 4): no attempt verifies, so all 20 attempts are drawn, 3 per batch
+    monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 3 * elements)
+    sizes = _record_draws(monkeypatch)
+    assert search_witness(18, 4, 4, sampler, params, 20, RngStream(5)) is None
+    assert len(sizes) == 7
+    assert max(sizes) <= 3 * elements
 
 
 @pytest.fixture

@@ -5,12 +5,33 @@ import math
 import pytest
 
 from gaussian_ramsey.sampling import RngStream
-from gaussian_ramsey.validators import chi_square_tail_check, validate_bound
+from gaussian_ramsey.validators import CHECKS, validate_bound
 
 
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         validate_bound("nope", {}, 10, RngStream(1))
+
+
+_PARAMS = {
+    "norm_concentration": {"d": 16, "delta": 0.5},
+    "projection_tail": {"d": 100, "ell": 4, "s": 8, "p": 0.38, "C": 2.0},
+    "exp_square_moment": {"sigma2": 1.0, "lam": 0.2},
+    "quadratic_moment": {"d": 100, "k": 3, "lam": 1.0, "cutoffs": [-0.3, 0.0, 0.5]},
+    "chi_square_tail": {"freedom": 20, "t": 1.0},
+    "conditional_edge": {"p": 0.4, "d": 16, "inner": 0.0, "diag": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_check_ends_in_one_header(name):
+    assert tuple(_PARAMS[name]) == CHECKS[name][1]
+    rec = validate_bound(name, _PARAMS[name], 500, RngStream(9, 4))
+    assert list(rec)[-5:] == ["check", "params", "trials", "seed", "stream_id"]
+    assert (rec["check"], rec["params"], rec["trials"], rec["seed"], rec["stream_id"]) == (
+        name, _PARAMS[name], 500, 9, 4
+    )
+    assert isinstance(rec["passed"], bool)
 
 
 def test_norm_concentration_example():
@@ -118,7 +139,7 @@ def test_quadratic_moment_domain():
 @pytest.mark.parametrize("freedom", [100, 400])
 @pytest.mark.parametrize("t", [1.0, 5.0, 20.0])
 def test_chi_square_tails(freedom, t):
-    rec = chi_square_tail_check(freedom, t, 10**5, RngStream(freedom + int(t)))
+    rec = validate_bound("chi_square_tail", {"freedom": freedom, "t": t}, 10**5, RngStream(freedom + int(t)))
     assert rec["passed"]
     assert rec["empirical_upper"] <= rec["bound"] + 3.0 * rec["mc_stderr_upper"]
     assert rec["empirical_lower"] <= rec["bound"] + 3.0 * rec["mc_stderr_lower"]
@@ -126,6 +147,6 @@ def test_chi_square_tails(freedom, t):
 
 def test_chi_square_tail_resolvable():
     # at t = 1 the deviation frequency is visible and well under e^-1
-    rec = chi_square_tail_check(100, 1.0, 10**5, RngStream(31))
+    rec = validate_bound("chi_square_tail", {"freedom": 100, "t": 1.0}, 10**5, RngStream(31))
     assert rec["empirical_upper"] > 0.0
     assert rec["empirical_lower"] > 0.0
