@@ -1,16 +1,25 @@
 """Command-line orchestration for experiments and certificate handling.
 
 Subcommands: solve, bounds, sample, estimate, validate, scaling, search,
-verify.  Every option mirrors a config-file key one to one (flat key=value
-lines, # comments); explicit flags override file values, unknown keys are
-rejected, and a repeated flag keeps its last occurrence with a warning.
+verify.  _COMMANDS is the one description of the inputs.  Every option
+mirrors a config-file key one to one (flat key=value lines, # comments),
+and a flag argument and a config value go through the same strict value
+parser, so choices, numbers and lists are checked alike from either
+source; NaN is never a valid value and a list has no empty items.
+Explicit flags override file values, unknown keys are rejected, and a key
+repeated on the command line or in the file keeps its last occurrence
+with a warning.  estimate, search and validate take some keys per mode
+(per kind, sampler or check): a run must give every key its mode needs
+and no key its mode does not read.  A file that cannot be read or
+written (the config, a certificate, --out, --plot-out) is a usage error,
+like a bad flag.
 Each run emits one record (JSON-lines by default, CSV on request) carrying
 the library version and the full semantic parameter echo, with every float
 printed to 17 significant digits so records are byte-reproducible.  The
 seed is never implicit: if absent it is drawn once from the OS and echoed.
 Execution knobs (--threads, --out, --format) are not part of the echo and
 never affect record bytes.  Exit status is 0 iff every assertion the
-command makes passed.
+command makes passed, 2 for a usage error.
 
 The GAUSSIAN_RAMSEY_OUT environment variable, when set, anchors relative
 output paths.
@@ -19,6 +28,7 @@ output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -54,7 +64,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# option tables: key -> (type tag, help); type tags drive config-file parsing
+# option tables: key -> (type tag, help); the tag drives the one value parser.
+# "modes" is (mode key, {mode: (keys it needs, keys it may take)}).
 # ---------------------------------------------------------------------------
 
 _COMMON_KEYS = {
@@ -102,6 +113,10 @@ _COMMANDS: dict[str, dict] = {
             "threads": ("int", "worker threads (throughput only; never affects results)"),
         },
         "required": ("kind", "d", "p", "trials"),
+        "modes": ("kind", {
+            "density": ((), ("n",)),
+            "clique": (("r", "color"), ("sampler", "restrict_perfect", "alpha_proj", "delta", "spec_ell")),
+        }),
     },
     "validate": {
         "keys": {
@@ -123,6 +138,7 @@ _COMMANDS: dict[str, dict] = {
             "diag": ("float", "conditioned diagonal entry (conditional_edge)"),
         },
         "required": ("check", "trials"),
+        "modes": ("check", {name: (keys, ()) for name, (_, keys) in CHECKS.items()}),
     },
     "scaling": {
         "keys": {
@@ -147,6 +163,7 @@ _COMMANDS: dict[str, dict] = {
             "max_attempts": ("int", "attempt budget"),
         },
         "required": ("n", "ell", "k", "sampler", "p", "max_attempts"),
+        "modes": ("sampler", {"geometric": (("d",), ()), "binomial": ((), ())}),
     },
     "verify": {
         "keys": {"infile": ("path", "certificate file to re-check")},
@@ -160,45 +177,36 @@ _NON_SEMANTIC = ("out", "format", "threads", "plot_out")
 
 class _LastWins(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
-        seen = getattr(namespace, "_seen", None)
-        if seen is None:
-            seen = set()
-            setattr(namespace, "_seen", seen)
+        seen = namespace.__dict__.setdefault("_seen", set())
         if self.dest in seen:
-            print(
-                f"warning: {option_string} given more than once; last occurrence wins",
-                file=sys.stderr,
-            )
+            print(f"warning: {option_string} given more than once; last occurrence wins", file=sys.stderr)
         seen.add(self.dest)
         setattr(namespace, self.dest, True if self.nargs == 0 else values)
 
 
-def _flag_type(tag: str):
-    if tag == "int":
-        return int
-    if tag == "float":
-        return float
-    if tag in ("path",) or tag.startswith("choice:"):
-        return str
-    if tag == "ints":
-        return lambda s: [int(x) for x in s.split(",") if x]
-    if tag == "floats":
-        return lambda s: [float(x) for x in s.split(",") if x]
-    raise AssertionError(tag)
-
-
-def _parse_file_value(key: str, tag: str, raw: str):
+def _value(tag: str, raw: str):
+    """One flag argument or config-file value, parsed strictly by its type tag."""
+    if tag == "path":
+        return raw
+    if tag.startswith("choice:"):
+        choices = tag.split(":", 1)[1].split(",")
+        if raw not in choices:
+            raise argparse.ArgumentTypeError(f"invalid choice {raw!r} (choose from {', '.join(choices)})")
+        return raw
+    if tag == "flag":
+        truth = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}.get(raw.lower())
+        if truth is None:
+            raise argparse.ArgumentTypeError(f"invalid flag value {raw!r} (use true or false)")
+        return truth
+    if tag in ("ints", "floats"):
+        return [_value(tag[:-1], item) for item in raw.split(",")]
     try:
-        if tag == "flag":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes"):
-                return True
-            if low in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
-        return _flag_type(tag)(raw.strip())
-    except ValueError as exc:
-        raise UsageError(f"config key {key}: cannot parse value {raw!r}") from exc
+        value = int(raw) if tag == "int" else float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {tag} value {raw!r}") from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("NaN is not a valid value")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,28 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, table in _COMMANDS.items():
         sub = subs.add_parser(name)
         sub.add_argument("--config", default=None, help="flat key=value config file")
-        keys = dict(table["keys"])
-        keys.update(_COMMON_KEYS)
-        for key, (tag, help_text) in keys.items():
-            flag = "--" + key.replace("_", "-")
-            if key == "infile":
-                flag = "--in"
+        for key, (tag, help_text) in {**table["keys"], **_COMMON_KEYS}.items():
+            flag = "--in" if key == "infile" else "--" + key.replace("_", "-")
             if tag == "flag":
-                sub.add_argument(flag, dest=key, action=_LastWins, nargs=0, default=None, help=help_text)
-            elif tag.startswith("choice:"):
-                sub.add_argument(
-                    flag,
-                    dest=key,
-                    action=_LastWins,
-                    type=str,
-                    choices=tag.split(":", 1)[1].split(","),
-                    default=None,
-                    help=help_text,
-                )
-            else:
-                sub.add_argument(
-                    flag, dest=key, action=_LastWins, type=_flag_type(tag), default=None, help=help_text
-                )
+                how = {"nargs": 0}
+            else:  # a choice list is shown through metavar, and checked by _value like every other tag
+                metavar = "{" + tag.split(":", 1)[1] + "}" if tag.startswith("choice:") else None
+                how = {"type": functools.partial(_value, tag), "metavar": metavar}
+            sub.add_argument(flag, dest=key, action=_LastWins, default=None, help=help_text, **how)
     return parser
 
 
@@ -240,45 +234,55 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     """Resolve argv plus optional config file into an ExperimentConfig.
 
     Flags override file values; unknown file keys are rejected; required
-    keys must be present after the merge.
+    keys must be present after the merge, and per-mode keys must be
+    exactly those the chosen mode reads.
     """
     parser = _build_parser()
     namespace = parser.parse_args(argv)
-    if namespace.command is None:
+    command = namespace.command
+    if command is None:
         parser.print_usage(sys.stderr)
         raise SystemExit(2)
-    table = _COMMANDS[namespace.command]
-    keys = dict(table["keys"])
-    keys.update(_COMMON_KEYS)
+    table = _COMMANDS[command]
+    keys = {**table["keys"], **_COMMON_KEYS}
 
     merged: dict = {}
-    if namespace.config is not None:
-        try:
-            with open(namespace.config, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, sep, raw = line.partition("=")
-                    key = key.strip()
-                    if not sep:
-                        raise UsageError(f"{namespace.config}:{lineno}: expected key=value, got {line!r}")
-                    if key not in keys:
-                        raise UsageError(f"{namespace.config}:{lineno}: unknown key {key!r} for {namespace.command}")
-                    merged[key] = _parse_file_value(key, keys[key][0], raw)
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-    for key in keys:
-        flag_value = getattr(namespace, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    path = namespace.config
+    if path is not None:
+        for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            key = key.strip()
+            if not sep:
+                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            if key not in keys:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+            if key in merged:
+                print(f"warning: {path}:{lineno}: {key} given more than once; last occurrence wins", file=sys.stderr)
+            try:
+                merged[key] = _value(keys[key][0], raw.strip())
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
+    merged.update({key: value for key in keys if (value := getattr(namespace, key)) is not None})
 
     missing = [key for key in table["required"] if merged.get(key) is None]
     if missing:
-        raise UsageError(f"{namespace.command}: missing required key(s): {', '.join(missing)}")
+        raise UsageError(f"{command}: missing required key(s): {', '.join(missing)}")
+    if "modes" in table:
+        mode_key, modes = table["modes"]
+        need, may = modes[merged[mode_key]]
+        per_mode = {key for groups in modes.values() for group in groups for key in group}
+        given = [key for key in keys if key in per_mode and merged.get(key) is not None]
+        if not set(need) <= set(given) <= set(need + may):
+            reads = ", ".join([*need, *(f"[{key}]" for key in may)]) or "none"
+            raise UsageError(
+                f"{command} --{mode_key} {merged[mode_key]} reads exactly {reads}; got {', '.join(given) or 'none'}"
+            )
     if merged.get("threads") is not None and merged["threads"] < 1:
         raise UsageError(f"threads must be at least 1, got {merged['threads']}")
-    return ExperimentConfig(command=namespace.command, parameters=merged)
+    return ExperimentConfig(command=command, parameters=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +359,27 @@ def render_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_path(path: str) -> str:
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _read_text(path: str) -> str:
+    """A UTF-8 text file's content; one that cannot be read is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write a UTF-8 text file, relative to OUTPUT_DIR_ENV; one that cannot be written is a usage error."""
+    path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), path)  # an absolute path ignores the base
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (records, csv_rows, passed, artifacts)
+# command handlers: return (result, passed, artifact text or None)
 # ---------------------------------------------------------------------------
 
 
@@ -430,8 +446,6 @@ def _run_estimate(params: dict):
             params.get("n") or 2, params["d"], params["p"], params["trials"], stream, threads=threads
         )
     else:
-        if params.get("r") is None or params.get("color") is None:
-            raise UsageError("estimate --kind clique requires r and color")
         spec = None
         if params.get("alpha_proj") is not None or params.get("delta") is not None:
             if params.get("alpha_proj") is None or params.get("delta") is None:
@@ -462,13 +476,7 @@ def _run_estimate(params: dict):
 def _run_validate(params: dict):
     seed = _need_seed(params)
     check = params["check"]
-    keys = CHECKS[check][1]
-    given = [k for k in _COMMANDS["validate"]["keys"] if k not in ("check", "trials") and params.get(k) is not None]
-    if set(given) != set(keys):  # a missing key, or one the check does not read
-        raise UsageError(
-            f"validate --check {check} reads exactly {', '.join(keys)}; got {', '.join(given) or 'none'}"
-        )
-    result = validate_bound(check, {k: params[k] for k in keys}, params["trials"], RngStream(seed))
+    result = validate_bound(check, {k: params[k] for k in CHECKS[check][1]}, params["trials"], RngStream(seed))
     return result, bool(result["passed"]), None
 
 
@@ -498,14 +506,9 @@ def _run_scaling(params: dict):
 def _run_search(params: dict):
     seed = _need_seed(params)
     stream = RngStream(seed)
-    sampler = params["sampler"]
-    sampler_params = {"p": params["p"]}
-    if sampler == "geometric":
-        if params.get("d") is None:
-            raise UsageError("search --sampler geometric requires d")
-        sampler_params["d"] = params["d"]
+    sampler_params = {k: params[k] for k in ("p", "d") if params.get(k) is not None}  # d iff geometric
     cert = search_witness(
-        params["n"], params["ell"], params["k"], sampler, sampler_params, params["max_attempts"], stream
+        params["n"], params["ell"], params["k"], params["sampler"], sampler_params, params["max_attempts"], stream
     )
     if cert is None:
         result = {"found": False, "max_attempts": params["max_attempts"]}
@@ -522,12 +525,7 @@ def _run_search(params: dict):
 
 
 def _run_verify(params: dict):
-    path = params["infile"]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cert = certificate_from_text(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read certificate: {exc}") from exc
+    cert = certificate_from_text(_read_text(params["infile"]))
     checked = verify_witness(cert.graph, cert.ell, cert.k)
     result = {
         "n": cert.n,
@@ -583,13 +581,11 @@ def run(config: ExperimentConfig) -> tuple[int, str]:
     else:
         rendered = render_json(record) + "\n"
 
-    artifact_key = _ARTIFACT_KEY.get(config.command)
-    if artifact is not None and artifact_key:
-        target = params.get(artifact_key)
-        if target:
-            with open(_resolve_path(target), "w", encoding="utf-8") as fh:
-                fh.write(artifact)
-        elif config.command != "scaling":
+    if artifact is not None:  # scaling returns one only when plot_out is given
+        artifact_key = _ARTIFACT_KEY[config.command]
+        if params.get(artifact_key):
+            _write_text(params[artifact_key], artifact)
+        else:
             rendered += artifact
 
     return (0 if passed else 1), rendered
@@ -600,22 +596,17 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_config(argv)
+        status, rendered = run(config)
+        out = config.parameters.get("out")
+        if out and _ARTIFACT_KEY.get(config.command) != "out":
+            _write_text(out, rendered)
+        elif rendered:
+            sys.stdout.write(rendered)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        status, rendered = run(config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    out = config.parameters.get("out")
-    if out and config.command not in ("sample", "search"):
-        with open(_resolve_path(out), "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    elif rendered:
-        sys.stdout.write(rendered)
     return status
 
 

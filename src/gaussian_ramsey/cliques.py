@@ -111,8 +111,10 @@ class WitnessCertificate:
 
 def verify_witness(g: ColoredGraph, ell: int, k: int) -> WitnessCertificate:
     """Exhaustively check for red K_ell and blue K_k; checked=True iff neither exists."""
+    if min(ell, k) < 1:
+        raise ValueError(f"clique sizes must be at least 1, got ell={ell}, k={k}")
     red = find_mono_clique(g, ell, "red") if ell <= g.n else None
-    blue = find_mono_clique(g, k, "blue") if k <= g.n else None
+    blue = find_mono_clique(g, k, "blue") if red is None and k <= g.n else None  # a red clique settles it
     return WitnessCertificate(n=g.n, ell=ell, k=k, graph=g, checked=red is None and blue is None)
 
 

@@ -35,11 +35,11 @@ Checks, in the order of CHECKS (which also names the parameter keys each reads):
                           a sqrt(d) inner / (1-p).  Passes when both the empirical
                           frequency and the exact value respect the bound.
 
-validate_bound is the one entry point: it runs a check and appends the
-check name, the parameter echo, the trial count and the stream to its
-record.  Trials run in the estimators' batch runner, so memory is bounded
-per batch: frequency checks add hit counts, moment checks merge batch
-moments.
+validate_bound is the one entry point: it checks that params holds exactly
+the keys CHECKS names, runs the check and appends the check name, the
+parameter echo, the trial count and the stream to its record.  Trials
+run in the estimators' batch runner, so memory is bounded per batch:
+frequency checks add hit counts, moment checks merge batch moments.
 """
 
 from __future__ import annotations
@@ -272,6 +272,10 @@ def validate_bound(name: str, params: dict, trials: int, stream: RngStream) -> d
     """Run one check of CHECKS on params; see the module docstring."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
+    reads = CHECKS[name][1]
+    missing, unread = [key for key in reads if key not in params], [key for key in params if key not in reads]
+    if missing or unread:
+        raise ValueError(f"{name} reads exactly {', '.join(reads)}: missing {missing}, not read {unread}")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     result = CHECKS[name][0](dict(params), trials, stream)

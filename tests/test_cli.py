@@ -379,3 +379,60 @@ def test_arithmetic_error_is_an_error_exit(monkeypatch, capsys):
     code, out, err = run_main(["solve", "--C", "2"], capsys)
     assert code == 1 and out == ""
     assert "math range error" in err
+
+
+_DENSITY = ["estimate", "--kind", "density", "--d", "8", "--p", "0.4", "--trials", "10"]
+_CLIQUE = ["estimate", "--kind", "clique", "--r", "3", "--d", "64", "--p", "0.4", "--color", "red", "--trials", "10"]
+_QUADRATIC = ["validate", "--check", "quadratic_moment", "--d", "400", "--k", "2", "--lam", "0.1", "--trials", "100"]
+_SCALING = ["scaling", "--r", "3", "--p", "0.4", "--dims", "64,256", "--trials", "100"]
+_SEARCH = ["search", "--n", "5", "--ell", "3", "--k", "3", "--p", "0.5", "--max-attempts", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, file_bytes",
+    [
+        (["estimate", "--d", "8", "--p", "0.4", "--trials", "10", "--r", "3", "--color", "red",
+          "--config", "{file}"], b"kind=foo\n"),
+        (_DENSITY + ["--config", "{file}"], b"format=xml\n"),
+        (["validate", "--trials", "10", "--config", "{file}"], b"check=nope\n"),
+        (_QUADRATIC + ["--cutoffs=-0.3,,0"], None),
+        (["scaling", "--r", "3", "--p", "0.4", "--dims", "64,,256", "--trials", "100"], None),
+        (["validate", "--check", "exp_square_moment", "--sigma2", "1", "--lam", "nan", "--trials", "10"], None),
+        (_CLIQUE + ["--alpha-proj", "nan", "--delta", "0.1"], None),
+        (_DENSITY + ["--r", "5", "--color", "red", "--sampler", "bartlett"], None),
+        (_SEARCH + ["--sampler", "binomial", "--d", "64"], None),
+        (_SEARCH + ["--sampler", "geometric"], None),
+        (_DENSITY + ["--out", "{missing}"], None),
+        (_SCALING + ["--plot-out", "{missing}"], None),
+        (_DENSITY + ["--config", "{file}"], b"seed=\xff\n"),
+        (["verify", "--in", "{file}"], b"%gaussian-ramsey-certificate v1\nn=\xff\n"),
+    ],
+    ids=[
+        "config-kind-choice", "config-format-choice", "config-check-choice", "empty-cutoff", "empty-dim",
+        "nan-lam", "nan-alpha-proj", "density-unread-keys", "binomial-unread-d", "geometric-missing-d",
+        "unwritable-out", "unwritable-plot-out", "non-utf8-config", "non-utf8-certificate",
+    ],
+)
+def test_bad_input_is_a_usage_error(argv, file_bytes, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    if file_bytes is not None:
+        path.write_bytes(file_bytes)
+    names = {"{file}": str(path), "{missing}": str(tmp_path / "no-such-dir" / "out.txt")}
+    code, out, err = run_main([names.get(a, a) for a in argv] + ["--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+def test_infinite_cutoff_is_a_valid_value(capsys):
+    code, out, err = run_main(_QUADRATIC + ["--cutoffs=-inf,0", "--seed", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["invocation"]["cutoffs"] == [None, 0]  # -inf renders as null
+
+
+def test_config_key_repeated_warns_last_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=4\nseed=5\n")
+    code, out, err = run_main(_DENSITY + ["--config", str(cfg)], capsys)
+    assert code == 0
+    assert "seed given more than once; last occurrence wins" in err
+    assert json.loads(out)["invocation"]["seed"] == 5

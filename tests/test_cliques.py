@@ -243,3 +243,23 @@ def test_paley17_has_red_triangle():
     assert not verify_witness(g, 3, 4).checked
     found = find_mono_clique(g, 3, "red")
     assert found is not None and not brute_has_clique(g, 4, "blue")
+
+
+def test_verify_skips_the_blue_search_after_a_red_clique(monkeypatch):
+    import gaussian_ramsey.cliques as cliques
+
+    calls = []
+
+    def counting(g, size, color):
+        calls.append(color)
+        return find_mono_clique(g, size, color)
+
+    monkeypatch.setattr(cliques, "find_mono_clique", counting)
+    all_red = from_blue_matrix(np.zeros((6, 6), bool))
+    assert not verify_witness(all_red, 4, 3).checked
+    assert calls == ["red"]
+    calls.clear()
+    assert verify_witness(pentagon(), 3, 3).checked  # no red triangle: both colors searched
+    assert calls == ["red", "blue"]
+    with pytest.raises(ValueError):
+        verify_witness(all_red, 4, 0)  # a bad size is still an error when red settles the answer

@@ -1,6 +1,7 @@
 """Empirical inequality validators: dispatch, bounds, domain errors."""
 
 import math
+import re
 
 import pytest
 
@@ -150,3 +151,16 @@ def test_chi_square_tail_resolvable():
     rec = validate_bound("chi_square_tail", {"freedom": 100, "t": 1.0}, 10**5, RngStream(31))
     assert rec["empirical_upper"] > 0.0
     assert rec["empirical_lower"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ({"d": 400, "delta": 0.3, "p": 0.4}, "not read ['p']"),
+        ({"d": 400}, "missing ['delta']"),
+    ],
+    ids=["unread-key", "missing-key"],
+)
+def test_params_must_be_exactly_the_keys_the_check_reads(params, named):
+    with pytest.raises(ValueError, match="norm_concentration reads exactly d, delta: .*" + re.escape(named)):
+        validate_bound("norm_concentration", params, 10, RngStream(1))
