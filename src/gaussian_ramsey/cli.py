@@ -145,7 +145,7 @@ _COMMANDS: dict[str, dict] = {
             "r": ("int", "clique size (3 or 4)"),
             "p": ("float", "red probability"),
             "dims": ("ints", "comma-separated ascending dimensions"),
-            "trials": ("int", "trials per dimension and color"),
+            "trials": ("int", "trials per dimension, shared by both colors"),
             "sampler": ("choice:direct,bartlett", "vector sampler"),
             "threads": ("int", "worker threads"),
             "plot_out": ("path", "two-column plot data file (x=d^-1/2, y=red log-ratio)"),
@@ -187,6 +187,8 @@ class _LastWins(argparse.Action):
 def _value(tag: str, raw: str):
     """One flag argument or config-file value, parsed strictly by its type tag."""
     if tag == "path":
+        if any("\ud800" <= ch <= "\udfff" for ch in raw):  # a lone surrogate: the name is not UTF-8
+            raise argparse.ArgumentTypeError(f"path {raw!r} is not valid UTF-8")
         return raw
     if tag.startswith("choice:"):
         choices = tag.split(":", 1)[1].split(",")

@@ -4,7 +4,8 @@ Trials are independent work items keyed by stream id: an estimate splits
 its budget into fixed-size batches (the batch size is a deterministic
 function of the problem shape, never of the machine), batch b draws from
 stream.offset(b), and results fold over batches in index order.  Thread
-counts therefore change throughput only, never a single output bit.
+counts therefore change throughput only, never a single output bit.  Red
+and blue cliques are counted in one draw (correction_scaling samples once).
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -179,11 +180,11 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     )
 
 
-def _clique_batch(gen, count, r, d, threshold, color, sampler, spec):
-    """Per-trial success mask (and perfect mask when a spec is given).
+def _clique_batch(gen, count, r, d, threshold, sampler, spec):
+    """Per-trial clique masks {"red": ..., "blue": ...} of one draw (and perfect mask when a spec is given).
 
-    The random draws do not depend on whether the perfect restriction is
-    requested, so runs sharing a stream are coupled trial by trial.
+    The random draws do not depend on the color or on whether the perfect
+    restriction is requested, so runs sharing a stream are coupled trial by trial.
     """
     if sampler == "direct":
         grams = gram_batch(sample_cloud_batch(count, r, d, gen))
@@ -195,16 +196,22 @@ def _clique_batch(gen, count, r, d, threshold, color, sampler, spec):
         raise ValueError(f"sampler must be 'direct' or 'bartlett', got {sampler!r}")
     iu = np.triu_indices(r, 1)
     blue = grams[:, iu[0], iu[1]] >= threshold
-    success = blue.all(axis=1) if color == "blue" else (~blue).all(axis=1)
+    cliques = {"red": ~blue.any(axis=1), "blue": blue.all(axis=1)}
     if spec is None:
-        return success, None
+        return cliques, None
     norms, proj = bartlett_prefix_norms(triangular)
     perfect = (
         (norms > 1.0 - spec.delta)
         & (norms < 1.0 + spec.delta)
         & (proj <= spec.projection_threshold)
     ).all(axis=1)
-    return success, perfect
+    return cliques, perfect
+
+
+def _binomial_reference(r: int, p: float, color: str, trials: int) -> tuple[float, bool]:
+    """(p or 1-p)^C(r,2), and whether it predicts under MIN_EXPECTED_SUCCESSES successes in `trials`."""
+    reference = (p if color == "red" else 1.0 - p) ** math.comb(r, 2)
+    return reference, reference * trials < MIN_EXPECTED_SUCCESSES
 
 
 def estimate_clique_prob(
@@ -239,11 +246,8 @@ def estimate_clique_prob(
         raise ValueError(f"trial count must be positive, got {trials}")
     c_p = solve_cp(p)
     threshold = -c_p / math.sqrt(d)
-    pairs = r * (r - 1) // 2
-    reference = p**pairs if color == "red" else (1.0 - p) ** pairs
-    status = "ok"
-    if reference * trials < MIN_EXPECTED_SUCCESSES:
-        status = "underpowered"
+    reference, underpowered = _binomial_reference(r, p, color, trials)
+    if underpowered:
         warnings.warn(
             f"binomial reference {reference:.3e} predicts ~{reference * trials:.1f} "
             f"successes in {trials} trials (< {MIN_EXPECTED_SUCCESSES:.0f}); "
@@ -255,15 +259,12 @@ def estimate_clique_prob(
         spec = perfect_spec if perfect_spec is not None else PerfectSpec.from_params(2.0, max(r, 1), d, p)
 
     def worker(gen, count):
-        success, perfect = _clique_batch(gen, count, r, d, threshold, color, sampler, spec)
-        if spec is not None:
-            success = success & perfect
-        return (int(success.sum()),)
+        cliques, perfect = _clique_batch(gen, count, r, d, threshold, sampler, spec)
+        success = cliques[color] if spec is None else cliques[color] & perfect
+        return int(success.sum())
 
-    elements = r * d if sampler == "direct" else r * r
-    batch = _batch_size(elements)
-    parts = _map_batches(trials, batch, stream, threads, worker)
-    successes = sum(part[0] for part in parts)
+    batch = _batch_size(r * d if sampler == "direct" else r * r)
+    successes = sum(_map_batches(trials, batch, stream, threads, worker))
 
     ci_low, ci_high = _binomial_interval(successes, trials)
     point = successes / trials
@@ -281,9 +282,7 @@ def estimate_clique_prob(
         "batch": batch,
     }
     if spec is not None:
-        config["alpha_proj"] = spec.alpha_proj
-        config["delta"] = spec.delta
-        config["spec_ell"] = spec.ell
+        config.update(alpha_proj=spec.alpha_proj, delta=spec.delta, spec_ell=spec.ell)
     return EstimateResult(
         point=point,
         log_point=_log_point(successes, trials),
@@ -293,7 +292,7 @@ def estimate_clique_prob(
         ci_high=max(ci_high, point),
         seed=stream.master_seed,
         config=config,
-        status=status,
+        status="underpowered" if underpowered else "ok",
     )
 
 
@@ -314,6 +313,11 @@ def correction_scaling(
     predicted main-term coefficients are -a^3/p^3 * C(r,3) (red) and
     +a^3/(1-p)^3 * C(r,3) (blue); the derivation carries unquantified
     error factors, so agreement is diagnostic rather than certified.
+
+    One draw per dimension (stream slot 2*di*STREAM_STRIDE; the odd slots go
+    unused) serves both colors, so red and blue are coupled.  Each fit and its
+    standard errors use one color's counts only, so the coupling leaves them
+    unaffected; no red-blue difference is reported.
     """
     if r not in (3, 4):
         raise ValueError(f"scaling diagnostic supports r in {{3, 4}}, got {r}")
@@ -321,33 +325,31 @@ def correction_scaling(
         raise ValueError("dims must be at least two dimensions in ascending order")
     if dims[0] < 1:
         raise ValueError(f"dimensions must be at least 1, got d={dims[0]}")
-    pairs = r * (r - 1) // 2
-    triples = r * (r - 1) * (r - 2) // 6
-    a = std_normal_pdf(solve_cp(p))
+    if trials < 1:
+        raise ValueError(f"trial count must be positive, got {trials}")
+    c_p = solve_cp(p)
+    a = std_normal_pdf(c_p)
     rows = []
     fit_data = {"red": [], "blue": []}
     for di, d in enumerate(dims):
+        threshold = -c_p / math.sqrt(d)
+        def worker(gen, count):
+            cliques, _ = _clique_batch(gen, count, r, d, threshold, sampler, None)
+            return int(cliques["red"].sum()), int(cliques["blue"].sum())
+
+        batch = _batch_size(r * d if sampler == "direct" else r * r)  # as estimate_clique_prob, so red matches it
+        parts = _map_batches(trials, batch, stream.offset(2 * di * STREAM_STRIDE), threads, worker)
         row = {"d": d, "x": d**-0.5}
-        for ci, color in enumerate(("red", "blue")):
-            sub = stream.offset((2 * di + ci) * STREAM_STRIDE)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                est = estimate_clique_prob(
-                    r, d, p, color, trials=trials, stream=sub, sampler=sampler, threads=threads
-                )
-            log_ref = pairs * (math.log(p) if color == "red" else math.log1p(-p))
-            underpowered = est.status != "ok" or est.successes == 0
-            if est.successes > 0:
-                log_ratio = est.log_point - log_ref
-                se = math.sqrt((1.0 - est.point) / est.successes)
-                row[f"log_ratio_{color}"] = log_ratio
-                row[f"se_{color}"] = se
-                if not underpowered:
-                    fit_data[color].append((d**-0.5, log_ratio, se))
-            else:
-                row[f"log_ratio_{color}"] = None
-                row[f"se_{color}"] = None
-            row[f"underpowered_{color}"] = underpowered
+        for color, successes in zip(("red", "blue"), map(sum, zip(*parts))):
+            log_ref = math.comb(r, 2) * (math.log(p) if color == "red" else math.log1p(-p))
+            underpowered = _binomial_reference(r, p, color, trials)[1] or successes == 0
+            log_ratio = se = None
+            if successes > 0:
+                log_ratio = _log_point(successes, trials) - log_ref
+                se = math.sqrt((1.0 - successes / trials) / successes)
+            if not underpowered:
+                fit_data[color].append((d**-0.5, log_ratio, se))
+            row.update({f"log_ratio_{color}": log_ratio, f"se_{color}": se, f"underpowered_{color}": underpowered})
         rows.append(row)
 
     def fit_origin(points):
@@ -357,10 +359,6 @@ def correction_scaling(
         den = sum(x * x / s**2 for x, y, s in points)
         return num / den
 
-    predicted_red = -(a**3 / p**3) * triples
-    predicted_blue = (a**3 / (1.0 - p) ** 3) * triples
-    fitted_red = fit_origin(fit_data["red"])
-    fitted_blue = fit_origin(fit_data["blue"])
     return {
         "op": "correction_scaling",
         "r": r,
@@ -372,9 +370,9 @@ def correction_scaling(
         "stream_id": stream.stream_id,
         "dims": list(dims),
         "rows": rows,
-        "fitted_red": fitted_red,
-        "fitted_blue": fitted_blue,
-        "predicted_red": predicted_red,
-        "predicted_blue": predicted_blue,
+        "fitted_red": fit_origin(fit_data["red"]),
+        "fitted_blue": fit_origin(fit_data["blue"]),
+        "predicted_red": -(a**3 / p**3) * math.comb(r, 3),
+        "predicted_blue": (a**3 / (1.0 - p) ** 3) * math.comb(r, 3),
         "terms": "main-term",
     }

@@ -249,12 +249,9 @@ def test_criterion_08_perfectness_machinery():
     # per-trial coupling: the draws do not depend on the restriction, so the
     # same stream yields identical success masks and a pointwise sub-event
     threshold = -solve_cp(0.38) / 16.0
-    with_spec, perfect = _clique_batch(
-        RngStream(803).generator(), 4096, 5, 256, threshold, "blue", "bartlett", rspec
-    )
-    without_spec, _ = _clique_batch(
-        RngStream(803).generator(), 4096, 5, 256, threshold, "blue", "bartlett", None
-    )
+    with_spec, perfect = _clique_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", rspec)
+    without_spec, _ = _clique_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", None)
+    with_spec, without_spec = with_spec["blue"], without_spec["blue"]
     assert (with_spec == without_spec).all()
     assert (with_spec & perfect).sum() < with_spec.sum()  # the restriction bites
     _report(8, f"perfectness: window implication, extraction re-verified, P* <= P ({dropped} drops)")

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +387,8 @@ _CLIQUE = ["estimate", "--kind", "clique", "--r", "3", "--d", "64", "--p", "0.4"
 _QUADRATIC = ["validate", "--check", "quadratic_moment", "--d", "400", "--k", "2", "--lam", "0.1", "--trials", "100"]
 _SCALING = ["scaling", "--r", "3", "--p", "0.4", "--dims", "64,256", "--trials", "100"]
 _SEARCH = ["search", "--n", "5", "--ell", "3", "--k", "3", "--p", "0.5", "--max-attempts", "10"]
+#: a valid certificate: the golden search record minus its first (record) line
+_CERT = (Path(__file__).parent / "golden" / "search-geometric-n12-44.txt").read_bytes().split(b"\n", 1)[1]
 
 
 @pytest.mark.parametrize(
@@ -406,18 +409,22 @@ _SEARCH = ["search", "--n", "5", "--ell", "3", "--k", "3", "--p", "0.5", "--max-
         (_SCALING + ["--plot-out", "{missing}"], None),
         (_DENSITY + ["--config", "{file}"], b"seed=\xff\n"),
         (["verify", "--in", "{file}"], b"%gaussian-ramsey-certificate v1\nn=\xff\n"),
+        (["verify", "--in", "{non-utf8-name}"], _CERT),
+        (["verify", "--in", "{non-utf8-name}", "--out", "{record}"], _CERT),
     ],
     ids=[
         "config-kind-choice", "config-format-choice", "config-check-choice", "empty-cutoff", "empty-dim",
         "nan-lam", "nan-alpha-proj", "density-unread-keys", "binomial-unread-d", "geometric-missing-d",
         "unwritable-out", "unwritable-plot-out", "non-utf8-config", "non-utf8-certificate",
+        "non-utf8-path", "non-utf8-path-to-out",
     ],
 )
 def test_bad_input_is_a_usage_error(argv, file_bytes, tmp_path, capsys):
-    path = tmp_path / "input.txt"
+    path = tmp_path / (os.fsdecode(b"bad\xff.txt") if "{non-utf8-name}" in argv else "input.txt")
     if file_bytes is not None:
         path.write_bytes(file_bytes)
-    names = {"{file}": str(path), "{missing}": str(tmp_path / "no-such-dir" / "out.txt")}
+    names = {"{file}": str(path), "{non-utf8-name}": str(path), "{record}": str(tmp_path / "rec.txt"),
+             "{missing}": str(tmp_path / "no-such-dir" / "out.txt")}
     code, out, err = run_main([names.get(a, a) for a in argv] + ["--seed", "1"], capsys)
     assert code == 2 and out == ""
     assert "Traceback" not in err

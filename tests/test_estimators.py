@@ -5,7 +5,9 @@ import warnings
 
 import pytest
 
+from gaussian_ramsey import estimators
 from gaussian_ramsey.estimators import (
+    STREAM_STRIDE,
     _clique_batch,
     correction_scaling,
     estimate_clique_prob,
@@ -70,7 +72,8 @@ def test_red_probability_nonincreasing_in_r():
 def test_perfect_restriction_is_subevent_per_trial():
     spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100, p=0.4, C=2.0)
     gen = RngStream(8).generator()
-    success, perfect = _clique_batch(gen, 20000, 3, 100, -0.00253, "red", "bartlett", spec)
+    cliques, perfect = _clique_batch(gen, 20000, 3, 100, -0.00253, "bartlett", spec)
+    success = cliques["red"]
     restricted = success & perfect
     assert restricted.sum() <= success.sum()
     assert not (restricted & ~success).any()
@@ -185,6 +188,74 @@ def test_correction_scaling_domain():
         correction_scaling(5, 0.4, [64, 256], 100, RngStream(1))
     with pytest.raises(ValueError):
         correction_scaling(3, 0.4, [256, 64], 100, RngStream(1))
+
+
+def _log_ref(r, p, color):
+    return math.comb(r, 2) * (math.log(p) if color == "red" else math.log1p(-p))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("sampler", ["direct", "bartlett"])
+def test_scaling_counts_both_colors_in_one_draw(monkeypatch, sampler, threads):
+    # a small batch budget gives several batches per dimension, so threads=2 runs them concurrently
+    monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 4096)
+    drawn = {"normals": 0, "triangular": 0}
+    cloud, bartlett = estimators.sample_cloud_batch, estimators.sample_bartlett_batch
+
+    def count_cloud(batch, n, d, gen):
+        drawn["normals"] += batch * n * d
+        return cloud(batch, n, d, gen)
+
+    def count_bartlett(batch, r, d, gen):
+        drawn["triangular"] += batch
+        return bartlett(batch, r, d, gen)
+
+    monkeypatch.setattr(estimators, "sample_cloud_batch", count_cloud)
+    monkeypatch.setattr(estimators, "sample_bartlett_batch", count_bartlett)
+    r, p, dims, trials, stream = 3, 0.4, [16, 64], 3000, RngStream(21)
+    rep = correction_scaling(r, p, dims, trials, stream, sampler=sampler, threads=threads)
+    # each dimension samples its clouds once, not once per color
+    if sampler == "direct":
+        assert drawn == {"normals": trials * r * sum(dims), "triangular": 0}
+    else:
+        assert drawn == {"normals": 0, "triangular": trials * len(dims)}
+    for di, row in enumerate(rep["rows"]):
+        for color in ("red", "blue"):
+            # red and blue both come from red's stream slot, 2 * di
+            sub = stream.offset(2 * di * STREAM_STRIDE)
+            est = estimate_clique_prob(r, row["d"], p, color, trials=trials, stream=sub, sampler=sampler)
+            assert round(trials * math.exp(row[f"log_ratio_{color}"] + _log_ref(r, p, color))) == est.successes
+            assert row[f"log_ratio_{color}"] == est.log_point - _log_ref(r, p, color)
+
+
+def test_scaling_underpowered_flags_match_the_estimates():
+    # r = 4, p = 0.4: 5000 trials expect ~20 red cliques (underpowered) and ~233 blue ones
+    r, p, dims, trials, stream = 4, 0.4, [64, 256], 5000, RngStream(22)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the report flags underpowered rows without warning
+        rep = correction_scaling(r, p, dims, trials, stream)
+    for di, row in enumerate(rep["rows"]):
+        for color, expect in (("red", True), ("blue", False)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = estimate_clique_prob(
+                    r, row["d"], p, color, trials=trials, stream=stream.offset(2 * di * STREAM_STRIDE)
+                )
+            assert est.successes > 0
+            assert row[f"underpowered_{color}"] == (est.status == "underpowered") == expect
+    assert rep["fitted_red"] is None
+    assert rep["fitted_blue"] is not None
+
+
+def test_scaling_zero_success_row_is_left_out_of_the_fit():
+    # at d = 1 the vectors are scalars and two of any three share a sign, so no red triangle exists
+    rep = correction_scaling(3, 0.4, [1, 64, 256], 5000, RngStream(23))
+    first, *rest = rep["rows"]
+    assert first["log_ratio_red"] is None and first["se_red"] is None and first["underpowered_red"]
+    assert all(row["log_ratio_red"] is not None and not row["underpowered_red"] for row in rest)
+    num = sum(row["x"] * row["log_ratio_red"] / row["se_red"] ** 2 for row in rest)
+    den = sum(row["x"] ** 2 / row["se_red"] ** 2 for row in rest)
+    assert rep["fitted_red"] == pytest.approx(num / den, rel=1e-12)
 
 
 def test_estimate_record_shape():
