@@ -1,22 +1,27 @@
 """Exact monochromatic clique search and witness-coloring certificates.
 
-The search is a complete branch-and-bound over packed adjacency bitmasks:
-it runs directly on the graph's blue or red rows, branches on the lowest
-remaining vertex, prunes candidate sets by popcount and by a greedy-coloring
-upper bound, and returns the first clique of the requested size (or None,
-with the guarantee that none exists).  Completeness is what makes a
-verified certificate meaningful: a coloring of K_n with no red K_ell and
-no blue K_k establishes R(ell, k) > n.
+The search is a complete branch-and-bound over packed adjacency bitmasks,
+run directly on the graph's blue or red rows, with the color-ordered
+branching of MCQ (Tomita & Seki 2003) and BBMC (San Segundo et al. 2011).
+At each node it greedily colors the candidate set into independent
+classes, branches on the vertices of the highest class first, drops each
+vertex from the candidates after its branch, and stops once no class left
+is high enough to complete the clique; popcount prunes the rest.  It
+returns some clique of the requested size, or None with the guarantee
+that none exists.  Completeness is what makes a verified certificate
+meaningful: a coloring of K_n with no red K_ell and no blue K_k
+establishes R(ell, k) > n.
 
-The witness search samples fresh colorings (geometric or binomial) and
-verifies each in attempt order; the certificate returned is the one with
-the lowest attempt index that verifies, so a seed determines it.
+The witness search samples fresh colorings (geometric or binomial) a batch
+at a time, packs each batch's adjacency rows at once, and verifies the
+attempts in order; the certificate returned is the one with the lowest
+attempt index that verifies, so a seed determines it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +30,10 @@ from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import gram_batch, sample_cloud_batch
 from gaussian_ramsey.graphs import (
     ColoredGraph,
+    _pack_upper,
+    _packed_rows,
+    _unchecked_graph,
     capability_check,
-    from_blue_matrix,
     graph_from_text,
     graph_to_text,
 )
@@ -39,46 +46,60 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 ATTEMPT_BATCH = 256
 
 
-def _greedy_color_bound(P: int, adj: list[int]) -> int:
-    """Number of greedy color classes covering P; an upper bound on clique size in P."""
-    colors = 0
-    rem = P
-    while rem:
-        colors += 1
-        cand = rem
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            rem ^= bit
-            cand &= ~(adj[v] | bit)
-    return colors
+def _search(R: list[int], P: int, size: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -> list[int] | None:
+    """A clique of the given size that holds R and draws the rest from P, or None.
 
-
-def _search(R: list[int], P: int, size: int, adj: list[int]) -> list[int] | None:
-    if len(R) == size:
-        return list(R)
+    R is a clique and P its common neighbours in adj; non_adj[v] holds the
+    vertices other than v that are not adjacent to v (the other color's row).
+    """
     need = size - len(R)
     if P.bit_count() < need:
         return None
-    if _greedy_color_bound(P, adj) < need:
+    if need == 1:
+        return R + [(P & -P).bit_length() - 1]
+    if need == 2:
+        rest = P
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            nbrs = P & adj[v]
+            if nbrs:
+                return R + [v, (nbrs & -nbrs).bit_length() - 1]
         return None
-    while P:
-        if P.bit_count() < need:
-            return None
-        v = (P & -P).bit_length() - 1
-        P ^= 1 << v
-        R.append(v)
-        found = _search(R, P & adj[v], size, adj)
-        R.pop()
-        if found is not None:
-            return found
+    # greedy coloring: each class is independent, so a clique within classes 0..c has at most c + 1 vertices
+    classes = []
+    rem = P
+    while rem:
+        cls = 0
+        cand = rem
+        while cand:
+            bit = cand & -cand
+            cls |= bit
+            cand &= non_adj[bit.bit_length() - 1]
+        rem ^= cls
+        classes.append(cls)
+    # branch on the highest class first; below class need - 1 no vertex left can complete R
+    for c in range(len(classes) - 1, need - 2, -1):
+        cls = classes[c]
+        while cls:
+            bit = cls & -cls
+            cls ^= bit
+            v = bit.bit_length() - 1
+            R.append(v)
+            found = _search(R, P & adj[v], size, adj, non_adj)
+            R.pop()
+            if found is not None:
+                return found
+            P ^= bit
     return None
 
 
 def find_mono_clique(g: ColoredGraph, size: int, color: str) -> tuple[int, ...] | None:
-    """A monochromatic clique of the given size, or None if none exists.
+    """A monochromatic clique of the given size, as sorted vertices, or None if none exists.
 
-    Complete: a None return is a proof of absence.  Graphs beyond the
+    Complete: a None return is a proof of absence.  Which clique is
+    returned when several exist is unspecified.  Graphs beyond the
     word budget raise CapabilityError instead of silently taking
     exponential time (and the recursion stays within Python's limit).
     """
@@ -89,8 +110,8 @@ def find_mono_clique(g: ColoredGraph, size: int, color: str) -> tuple[int, ...] 
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     if size == 1:
         return (0,)
-    rows = g.blue_rows if color == "blue" else g.red_rows
-    found = _search([], (1 << g.n) - 1, size, list(rows))
+    rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
+    found = _search([], (1 << g.n) - 1, size, rows, other)
     return None if found is None else tuple(sorted(found))
 
 
@@ -135,11 +156,15 @@ def search_witness(
     in the graph provenance.
     """
     capability_check(n)
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got n={n}")
     if sampler not in ("geometric", "binomial"):
         raise ValueError(f"sampler must be 'geometric' or 'binomial', got {sampler!r}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     p = float(params["p"])
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got p={p}")
     base_provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
     if sampler == "geometric":
         d = int(params["d"])
@@ -158,15 +183,16 @@ def search_witness(
         count = min(batch, max_attempts - attempt)
         gen = stream.offset(bi).generator()
         if sampler == "geometric":
-            blue = gram_batch(sample_cloud_batch(count, n, d, gen)) >= threshold
+            upper = np.triu(gram_batch(sample_cloud_batch(count, n, d, gen)) >= threshold, 1)
         else:
-            blue = np.zeros((count, n, n), dtype=bool)
-            blue[:, iu[0], iu[1]] = gen.random((count, len(iu[0]))) >= p  # blue with probability 1 - p
+            upper = np.zeros((count, n, n), dtype=bool)
+            upper[:, iu[0], iu[1]] = gen.random((count, len(iu[0]))) >= p  # blue with probability 1 - p
+        data = _pack_upper(upper)  # one pack per batch; its rows need no validation
         for t in range(count):
-            graph = from_blue_matrix(blue[t], dict(base_provenance, attempt=attempt))
-            cert = verify_witness(graph, ell, k)
+            rows = _packed_rows(data, n, t)
+            cert = verify_witness(_unchecked_graph(n, rows, dict(base_provenance, attempt=attempt)), ell, k)
             if cert.checked:
-                return cert
+                return replace(cert, graph=ColoredGraph(n, rows, cert.graph.provenance))
             attempt += 1
         bi += 1
     return None

@@ -96,10 +96,26 @@ class ColoredGraph:
 
 
 def _unpack(rows, n: int) -> np.ndarray:
-    """Boolean matrix of rows in [0, 2**n); the inverse of the packing in from_blue_matrix."""
+    """Boolean matrix of rows in [0, 2**n); the inverse of _pack_upper for one matrix."""
     width = (n + 7) // 8
     data = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
     return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _pack_upper(upper: np.ndarray) -> bytes:
+    """Strict upper triangles, (..., n, n), mirrored and packed in one pass.
+
+    Row i of matrix t is (n + 7) // 8 little-endian bytes at byte
+    (t * n + i) * ((n + 7) // 8); _packed_rows reads matrix t back.
+    """
+    return np.packbits(upper | upper.swapaxes(-1, -2), axis=-1, bitorder="little").tobytes()
+
+
+def _packed_rows(data: bytes, n: int, t: int = 0) -> tuple[int, ...]:
+    """The n rows of matrix t in _pack_upper's bytes."""
+    width = (n + 7) // 8
+    start = t * n * width
+    return tuple([int.from_bytes(data[j : j + width], "little") for j in range(start, start + n * width, width)])
 
 
 def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
@@ -107,10 +123,20 @@ def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
     blue = np.asarray(blue, dtype=bool)
     if blue.ndim != 2 or blue.shape[0] != blue.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {blue.shape}")
-    upper = np.triu(blue, 1)
-    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return ColoredGraph(len(packed), rows, provenance or {})
+    n = len(blue)
+    return ColoredGraph(n, _packed_rows(_pack_upper(np.triu(blue, 1)), n), provenance or {})
+
+
+def _unchecked_graph(n: int, rows: tuple[int, ...], provenance: dict) -> ColoredGraph:
+    """A ColoredGraph built without __post_init__'s checks.
+
+    Only for rows that are symmetric, loop-free and within n bits by
+    construction, as _pack_upper's are: search_witness's attempt batches.
+    Every other graph is validated.
+    """
+    g = object.__new__(ColoredGraph)
+    vars(g).update(n=n, blue_rows=rows, provenance=provenance)
+    return g
 
 
 def _format_value(value) -> str:

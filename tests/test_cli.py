@@ -361,6 +361,24 @@ def test_zero_dimension_is_an_error_exit(argv, capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("sampler", [["--sampler", "binomial"], ["--sampler", "geometric", "--d", "8"]])
+def test_search_vertex_count_below_one_is_an_error_exit(n, sampler, capsys):
+    argv = ["search", "--n", n, "--ell", "3", "--k", "3", "--p", "0.5", "--max-attempts", "10", "--seed", "1"]
+    code, out, err = run_main(argv + sampler, capsys)
+    assert code == 1 and out == ""
+    assert f"vertex count must be positive, got n={n}" in err
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.5"])
+def test_search_binomial_probability_outside_unit_interval_is_an_error_exit(p, capsys):
+    argv = ["search", "--n", "5", "--ell", "3", "--k", "3", "--sampler", "binomial", "--p", p,
+            "--max-attempts", "10", "--seed", "1"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 1 and out == ""
+    assert f"p={float(p)}" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_a_usage_error(threads, tmp_path, capsys):
     argv = ["estimate", "--kind", "density", "--d", "4", "--p", "0.4", "--trials", "10", "--seed", "1"]

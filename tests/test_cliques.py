@@ -1,5 +1,6 @@
 """Exact clique search, witness verification, and the sampling search."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,8 @@ from gaussian_ramsey.cliques import (
     search_witness,
     verify_witness,
 )
+from gaussian_ramsey.analytic import solve_cp
+from gaussian_ramsey.geometry import adjacency, gram, gram_batch, sample_cloud, sample_cloud_batch
 from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, from_blue_matrix
 from gaussian_ramsey.sampling import RngStream
 
@@ -146,6 +149,57 @@ def test_search_exhausts_budget_on_impossible_target():
     assert search_witness(6, 3, 3, "binomial", {"p": 0.5}, 200, RngStream(54)) is None
 
 
+@pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])
+def test_search_rejects_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=f"p={p}"):
+        search_witness(5, 3, 3, "binomial", {"p": p}, 10, RngStream(58))
+
+
+def test_search_binomial_accepts_the_unit_interval_ends():
+    # p = 1 colors every edge red and p = 0 every edge blue: both hold a triangle
+    for p in (0.0, 1.0):
+        assert search_witness(5, 3, 3, "binomial", {"p": p}, 10, RngStream(58)) is None
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_search_rejects_vertex_count_below_one(n):
+    with pytest.raises(ValueError, match=f"vertex count must be positive, got n={n}"):
+        search_witness(n, 3, 3, "binomial", {"p": 0.5}, 10, RngStream(58))
+
+
+@pytest.mark.parametrize("n", [5, 18, 64, 65, 130])  # one-, two- and three-word rows
+@pytest.mark.parametrize("sampler", ["geometric", "binomial"])
+def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
+    # every attempt's graph, packed once per batch without validation, equals
+    # from_blue_matrix on that attempt's matrix; the returned certificate is validated
+    import gaussian_ramsey.cliques as cliques
+
+    attempts, d, p = 4, 8, 0.3
+    seen = []
+
+    def recording(g, ell, k):
+        seen.append(g)
+        cert = verify_witness(g, ell, k)
+        return replace(cert, checked=len(seen) == attempts)  # the last attempt "verifies"
+
+    monkeypatch.setattr(cliques, "verify_witness", recording)
+    stream = RngStream(59)
+    cert = search_witness(n, 2, 2, sampler, {"d": d, "p": p}, attempts, stream)
+    gen = stream.offset(0).generator()  # attempts fit in the first batch
+    if sampler == "geometric":
+        blue = gram_batch(sample_cloud_batch(attempts, n, d, gen)) >= -solve_cp(p) / np.sqrt(d)
+    else:
+        iu = np.triu_indices(n, 1)
+        blue = np.zeros((attempts, n, n), bool)
+        blue[:, iu[0], iu[1]] = gen.random((attempts, len(iu[0]))) >= p
+    assert len(seen) == attempts
+    for t, g in enumerate(seen):
+        assert g == from_blue_matrix(blue[t], g.provenance)
+        assert g.provenance["attempt"] == t
+    assert cert.graph == seen[-1] and cert.graph is not seen[-1] and cert.checked  # rebuilt, so validated
+    assert ColoredGraph(cert.n, cert.graph.blue_rows, cert.graph.provenance) == cert.graph
+
+
 def test_search_first_hit_wins_deterministically():
     a = search_witness(5, 3, 3, "binomial", {"p": 0.5}, 1000, RngStream(55))
     b = search_witness(5, 3, 3, "binomial", {"p": 0.5}, 1000, RngStream(55))
@@ -263,3 +317,35 @@ def test_verify_skips_the_blue_search_after_a_red_clique(monkeypatch):
     assert calls == ["red", "blue"]
     with pytest.raises(ValueError):
         verify_witness(all_red, 4, 0)  # a bad size is still an error when red settles the answer
+
+
+def _oracle_graphs():
+    """Binomial and geometric colorings with n = 20-64, and Paley(q) for q <= 61."""
+    gen = RngStream(57).generator()
+    for n in (20, 27, 34, 41, 48, 56, 64):
+        for p in (0.3, 0.5, 0.7):
+            blue = np.triu(gen.random((n, n)) >= p, 1)
+            yield pytest.param(from_blue_matrix(blue | blue.T), id=f"binomial-n{n}-p{p}")
+        for d, p in ((4, 0.3), (64, 0.5)):
+            g = adjacency(gram(sample_cloud(n, d, gen)), solve_cp(p), d)
+            yield pytest.param(g, id=f"geometric-n{n}-d{d}-p{p}")
+    for q in (5, 13, 17, 29, 37, 41, 53, 61):
+        yield pytest.param(paley(q), id=f"paley{q}")
+
+
+@pytest.mark.parametrize("g", _oracle_graphs())
+def test_search_meets_the_networkx_clique_number(g):
+    # omega from networkx's maximal-clique enumeration: the engine finds an
+    # omega-clique and proves that no (omega + 1)-clique exists, in each color
+    nx = pytest.importorskip("networkx")
+    for color in ("red", "blue"):
+        rows = g.blue_rows if color == "blue" else g.red_rows
+        graph = nx.Graph()
+        graph.add_nodes_from(range(g.n))
+        graph.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n) if rows[i] >> j & 1)
+        omega = max(len(c) for c in nx.find_cliques(graph))
+        found = find_mono_clique(g, omega, color)
+        assert found is not None and len(set(found)) == omega, (color, omega)
+        assert all(rows[i] >> j & 1 for i, j in combinations(found, 2))
+        if omega < g.n:
+            assert find_mono_clique(g, omega + 1, color) is None, (color, omega)
