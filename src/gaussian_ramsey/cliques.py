@@ -130,10 +130,14 @@ class WitnessCertificate:
     checked: bool
 
 
-def verify_witness(g: ColoredGraph, ell: int, k: int) -> WitnessCertificate:
-    """Exhaustively check for red K_ell and blue K_k; checked=True iff neither exists."""
+def _check_clique_sizes(ell: int, k: int) -> None:
     if min(ell, k) < 1:
         raise ValueError(f"clique sizes must be at least 1, got ell={ell}, k={k}")
+
+
+def verify_witness(g: ColoredGraph, ell: int, k: int) -> WitnessCertificate:
+    """Exhaustively check for red K_ell and blue K_k; checked=True iff neither exists."""
+    _check_clique_sizes(ell, k)
     red = find_mono_clique(g, ell, "red") if ell <= g.n else None
     blue = find_mono_clique(g, k, "blue") if red is None and k <= g.n else None  # a red clique settles it
     return WitnessCertificate(n=g.n, ell=ell, k=k, graph=g, checked=red is None and blue is None)
@@ -158,6 +162,7 @@ def search_witness(
     capability_check(n)
     if n < 1:
         raise ValueError(f"vertex count must be positive, got n={n}")
+    _check_clique_sizes(ell, k)  # before any attempt is sampled
     if sampler not in ("geometric", "binomial"):
         raise ValueError(f"sampler must be 'geometric' or 'binomial', got {sampler!r}")
     if max_attempts < 1:

@@ -167,6 +167,20 @@ def test_search_rejects_vertex_count_below_one(n):
         search_witness(n, 3, 3, "binomial", {"p": 0.5}, 10, RngStream(58))
 
 
+@pytest.mark.parametrize("sampler", ["geometric", "binomial"])
+def test_search_rejects_clique_sizes_below_one_before_sampling(sampler, monkeypatch):
+    import gaussian_ramsey.cliques as cliques
+
+    def no_draws(*args):
+        raise AssertionError("an attempt was sampled")
+
+    monkeypatch.setattr(cliques, "sample_cloud_batch", no_draws)
+    monkeypatch.setattr(cliques.RngStream, "generator", no_draws)
+    for ell, k in ((0, 4), (4, -1)):
+        with pytest.raises(ValueError, match=f"clique sizes must be at least 1, got ell={ell}, k={k}"):
+            search_witness(130, ell, k, sampler, {"d": 4096, "p": 0.5}, 10**6, RngStream(58))
+
+
 @pytest.mark.parametrize("n", [5, 18, 64, 65, 130])  # one-, two- and three-word rows
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
