@@ -144,7 +144,7 @@ _COMMANDS: dict[str, dict] = {
         "keys": {
             "r": ("int", "clique size (3 or 4)"),
             "p": ("float", "red probability"),
-            "dims": ("ints", "comma-separated ascending dimensions"),
+            "dims": ("ints", "comma-separated strictly ascending dimensions"),
             "trials": ("int", "trials per dimension, shared by both colors"),
             "sampler": ("choice:direct,bartlett", "vector sampler"),
             "threads": ("int", "worker threads"),
@@ -211,6 +211,7 @@ def _value(tag: str, raw: str):
     return value
 
 
+@functools.cache  # one parser per process, built on first use; _LastWins keeps its state on the namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussian-ramsey",

@@ -13,7 +13,7 @@ meaningful: a coloring of K_n with no red K_ell and no blue K_k
 establishes R(ell, k) > n.
 
 The witness search samples fresh colorings (geometric or binomial) a batch
-at a time, packs each batch's adjacency rows at once, and verifies the
+at a time, packs each batch's blue and red rows at once, and verifies the
 attempts in order; the certificate returned is the one with the lowest
 attempt index that verifies, so a seed determines it.
 """
@@ -30,8 +30,7 @@ from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import gram_batch, sample_cloud_batch
 from gaussian_ramsey.graphs import (
     ColoredGraph,
-    _pack_upper,
-    _packed_rows,
+    _pack_rows,
     _unchecked_graph,
     capability_check,
     graph_from_text,
@@ -192,12 +191,12 @@ def search_witness(
         else:
             upper = np.zeros((count, n, n), dtype=bool)
             upper[:, iu[0], iu[1]] = gen.random((count, len(iu[0]))) >= p  # blue with probability 1 - p
-        data = _pack_upper(upper)  # one pack per batch; its rows need no validation
+        blue, red = _pack_rows(upper)  # one pack per batch, both colors; its rows need no validation
         for t in range(count):
-            rows = _packed_rows(data, n, t)
-            cert = verify_witness(_unchecked_graph(n, rows, dict(base_provenance, attempt=attempt)), ell, k)
-            if cert.checked:
-                return replace(cert, graph=ColoredGraph(n, rows, cert.graph.provenance))
+            g = _unchecked_graph(n, blue[t], red[t], dict(base_provenance, attempt=attempt))
+            cert = verify_witness(g, ell, k)
+            if cert.checked:  # rebuilt through validation, which recomputes the red rows
+                return replace(cert, graph=ColoredGraph(n, blue[t], cert.graph.provenance))
             attempt += 1
         bi += 1
     return None

@@ -321,8 +321,8 @@ def correction_scaling(
     """
     if r not in (3, 4):
         raise ValueError(f"scaling diagnostic supports r in {{3, 4}}, got {r}")
-    if list(dims) != sorted(dims) or len(dims) < 2:
-        raise ValueError("dims must be at least two dimensions in ascending order")
+    if len(dims) < 2 or any(a >= b for a, b in zip(dims, dims[1:])):
+        raise ValueError(f"dims must be at least two strictly ascending dimensions, got {list(dims)}")
     if dims[0] < 1:
         raise ValueError(f"dimensions must be at least 1, got d={dims[0]}")
     if trials < 1:

@@ -15,6 +15,7 @@ provenance that would not parse back as given is refused.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -76,7 +77,7 @@ class ColoredGraph:
             i, j = np.argwhere(mismatch)[0]
             raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
 
-    @property
+    @functools.cached_property
     def red_rows(self) -> tuple[int, ...]:
         full = (1 << self.n) - 1
         return tuple((full ^ row ^ (1 << i)) & full for i, row in enumerate(self.blue_rows))
@@ -96,26 +97,37 @@ class ColoredGraph:
 
 
 def _unpack(rows, n: int) -> np.ndarray:
-    """Boolean matrix of rows in [0, 2**n); the inverse of _pack_upper for one matrix."""
+    """Boolean matrix of rows in [0, 2**n); the inverse of _pack_rows's blue rows for one matrix."""
     width = (n + 7) // 8
     data = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
     return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
 
 
-def _pack_upper(upper: np.ndarray) -> bytes:
-    """Strict upper triangles, (..., n, n), mirrored and packed in one pass.
+def _pack_rows(upper: np.ndarray) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Blue and red rows of strict upper triangles, (count, n, n): one tuple of n ints per matrix.
 
-    Row i of matrix t is (n + 7) // 8 little-endian bytes at byte
-    (t * n + i) * ((n + 7) // 8); _packed_rows reads matrix t back.
+    Each triangle is mirrored and its rows padded to whole 64-bit words and
+    packed in one pass; red is the complement off the diagonal, taken on the
+    same words.  A row of one word is its int as is; wider rows join their
+    words, lowest first.
     """
-    return np.packbits(upper | upper.swapaxes(-1, -2), axis=-1, bitorder="little").tobytes()
+    count, n, _ = upper.shape
+    width = _words_for(n) * WORD_BITS
+    bits = np.zeros((count, n, width), bool)
+    bits[..., :n] = upper | upper.swapaxes(1, 2)
+    blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
+    diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
+    return _row_tuples(blue, n), _row_tuples((~blue & full) ^ diag, n)
 
 
-def _packed_rows(data: bytes, n: int, t: int = 0) -> tuple[int, ...]:
-    """The n rows of matrix t in _pack_upper's bytes."""
-    width = (n + 7) // 8
-    start = t * n * width
-    return tuple([int.from_bytes(data[j : j + width], "little") for j in range(start, start + n * width, width)])
+def _row_tuples(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """One tuple of n row ints per matrix of words, (count, n, words per row)."""
+    flat = words.reshape(-1, words.shape[-1])
+    rows = flat[:, 0].tolist()
+    for j in range(1, flat.shape[1]):
+        rows = [low | high << (j * WORD_BITS) for low, high in zip(rows, flat[:, j].tolist())]
+    return [tuple(rows[t * n : (t + 1) * n]) for t in range(len(words))]
 
 
 def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
@@ -123,19 +135,20 @@ def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
     blue = np.asarray(blue, dtype=bool)
     if blue.ndim != 2 or blue.shape[0] != blue.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {blue.shape}")
-    n = len(blue)
-    return ColoredGraph(n, _packed_rows(_pack_upper(np.triu(blue, 1)), n), provenance or {})
+    rows, _ = _pack_rows(np.triu(blue, 1)[None])
+    return ColoredGraph(len(blue), rows[0], provenance or {})
 
 
-def _unchecked_graph(n: int, rows: tuple[int, ...], provenance: dict) -> ColoredGraph:
-    """A ColoredGraph built without __post_init__'s checks.
+def _unchecked_graph(n: int, rows: tuple[int, ...], red_rows: tuple[int, ...], provenance: dict) -> ColoredGraph:
+    """A ColoredGraph built without __post_init__'s checks, its red rows given.
 
     Only for rows that are symmetric, loop-free and within n bits by
-    construction, as _pack_upper's are: search_witness's attempt batches.
-    Every other graph is validated.
+    construction, with red their complement, as _pack_rows's are:
+    search_witness's attempt batches.  Every other graph is validated and
+    computes its own red rows.
     """
     g = object.__new__(ColoredGraph)
-    vars(g).update(n=n, blue_rows=rows, provenance=provenance)
+    vars(g).update(n=n, blue_rows=rows, provenance=provenance, red_rows=red_rows)
     return g
 
 

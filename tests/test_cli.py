@@ -461,3 +461,32 @@ def test_config_key_repeated_warns_last_wins(tmp_path, capsys):
     assert code == 0
     assert "seed given more than once; last occurrence wins" in err
     assert json.loads(out)["invocation"]["seed"] == 5
+
+
+def test_scaling_rejects_repeated_dimensions(capsys):
+    code, out, err = run_main(["scaling", "--r", "3", "--p", "0.4", "--dims", "64,64", "--trials", "10", "--seed", "1"],
+                              capsys)
+    assert code == 1 and out == ""
+    assert "error: dims must be at least two strictly ascending dimensions, got [64, 64]" in err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once per process: a failed parse leaves nothing behind,
+    # and a repeated flag warns in each call, not only in the first
+    code, out, err = run_main(_DENSITY + ["--p", "nan", "--seed", "1"], capsys)
+    assert code == 2 and out == "" and "NaN" in err
+    argv = _DENSITY + ["--seed", "3"]
+    code, out, _ = run_main(argv, capsys)
+    src = os.path.dirname(os.path.dirname(gaussian_ramsey.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "gaussian_ramsey.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert code == fresh.returncode == 0 and out == fresh.stdout
+    for _ in range(2):
+        code, out, err = run_main(_DENSITY + ["--seed", "4", "--seed", "5"], capsys)
+        assert code == 0 and json.loads(out)["invocation"]["seed"] == 5
+        assert err.count("--seed given more than once; last occurrence wins") == 1

@@ -185,7 +185,8 @@ def test_search_rejects_clique_sizes_below_one_before_sampling(sampler, monkeypa
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     # every attempt's graph, packed once per batch without validation, equals
-    # from_blue_matrix on that attempt's matrix; the returned certificate is validated
+    # from_blue_matrix on that attempt's matrix, red rows included; the returned
+    # certificate is validated
     import gaussian_ramsey.cliques as cliques
 
     attempts, d, p = 4, 8, 0.3
@@ -209,6 +210,7 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     assert len(seen) == attempts
     for t, g in enumerate(seen):
         assert g == from_blue_matrix(blue[t], g.provenance)
+        assert g.red_rows == ColoredGraph(g.n, g.blue_rows).red_rows  # the batch's red rows, which eq ignores
         assert g.provenance["attempt"] == t
     assert cert.graph == seen[-1] and cert.graph is not seen[-1] and cert.checked  # rebuilt, so validated
     assert ColoredGraph(cert.n, cert.graph.blue_rows, cert.graph.provenance) == cert.graph

@@ -32,6 +32,7 @@ def test_red_rows_complement():
     assert g.blue_edge(0, 1)
     red = g.red_rows
     assert red[0] == 0b100 and red[2] == 0b011
+    assert g.red_rows is red  # built once per graph
     assert g.blue_count() == 1
 
 
