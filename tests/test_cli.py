@@ -464,8 +464,8 @@ def test_config_key_repeated_warns_last_wins(tmp_path, capsys):
 
 
 def test_scaling_rejects_repeated_dimensions(capsys):
-    code, out, err = run_main(["scaling", "--r", "3", "--p", "0.4", "--dims", "64,64", "--trials", "10", "--seed", "1"],
-                              capsys)
+    argv = ["scaling", "--r", "3", "--p", "0.4", "--dims", "64,64", "--trials", "10", "--seed", "1"]
+    code, out, err = run_main(argv, capsys)
     assert code == 1 and out == ""
     assert "error: dims must be at least two strictly ascending dimensions, got [64, 64]" in err
 

@@ -213,6 +213,7 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
         assert g.red_rows == ColoredGraph(g.n, g.blue_rows).red_rows  # the batch's red rows, which eq ignores
         assert g.provenance["attempt"] == t
     assert cert.graph == seen[-1] and cert.graph is not seen[-1] and cert.checked  # rebuilt, so validated
+    assert cert.graph.red_rows == seen[-1].red_rows and cert.graph.red_rows is not seen[-1].red_rows  # recomputed
     assert ColoredGraph(cert.n, cert.graph.blue_rows, cert.graph.provenance) == cert.graph
 
 
