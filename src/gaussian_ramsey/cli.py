@@ -16,7 +16,9 @@ like a bad flag.
 Each run emits one record (JSON-lines by default, CSV on request) carrying
 the library version and the full semantic parameter echo, with every float
 printed to 17 significant digits so records are byte-reproducible.  The
-seed is never implicit: if absent it is drawn once from the OS and echoed.
+five commands that sample (sample, estimate, validate, scaling, search)
+take a seed, and it is never implicit: if absent it is drawn once from the
+OS and echoed.  The other three draw nothing and reject a seed.
 Execution knobs (--threads, --out, --format) are not part of the echo and
 never affect record bytes.  Exit status is 0 iff every assertion the
 command makes passed, 2 for a usage error.
@@ -68,8 +70,10 @@ class ExperimentConfig:
 # "modes" is (mode key, {mode: (keys it needs, keys it may take)}).
 # ---------------------------------------------------------------------------
 
+#: a key of the five commands that sample, last in each, so their echo ends with the seed.
+_SEED = ("int", "master seed; a fresh random one is drawn and echoed when absent")
+
 _COMMON_KEYS = {
-    "seed": ("int", "master seed; a fresh random one is drawn and echoed when absent"),
     "out": ("path", "output file for records (default stdout)"),
     "format": ("choice:jsonl,csv", "record format"),
 }
@@ -93,6 +97,7 @@ _COMMANDS: dict[str, dict] = {
             "n": ("int", "vertex count"),
             "d": ("int", "ambient dimension"),
             "p": ("float", "red probability in (0, 1/2]"),
+            "seed": _SEED,
         },
         "required": ("n", "d", "p"),
     },
@@ -111,6 +116,7 @@ _COMMANDS: dict[str, dict] = {
             "delta": ("float", "custom perfect-spec norm half-width"),
             "spec_ell": ("int", "custom perfect-spec ell"),
             "threads": ("int", "worker threads (throughput only; never affects results)"),
+            "seed": _SEED,
         },
         "required": ("kind", "d", "p", "trials"),
         "modes": ("kind", {
@@ -136,6 +142,7 @@ _COMMANDS: dict[str, dict] = {
             "t": ("float", "deviation parameter (chi_square_tail)"),
             "inner": ("float", "revealed projection inner product (conditional_edge)"),
             "diag": ("float", "conditioned diagonal entry (conditional_edge)"),
+            "seed": _SEED,
         },
         "required": ("check", "trials"),
         "modes": ("check", {name: (keys, ()) for name, (_, keys) in CHECKS.items()}),
@@ -149,6 +156,7 @@ _COMMANDS: dict[str, dict] = {
             "sampler": ("choice:direct,bartlett", "vector sampler"),
             "threads": ("int", "worker threads"),
             "plot_out": ("path", "two-column plot data file (x=d^-1/2, y=red log-ratio)"),
+            "seed": _SEED,
         },
         "required": ("r", "p", "dims", "trials"),
     },
@@ -161,6 +169,7 @@ _COMMANDS: dict[str, dict] = {
             "d": ("int", "ambient dimension (geometric)"),
             "p": ("float", "red probability"),
             "max_attempts": ("int", "attempt budget"),
+            "seed": _SEED,
         },
         "required": ("n", "ell", "k", "sampler", "p", "max_attempts"),
         "modes": ("sampler", {"geometric": (("d",), ()), "binomial": ((), ())}),
@@ -450,9 +459,9 @@ def _run_estimate(params: dict):
         )
     else:
         spec = None
-        if params.get("alpha_proj") is not None or params.get("delta") is not None:
-            if params.get("alpha_proj") is None or params.get("delta") is None:
-                raise UsageError("custom perfect spec needs both alpha-proj and delta")
+        if any(params.get(key) is not None for key in ("alpha_proj", "delta", "spec_ell")):
+            if params.get("alpha_proj") is None or params.get("delta") is None or not params.get("restrict_perfect"):
+                raise UsageError("custom perfect spec needs alpha-proj and delta together, and restrict-perfect")
             spec = PerfectSpec(
                 alpha_proj=params["alpha_proj"],
                 delta=params["delta"],

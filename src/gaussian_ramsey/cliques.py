@@ -179,7 +179,7 @@ def search_witness(
         base_provenance.update(d=d, c_p=c_p)
     iu = np.triu_indices(n, 1)
     elements = n * (n + d) if sampler == "geometric" else n * n  # per attempt: cloud and Gram, or matrix
-    batch = max(1, min(ATTEMPT_BATCH, estimators._BATCH_ELEMENTS // elements))
+    batch = estimators._batch_size(elements, ATTEMPT_BATCH)
 
     attempt = 0
     bi = 0

@@ -4,11 +4,19 @@ Trials are independent work items keyed by stream id: an estimate splits
 its budget into fixed-size batches (the batch size is a deterministic
 function of the problem shape, never of the machine), batch b draws from
 stream.offset(b), and results fold over batches in index order.  Thread
-counts therefore change throughput only, never a single output bit.  Red
-and blue cliques are counted in one draw (correction_scaling samples once).
+counts therefore change throughput only, never a single output bit.  One
+pair kernel, _pair_batch, draws every batch and returns the blue mask of
+its pairs; the density sums it per cloud, and red and blue cliques are
+counted from it in one draw (correction_scaling samples once).
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
+
+One rule, _batch_size, sizes every batch in the package: as many trials as
+fit _BATCH_ELEMENTS doubles, up to a cap.  The estimators cap a batch at
+8192 trials; the validators take none, since a cap would repartition their
+records; search_witness caps it at ATTEMPT_BATCH attempts, since it stops
+at its first witness and would discard the rest of a larger batch.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import betaincinv, ndtri
@@ -47,8 +55,10 @@ MIN_EXPECTED_SUCCESSES = 100.0
 _Z95 = float(ndtri(0.975))
 
 
-def _batch_size(elements_per_trial: int) -> int:
-    return max(1, min(_MAX_BATCH, _BATCH_ELEMENTS // max(1, elements_per_trial)))
+def _batch_size(elements_per_trial: int, cap: int | None = _MAX_BATCH) -> int:
+    """Trials per batch: as many as fit _BATCH_ELEMENTS doubles, at least one, at most cap (None: no cap)."""
+    batch = _BATCH_ELEMENTS // max(1, elements_per_trial)
+    return max(1, batch if cap is None else min(cap, batch))
 
 
 def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worker):
@@ -66,17 +76,13 @@ def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worke
         return list(pool.map(run, range(nbatches)))
 
 
-def _clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
-    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, 0.025))
-    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 0.975))
-    return lo, hi
-
-
 def _binomial_interval(successes: int, trials: int, se: float | None = None) -> tuple[float, float]:
-    """95% interval: exact below 30 successes or failures, else normal with
+    """95% interval: exact (Clopper-Pearson) below 30 successes or failures, else normal with
     standard error se (default: the binomial one)."""
     if successes < 30 or trials - successes < 30:
-        return _clopper_pearson(successes, trials)
+        lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, 0.025))
+        hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 0.975))
+        return lo, hi
     p = successes / trials
     half = _Z95 * (math.sqrt(p * (1.0 - p) / trials) if se is None else se)
     return max(0.0, p - half), min(1.0, p + half)
@@ -93,27 +99,51 @@ class EstimateResult:
     ci_low: float
     ci_high: float
     seed: int
-    config: dict = field(default_factory=dict)
     status: str = "ok"
+    config: dict = field(default_factory=dict)
 
     def as_record(self) -> dict:
-        return {
-            "point": self.point,
-            "log_point": self.log_point,
-            "trials": self.trials,
-            "successes": self.successes,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-            "status": self.status,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
 
 def _log_point(successes: int, trials: int) -> float:
     if successes == 0:
         return -math.inf
     return math.log(successes) - math.log(trials)
+
+
+def _estimate(successes: int, total: int, trials: int, stream: RngStream, config: dict,
+              se: float | None = None, status: str = "ok") -> EstimateResult:
+    """successes/total with its 95% interval (standard error se, default binomial), widened to hold the point."""
+    point = successes / total
+    ci_low, ci_high = _binomial_interval(successes, total, se)
+    log_point = _log_point(successes, total)
+    return EstimateResult(point, log_point, trials, successes, min(ci_low, point), max(ci_high, point),
+                          stream.master_seed, status, config)
+
+
+def _pair_batch(gen, count, n, d, threshold, sampler, spec):
+    """Blue mask of every pair i < j, shape (count, C(n,2)), and the perfect mask (True without a spec).
+
+    The random draws do not depend on the spec, so runs sharing a stream are
+    coupled trial by trial.  A direct trial holds n * max(n, d) doubles (its
+    cloud, or its (n, n) Gram when n > d); a triangular one holds n * n.
+    """
+    if sampler == "direct":
+        grams = gram_batch(sample_cloud_batch(count, n, d, gen))
+        triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
+    elif sampler == "bartlett":
+        triangular = sample_bartlett_batch(count, n, d, gen)
+        grams = gram_batch(triangular)
+    else:
+        raise ValueError(f"sampler must be 'direct' or 'bartlett', got {sampler!r}")
+    iu = np.triu_indices(n, 1)
+    blue = grams[:, iu[0], iu[1]] >= threshold
+    if spec is None:
+        return blue, True
+    norms, proj = bartlett_prefix_norms(triangular)
+    perfect = (norms > 1.0 - spec.delta) & (norms < 1.0 + spec.delta) & (proj <= spec.projection_threshold)
+    return blue, perfect.all(axis=1)
 
 
 def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStream, threads: int = 1) -> EstimateResult:
@@ -133,30 +163,22 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     c_p = solve_cp(p)
     threshold = -c_p / math.sqrt(d)
     pairs_per_cloud = n * (n - 1) // 2
-    iu = np.triu_indices(n, 1)
 
     def worker(gen, count):
-        clouds = sample_cloud_batch(count, n, d, gen)
-        grams = gram_batch(clouds)
-        edges = (grams[:, iu[0], iu[1]] >= threshold).sum(axis=1)
-        total = int(edges.sum())
-        total_sq = int((edges.astype(np.int64) ** 2).sum())
-        return total, total_sq
+        edges = _pair_batch(gen, count, n, d, threshold, "direct", None)[0].sum(axis=1)
+        return int(edges.sum()), int((edges.astype(np.int64) ** 2).sum())
 
-    batch = _batch_size(n * d)
+    batch = _batch_size(n * max(n, d))
     parts = _map_batches(trials, batch, stream, threads, worker)
     edges_total = sum(part[0] for part in parts)
     edges_sq_total = sum(part[1] for part in parts)
 
-    total_pairs = trials * pairs_per_cloud
-    point = edges_total / total_pairs
     se = None  # pairs within one cloud share vertices: use the spread of cloud-level counts
     if n > 2 and trials > 1:
         mean_count = edges_total / trials
         var_count = (edges_sq_total - trials * mean_count**2) / (trials - 1)
         se = math.sqrt(max(var_count, 0.0) / trials) / pairs_per_cloud
-    ci_low, ci_high = _binomial_interval(edges_total, total_pairs, se)
-
+    total_pairs = trials * pairs_per_cloud
     config = {
         "op": "edge_density",
         "n": n,
@@ -168,44 +190,20 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
         "stream_id": stream.stream_id,
         "batch": batch,
     }
-    return EstimateResult(
-        point=point,
-        log_point=_log_point(edges_total, total_pairs),
-        trials=trials,
-        successes=edges_total,
-        ci_low=min(ci_low, point),
-        ci_high=max(ci_high, point),
-        seed=stream.master_seed,
-        config=config,
-    )
+    return _estimate(edges_total, total_pairs, trials, stream, config, se)
 
 
-def _clique_batch(gen, count, r, d, threshold, sampler, spec):
-    """Per-trial clique masks {"red": ..., "blue": ...} of one draw (and perfect mask when a spec is given).
+def _clique_counts(r, d, c_p, trials, stream, sampler, spec, threads) -> tuple[int, int, int]:
+    """(red cliques, blue cliques, batch size) over `trials` draws of r vectors; with a spec, perfect draws only."""
+    threshold = -c_p / math.sqrt(d)
 
-    The random draws do not depend on the color or on whether the perfect
-    restriction is requested, so runs sharing a stream are coupled trial by trial.
-    """
-    if sampler == "direct":
-        grams = gram_batch(sample_cloud_batch(count, r, d, gen))
-        triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
-    elif sampler == "bartlett":
-        triangular = sample_bartlett_batch(count, r, d, gen)
-        grams = gram_batch(triangular)
-    else:
-        raise ValueError(f"sampler must be 'direct' or 'bartlett', got {sampler!r}")
-    iu = np.triu_indices(r, 1)
-    blue = grams[:, iu[0], iu[1]] >= threshold
-    cliques = {"red": ~blue.any(axis=1), "blue": blue.all(axis=1)}
-    if spec is None:
-        return cliques, None
-    norms, proj = bartlett_prefix_norms(triangular)
-    perfect = (
-        (norms > 1.0 - spec.delta)
-        & (norms < 1.0 + spec.delta)
-        & (proj <= spec.projection_threshold)
-    ).all(axis=1)
-    return cliques, perfect
+    def worker(gen, count):
+        blue, perfect = _pair_batch(gen, count, r, d, threshold, sampler, spec)
+        return int((~blue.any(axis=1) & perfect).sum()), int((blue.all(axis=1) & perfect).sum())
+
+    batch = _batch_size(r * max(r, d) if sampler == "direct" else r * r)
+    parts = _map_batches(trials, batch, stream, threads, worker)
+    return sum(part[0] for part in parts), sum(part[1] for part in parts), batch
 
 
 def _binomial_reference(r: int, p: float, color: str, trials: int) -> tuple[float, bool]:
@@ -245,7 +243,6 @@ def estimate_clique_prob(
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     c_p = solve_cp(p)
-    threshold = -c_p / math.sqrt(d)
     reference, underpowered = _binomial_reference(r, p, color, trials)
     if underpowered:
         warnings.warn(
@@ -256,18 +253,8 @@ def estimate_clique_prob(
         )
     spec = None
     if restrict_perfect:
-        spec = perfect_spec if perfect_spec is not None else PerfectSpec.from_params(2.0, max(r, 1), d, p)
-
-    def worker(gen, count):
-        cliques, perfect = _clique_batch(gen, count, r, d, threshold, sampler, spec)
-        success = cliques[color] if spec is None else cliques[color] & perfect
-        return int(success.sum())
-
-    batch = _batch_size(r * d if sampler == "direct" else r * r)
-    successes = sum(_map_batches(trials, batch, stream, threads, worker))
-
-    ci_low, ci_high = _binomial_interval(successes, trials)
-    point = successes / trials
+        spec = perfect_spec if perfect_spec is not None else PerfectSpec.from_params(2.0, r, d, p)
+    red, blue, batch = _clique_counts(r, d, c_p, trials, stream, sampler, spec, threads)
     config = {
         "op": "clique_prob",
         "r": r,
@@ -283,17 +270,8 @@ def estimate_clique_prob(
     }
     if spec is not None:
         config.update(alpha_proj=spec.alpha_proj, delta=spec.delta, spec_ell=spec.ell)
-    return EstimateResult(
-        point=point,
-        log_point=_log_point(successes, trials),
-        trials=trials,
-        successes=successes,
-        ci_low=min(ci_low, point),
-        ci_high=max(ci_high, point),
-        seed=stream.master_seed,
-        config=config,
-        status="underpowered" if underpowered else "ok",
-    )
+    successes = red if color == "red" else blue
+    return _estimate(successes, trials, trials, stream, config, status="underpowered" if underpowered else "ok")
 
 
 def correction_scaling(
@@ -332,15 +310,9 @@ def correction_scaling(
     rows = []
     fit_data = {"red": [], "blue": []}
     for di, d in enumerate(dims):
-        threshold = -c_p / math.sqrt(d)
-        def worker(gen, count):
-            cliques, _ = _clique_batch(gen, count, r, d, threshold, sampler, None)
-            return int(cliques["red"].sum()), int(cliques["blue"].sum())
-
-        batch = _batch_size(r * d if sampler == "direct" else r * r)  # as estimate_clique_prob, so red matches it
-        parts = _map_batches(trials, batch, stream.offset(2 * di * STREAM_STRIDE), threads, worker)
+        red, blue, _ = _clique_counts(r, d, c_p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None, threads)
         row = {"d": d, "x": d**-0.5}
-        for color, successes in zip(("red", "blue"), map(sum, zip(*parts))):
+        for color, successes in zip(("red", "blue"), (red, blue)):
             log_ref = math.comb(r, 2) * (math.log(p) if color == "red" else math.log1p(-p))
             underpowered = _binomial_reference(r, p, color, trials)[1] or successes == 0
             log_ratio = se = None

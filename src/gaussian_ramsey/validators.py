@@ -55,8 +55,7 @@ from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated,
 
 def _batches(stream: RngStream, trials: int, per_trial: int, worker) -> list:
     """Per-batch results of worker(gen, count) over the trial budget, in batch order."""
-    # no _MAX_BATCH cap here: it would repartition every record above 8192 trials
-    batch = max(1, estimators._BATCH_ELEMENTS // max(1, per_trial))
+    batch = estimators._batch_size(per_trial, None)  # no cap: it would repartition every record above 8192 trials
     return estimators._map_batches(trials, batch, stream, 1, worker)
 
 

@@ -297,10 +297,10 @@ def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
 
 def test_restrict_perfect_flag_threads_through(tmp_path, capsys):
     base = ["estimate", "--kind", "clique", "--r", "5", "--d", "256", "--p", "0.38",
-            "--color", "blue", "--trials", "20000", "--sampler", "bartlett",
-            "--alpha-proj", "1.2", "--delta", "0.12", "--spec-ell", "4", "--seed", "803"]
+            "--color", "blue", "--trials", "20000", "--sampler", "bartlett", "--seed", "803"]
+    spec = ["--alpha-proj", "1.2", "--delta", "0.12", "--spec-ell", "4"]  # read only under --restrict-perfect
     _, out_full, _ = run_main(base, capsys)
-    _, out_star, _ = run_main(base + ["--restrict-perfect"], capsys)
+    _, out_star, _ = run_main(base + spec + ["--restrict-perfect"], capsys)
     full = json.loads(out_full)["result"]
     star = json.loads(out_star)["result"]
     assert star["config"]["restrict_perfect"] is True
@@ -309,7 +309,7 @@ def test_restrict_perfect_flag_threads_through(tmp_path, capsys):
     # same via config file boolean
     cfg = tmp_path / "star.cfg"
     cfg.write_text("restrict_perfect=true\n")
-    _, out_cfg, _ = run_main(base + ["--config", str(cfg)], capsys)
+    _, out_cfg, _ = run_main(base + spec + ["--config", str(cfg)], capsys)
     assert json.loads(out_cfg)["result"] == star
 
 
@@ -420,6 +420,8 @@ _CERT = (Path(__file__).parent / "golden" / "search-geometric-n12-44.txt").read_
         (["scaling", "--r", "3", "--p", "0.4", "--dims", "64,,256", "--trials", "100"], None),
         (["validate", "--check", "exp_square_moment", "--sigma2", "1", "--lam", "nan", "--trials", "10"], None),
         (_CLIQUE + ["--alpha-proj", "nan", "--delta", "0.1"], None),
+        (_CLIQUE + ["--alpha-proj", "1.2", "--delta", "0.12"], None),
+        (_CLIQUE + ["--restrict-perfect", "--spec-ell", "2"], None),
         (_DENSITY + ["--r", "5", "--color", "red", "--sampler", "bartlett"], None),
         (_SEARCH + ["--sampler", "binomial", "--d", "64"], None),
         (_SEARCH + ["--sampler", "geometric"], None),
@@ -432,7 +434,8 @@ _CERT = (Path(__file__).parent / "golden" / "search-geometric-n12-44.txt").read_
     ],
     ids=[
         "config-kind-choice", "config-format-choice", "config-check-choice", "empty-cutoff", "empty-dim",
-        "nan-lam", "nan-alpha-proj", "density-unread-keys", "binomial-unread-d", "geometric-missing-d",
+        "nan-lam", "nan-alpha-proj", "spec-without-restrict-perfect", "spec-ell-alone", "density-unread-keys",
+        "binomial-unread-d", "geometric-missing-d",
         "unwritable-out", "unwritable-plot-out", "non-utf8-config", "non-utf8-certificate",
         "non-utf8-path", "non-utf8-path-to-out",
     ],
@@ -443,9 +446,26 @@ def test_bad_input_is_a_usage_error(argv, file_bytes, tmp_path, capsys):
         path.write_bytes(file_bytes)
     names = {"{file}": str(path), "{non-utf8-name}": str(path), "{record}": str(tmp_path / "rec.txt"),
              "{missing}": str(tmp_path / "no-such-dir" / "out.txt")}
-    code, out, err = run_main([names.get(a, a) for a in argv] + ["--seed", "1"], capsys)
+    seed = [] if argv[0] == "verify" else ["--seed", "1"]  # verify draws nothing and rejects a seed
+    code, out, err = run_main([names.get(a, a) for a in argv] + seed, capsys)
     assert code == 2 and out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--C", "2"], ["bounds", "--C", "2", "--D", "100", "--ell", "50"], ["verify", "--in", "{cert}"]],
+    ids=["solve", "bounds", "verify"],
+)
+def test_seed_is_rejected_where_nothing_is_drawn(argv, tmp_path, capsys):
+    (tmp_path / "cert.txt").write_bytes(_CERT)
+    (tmp_path / "seed.cfg").write_text("seed=5\n")
+    argv = [str(tmp_path / "cert.txt") if a == "{cert}" else a for a in argv]
+    assert run_main(argv, capsys)[0] == 0
+    code, out, err = run_main(argv + ["--seed", "5"], capsys)
+    assert code == 2 and out == "" and "unrecognized arguments: --seed 5" in err
+    code, out, err = run_main(argv + ["--config", str(tmp_path / "seed.cfg")], capsys)
+    assert code == 2 and out == "" and "unknown key 'seed'" in err
 
 
 def test_infinite_cutoff_is_a_valid_value(capsys):

@@ -8,7 +8,7 @@ import pytest
 from gaussian_ramsey import estimators
 from gaussian_ramsey.estimators import (
     STREAM_STRIDE,
-    _clique_batch,
+    _pair_batch,
     correction_scaling,
     estimate_clique_prob,
     estimate_edge_density,
@@ -72,8 +72,8 @@ def test_red_probability_nonincreasing_in_r():
 def test_perfect_restriction_is_subevent_per_trial():
     spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100, p=0.4, C=2.0)
     gen = RngStream(8).generator()
-    cliques, perfect = _clique_batch(gen, 20000, 3, 100, -0.00253, "bartlett", spec)
-    success = cliques["red"]
+    blue, perfect = _pair_batch(gen, 20000, 3, 100, -0.00253, "bartlett", spec)
+    success = ~blue.any(axis=1)  # red triangles
     restricted = success & perfect
     assert restricted.sum() <= success.sum()
     assert not (restricted & ~success).any()
@@ -256,6 +256,34 @@ def test_scaling_zero_success_row_is_left_out_of_the_fit():
     num = sum(row["x"] * row["log_ratio_red"] / row["se_red"] ** 2 for row in rest)
     den = sum(row["x"] ** 2 / row["se_red"] ** 2 for row in rest)
     assert rep["fitted_red"] == pytest.approx(num / den, rel=1e-12)
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "run, batch",
+    [
+        (lambda s: estimate_edge_density(2000, 4, 0.4, 10**4, s), 1),
+        (lambda s: estimate_edge_density(64, 4, 0.4, 4000, s), (1 << 22) // (64 * 64)),
+        (lambda s: estimate_clique_prob(64, 4, 0.4, "blue", trials=4000, stream=s), (1 << 22) // (64 * 64)),
+    ],
+    ids=["density-n2000-d4", "density-n64-d4", "clique-r64-d4"],
+)
+def test_direct_batch_counts_the_gram(monkeypatch, run, batch):
+    # n > d: the (n, n) Gram outweighs the cloud, so a direct trial counts n * n doubles
+    asked = []
+
+    def record(count, n, d, gen):
+        asked.append(count)
+        raise _Drawn  # before anything is allocated
+
+    monkeypatch.setattr(estimators, "sample_cloud_batch", record)
+    with warnings.catch_warnings(), pytest.raises(_Drawn):
+        warnings.simplefilter("ignore")  # r = 64 is far underpowered
+        run(RngStream(1))
+    assert asked == [batch]
 
 
 def test_estimate_record_shape():

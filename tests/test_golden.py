@@ -35,6 +35,8 @@ CASES = {
     "sample-n20": ("sample --n 20 --d 64 --p 0.4 --seed 3", 0),
     "sample-n130": ("sample --n 130 --d 16 --p 0.25 --seed 9", 0),
     "estimate-density": ("estimate --kind density --n 6 --d 32 --p 0.4 --trials 3000 --seed 4", 0),
+    "estimate-density-batched": (
+        "estimate --kind density --n 40 --d 512 --p 0.4 --trials 700 --threads 2 --seed 15", 0),
     "estimate-clique-direct": (
         "estimate --kind clique --r 3 --d 64 --p 0.4 --color blue --trials 20000 --threads 2 --seed 5", 0),
     "estimate-clique-direct-perfect": (
