@@ -405,12 +405,6 @@ def _echo(command: str, params: dict) -> dict:
     }
 
 
-def _need_seed(params: dict) -> int:
-    if params.get("seed") is None:
-        params["seed"] = secrets.randbits(63)
-    return params["seed"]
-
-
 def _run_solve(params: dict):
     C = params["C"]
     p_C = solve_pC(C)
@@ -430,7 +424,7 @@ def _run_bounds(params: dict):
 
 
 def _run_sample(params: dict):
-    seed = _need_seed(params)
+    seed = params["seed"]
     n, d, p = params["n"], params["d"], params["p"]
     c_p = solve_cp(p)
     stream = RngStream(seed)
@@ -449,13 +443,12 @@ def _run_sample(params: dict):
 
 
 def _run_estimate(params: dict):
-    seed = _need_seed(params)
-    stream = RngStream(seed)
-    threads = params.get("threads") or 1
+    stream = RngStream(params["seed"])
+    threads = params.get("threads", 1)
     kind = params["kind"]
     if kind == "density":
         est = estimate_edge_density(
-            params.get("n") or 2, params["d"], params["p"], params["trials"], stream, threads=threads
+            params.get("n", 2), params["d"], params["p"], params["trials"], stream, threads=threads
         )
     else:
         spec = None
@@ -465,7 +458,7 @@ def _run_estimate(params: dict):
             spec = PerfectSpec(
                 alpha_proj=params["alpha_proj"],
                 delta=params["delta"],
-                ell=params.get("spec_ell") or params["r"],
+                ell=params.get("spec_ell", params["r"]),
                 d=params["d"],
                 p=params["p"],
                 C=2.0,
@@ -478,7 +471,7 @@ def _run_estimate(params: dict):
             restrict_perfect=bool(params.get("restrict_perfect")),
             trials=params["trials"],
             stream=stream,
-            sampler=params.get("sampler") or "direct",
+            sampler=params.get("sampler", "direct"),
             perfect_spec=spec,
             threads=threads,
         )
@@ -486,23 +479,21 @@ def _run_estimate(params: dict):
 
 
 def _run_validate(params: dict):
-    seed = _need_seed(params)
-    check = params["check"]
-    result = validate_bound(check, {k: params[k] for k in CHECKS[check][1]}, params["trials"], RngStream(seed))
+    check, stream = params["check"], RngStream(params["seed"])
+    result = validate_bound(check, {k: params[k] for k in CHECKS[check][1]}, params["trials"], stream)
     return result, bool(result["passed"]), None
 
 
 def _run_scaling(params: dict):
-    seed = _need_seed(params)
-    stream = RngStream(seed)
+    stream = RngStream(params["seed"])
     report = correction_scaling(
         params["r"],
         params["p"],
         params["dims"],
         params["trials"],
         stream,
-        sampler=params.get("sampler") or "direct",
-        threads=params.get("threads") or 1,
+        sampler=params.get("sampler", "direct"),
+        threads=params.get("threads", 1),
     )
     passed = not any(row["underpowered_red"] or row["underpowered_blue"] for row in report["rows"])
     plot = None
@@ -516,8 +507,7 @@ def _run_scaling(params: dict):
 
 
 def _run_search(params: dict):
-    seed = _need_seed(params)
-    stream = RngStream(seed)
+    stream = RngStream(params["seed"])
     sampler_params = {k: params[k] for k in ("p", "d") if params.get(k) is not None}  # d iff geometric
     cert = search_witness(
         params["n"], params["ell"], params["k"], params["sampler"], sampler_params, params["max_attempts"], stream
@@ -566,6 +556,8 @@ _ARTIFACT_KEY = {"sample": "out", "search": "out", "scaling": "plot_out"}
 def run(config: ExperimentConfig) -> tuple[int, str]:
     """Execute a resolved config; returns (exit_status, rendered_records)."""
     params = dict(config.parameters)
+    if "seed" in _COMMANDS[config.command]["keys"] and params.get("seed") is None:
+        params["seed"] = secrets.randbits(63)  # drawn once, and echoed like a given seed
     try:
         result, passed, artifact = _HANDLERS[config.command](params)
     except (ValueError, KeyError, ArithmeticError, CapabilityError) as exc:

@@ -13,7 +13,8 @@ meaningful: a coloring of K_n with no red K_ell and no blue K_k
 establishes R(ell, k) > n.
 
 The witness search samples fresh colorings (geometric or binomial) a batch
-at a time, packs each batch's blue and red rows at once, and verifies the
+at a time as pair masks, the geometric ones through the estimators' pair
+kernel, packs each batch's blue and red rows at once, and verifies the
 attempts in order; the certificate returned is the one with the lowest
 attempt index that verifies, so a seed determines it.
 """
@@ -23,11 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp
-from gaussian_ramsey.geometry import gram_batch, sample_cloud_batch
 from gaussian_ramsey.graphs import (
     ColoredGraph,
     _pack_rows,
@@ -177,8 +175,8 @@ def search_witness(
         c_p = solve_cp(p)
         threshold = -c_p / math.sqrt(d)
         base_provenance.update(d=d, c_p=c_p)
-    iu = np.triu_indices(n, 1)
-    elements = n * (n + d) if sampler == "geometric" else n * n  # per attempt: cloud and Gram, or matrix
+    # per attempt: cloud and Gram, or n * n; the batch partition, and so which stream an attempt draws, rests on it
+    elements = n * (n + d) if sampler == "geometric" else n * n
     batch = estimators._batch_size(elements, ATTEMPT_BATCH)
 
     attempt = 0
@@ -187,11 +185,10 @@ def search_witness(
         count = min(batch, max_attempts - attempt)
         gen = stream.offset(bi).generator()
         if sampler == "geometric":
-            upper = np.triu(gram_batch(sample_cloud_batch(count, n, d, gen)) >= threshold, 1)
+            pairs = estimators._pair_batch(gen, count, n, d, threshold, "direct", None)[0]
         else:
-            upper = np.zeros((count, n, n), dtype=bool)
-            upper[:, iu[0], iu[1]] = gen.random((count, len(iu[0]))) >= p  # blue with probability 1 - p
-        blue, red = _pack_rows(upper)  # one pack per batch, both colors; its rows need no validation
+            pairs = gen.random((count, n * (n - 1) // 2)) >= p  # blue with probability 1 - p
+        blue, red = _pack_rows(n, pairs)  # one pack per batch, both colors; its rows need no validation
         for t in range(count):
             g = _unchecked_graph(n, blue[t], red[t], dict(base_provenance, attempt=attempt))
             cert = verify_witness(g, ell, k)

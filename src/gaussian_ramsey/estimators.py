@@ -6,8 +6,9 @@ function of the problem shape, never of the machine), batch b draws from
 stream.offset(b), and results fold over batches in index order.  Thread
 counts therefore change throughput only, never a single output bit.  One
 pair kernel, _pair_batch, draws every batch and returns the blue mask of
-its pairs; the density sums it per cloud, and red and blue cliques are
-counted from it in one draw (correction_scaling samples once).
+its pairs; the density sums it per cloud, red and blue cliques are counted
+from it in one draw (correction_scaling samples once), and search_witness
+packs its geometric attempts from it.
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -141,9 +142,7 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec):
     blue = grams[:, iu[0], iu[1]] >= threshold
     if spec is None:
         return blue, True
-    norms, proj = bartlett_prefix_norms(triangular)
-    perfect = (norms > 1.0 - spec.delta) & (norms < 1.0 + spec.delta) & (proj <= spec.projection_threshold)
-    return blue, perfect.all(axis=1)
+    return blue, spec.admits(*bartlett_prefix_norms(triangular)).all(axis=1)
 
 
 def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStream, threads: int = 1) -> EstimateResult:
@@ -230,9 +229,10 @@ def estimate_clique_prob(
     `sampler` chooses between the direct cloud and the triangular sampler
     (same distribution, very different cost profiles).  With
     restrict_perfect the default spec is the canonical one at C=2, ell=r;
-    pass an explicit spec to tighten it.  An estimate whose binomial
-    reference predicts fewer than 100 successes is flagged "underpowered"
-    rather than silently returning noise.
+    pass an explicit spec to tighten it (a spec without restrict_perfect
+    is an error).  An estimate whose binomial reference predicts fewer
+    than 100 successes is flagged "underpowered" rather than silently
+    returning noise.
     """
     if r < 1:
         raise ValueError(f"clique size must be positive, got {r}")
@@ -242,6 +242,8 @@ def estimate_clique_prob(
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
+    if perfect_spec is not None and not restrict_perfect:
+        raise ValueError("perfect_spec is read only with restrict_perfect=True")
     c_p = solve_cp(p)
     reference, underpowered = _binomial_reference(r, p, color, trials)
     if underpowered:

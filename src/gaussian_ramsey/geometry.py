@@ -123,6 +123,10 @@ class PerfectSpec:
     def projection_threshold(self) -> float:
         return self.alpha_proj * math.sqrt(self.ell) / math.sqrt(self.d)
 
+    def admits(self, norms, proj):
+        """Elementwise: the norm lies in (1 - delta, 1 + delta) and the projection is at most the threshold."""
+        return (norms > 1.0 - self.delta) & (norms < 1.0 + self.delta) & (proj <= self.projection_threshold)
+
     @property
     def diagonal_window(self) -> tuple[float, float]:
         """(1 - 2 delta, 1 + delta): where triangular diagonals of perfect
@@ -284,15 +288,11 @@ class PerfectCheck:
 
 
 def _check_from_norms(norms: np.ndarray, proj: np.ndarray, spec: PerfectSpec) -> PerfectCheck:
-    lo, hi = 1.0 - spec.delta, 1.0 + spec.delta
-    thr = spec.projection_threshold
-    norm_ok = (norms > lo) & (norms < hi)
-    proj_ok = proj <= thr
-    bad = ~(norm_ok & proj_ok)
+    bad = ~spec.admits(norms, proj)
     if not bad.any():
         return PerfectCheck(True, None, None, norms, proj)
     first = int(np.argmax(bad))
-    condition = "norm" if not norm_ok[first] else "projection"
+    condition = "projection" if spec.admits(norms[first], 0.0) else "norm"  # a zero projection is always admitted
     return PerfectCheck(False, first, condition, norms, proj)
 
 
@@ -332,15 +332,13 @@ def extract_perfect(cloud: PointCloud, spec: PerfectSpec) -> Extraction:
     construction.  The returned check is that re-verification.
     """
     G = _gram_lower(cloud.coords)
-    lo, hi = 1.0 - spec.delta, 1.0 + spec.delta
-    thr = spec.projection_threshold
     kept: list[int] = []
     L = np.zeros((1, cloud.n, cloud.n))
     for i in range(cloud.n):
         k = len(kept)
         _factor_row(L[:, : k + 1, : k + 1], G[None, i, kept + [i]])
         norms, proj = bartlett_prefix_norms(L[0, : k + 1, : k + 1])
-        if lo < norms[k] < hi and proj[k] <= thr:
+        if spec.admits(norms[k], proj[k]):
             kept.append(i)
     sub = PointCloud(cloud.coords[kept])
     return Extraction(tuple(kept), sub, is_perfect(sub, spec))

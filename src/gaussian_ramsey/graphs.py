@@ -103,18 +103,19 @@ def _unpack(rows, n: int) -> np.ndarray:
     return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
 
 
-def _pack_rows(upper: np.ndarray) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Blue and red rows of strict upper triangles, (count, n, n): one tuple of n ints per matrix.
+def _pack_rows(n: int, pairs: np.ndarray) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Blue and red rows of pair masks, (count, C(n,2)) over i < j: one tuple of n ints per mask.
 
-    Each triangle is mirrored and its rows padded to whole 64-bit words and
-    packed in one pass; red is the complement off the diagonal, taken on the
-    same words.  A row of one word is its int as is; wider rows join their
-    words, lowest first.
+    Each mask is scattered to both triangles of rows padded to whole 64-bit
+    words and packed in one pass; red is the complement off the diagonal,
+    taken on the same words.  A row of one word is its int as is; wider
+    rows join their words, lowest first.
     """
-    count, n, _ = upper.shape
     width = _words_for(n) * WORD_BITS
-    bits = np.zeros((count, n, width), bool)
-    bits[..., :n] = upper | upper.swapaxes(1, 2)
+    iu = np.triu_indices(n, 1)
+    bits = np.zeros((len(pairs), n, width), bool)
+    bits[:, iu[0], iu[1]] = pairs
+    bits[:, iu[1], iu[0]] = pairs
     blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
     full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
     diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
@@ -135,7 +136,7 @@ def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
     blue = np.asarray(blue, dtype=bool)
     if blue.ndim != 2 or blue.shape[0] != blue.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {blue.shape}")
-    rows, _ = _pack_rows(np.triu(blue, 1)[None])
+    rows, _ = _pack_rows(len(blue), blue[np.triu_indices(len(blue), 1)][None])
     return ColoredGraph(len(blue), rows[0], provenance or {})
 
 

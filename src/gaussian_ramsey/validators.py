@@ -85,6 +85,17 @@ def _merged_mean(parts) -> tuple[float, float]:
     return total / n, se
 
 
+def _within(empirical: float, bound: float, se: float) -> bool:
+    """The one pass rule: empirical <= bound + 3 standard errors."""
+    return empirical <= bound + 3.0 * se
+
+
+def _one_sided(empirical: float, bound: float, se: float, vacuous: bool, **extras) -> dict:
+    """Record of a one-sided check; extras follow the bound."""
+    return {"empirical": empirical, "bound": bound, **extras, "mc_stderr": se,
+            "passed": _within(empirical, bound, se), "vacuous": vacuous}
+
+
 def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
     d, delta = int(params["d"]), float(params["delta"])
     if d < 1:
@@ -99,13 +110,7 @@ def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
         return int(((norms <= 1.0 - delta) | (norms >= 1.0 + delta)).sum())
 
     freq, se = _rate(sum(_batches(stream, trials, d, draw)), trials)
-    return {
-        "empirical": freq,
-        "bound": bound,
-        "mc_stderr": se,
-        "passed": freq <= bound + 3.0 * se,
-        "vacuous": bound < 1.0 / trials,
-    }
+    return _one_sided(freq, bound, se, bound < 1.0 / trials)
 
 
 def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
@@ -127,15 +132,7 @@ def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
         return int(((coords * coords).sum(axis=1) >= threshold_sq).sum())
 
     freq, se = _rate(sum(_batches(stream, trials, s, draw)), trials)
-    return {
-        "empirical": freq,
-        "bound": bound,
-        "log_bound": log_bound,
-        "alpha_proj": alpha,
-        "mc_stderr": se,
-        "passed": freq <= bound + 3.0 * se,
-        "vacuous": bound < 1.0 / trials,
-    }
+    return _one_sided(freq, bound, se, bound < 1.0 / trials, log_bound=log_bound, alpha_proj=alpha)
 
 
 def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
@@ -151,13 +148,7 @@ def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
         return _moments(np.exp(lam * x * x))
 
     empirical, se = _merged_mean(_batches(stream, trials, 1, draw))
-    return {
-        "empirical": empirical,
-        "bound": bound,
-        "mc_stderr": se,
-        "passed": empirical <= bound + 3.0 * se,
-        "vacuous": False,
-    }
+    return _one_sided(empirical, bound, se, False)
 
 
 def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
@@ -182,14 +173,7 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
         return _moments(np.exp(lam * S))
 
     empirical, se = _merged_mean(_batches(stream, trials, k, draw))
-    return {
-        "empirical": empirical,
-        "bound": bound,
-        "mean_S": float(mean_S),
-        "mc_stderr": se,
-        "passed": empirical <= bound + 3.0 * se,
-        "vacuous": False,
-    }
+    return _one_sided(empirical, bound, se, False, mean_S=float(mean_S))
 
 
 def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
@@ -215,7 +199,7 @@ def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
         "empirical_lower": freq_lo,
         "mc_stderr_upper": se_up,
         "mc_stderr_lower": se_lo,
-        "passed": freq_up <= bound + 3.0 * se_up and freq_lo <= bound + 3.0 * se_lo,
+        "passed": _within(freq_up, bound, se_up) and _within(freq_lo, bound, se_lo),
         "vacuous": bound < 1.0 / trials,
     }
 
@@ -243,6 +227,8 @@ def _conditional_edge(params: dict, trials: int, stream: RngStream) -> dict:
 
     empirical = sum(_batches(stream, trials, 1, draw)) / trials
     se = math.sqrt(max(empirical * (1.0 - empirical), 1.0 / trials) / trials)
+    empirical_within = _within(empirical, bound, se)
+    exact_within = _within(exact, bound, 0.0)  # the exact value carries no Monte-Carlo error
     return {
         "cutoff": b,
         "empirical": empirical,
@@ -250,9 +236,9 @@ def _conditional_edge(params: dict, trials: int, stream: RngStream) -> dict:
         "exact": exact,
         "bound": bound,
         "bound_main_term": bound_main,
-        "empirical_within_bound": empirical <= bound + 3.0 * se,
-        "exact_within_bound": exact <= bound,
-        "passed": (empirical <= bound + 3.0 * se) and exact <= bound,
+        "empirical_within_bound": empirical_within,
+        "exact_within_bound": exact_within,
+        "passed": empirical_within and exact_within,
     }
 
 

@@ -239,10 +239,10 @@ def test_criterion_08_perfectness_machinery():
 
     # restricted estimates are sub-events, deterministically under one stream
     rspec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=4, d=256, p=0.38, C=2.0)
-    kwargs = dict(trials=2 * 10**5, sampler="bartlett", perfect_spec=rspec)
+    kwargs = dict(trials=2 * 10**5, sampler="bartlett")
     full = estimate_clique_prob(5, 256, 0.38, "blue", stream=RngStream(803), **kwargs)
     star = estimate_clique_prob(
-        5, 256, 0.38, "blue", restrict_perfect=True, stream=RngStream(803), **kwargs
+        5, 256, 0.38, "blue", restrict_perfect=True, perfect_spec=rspec, stream=RngStream(803), **kwargs
     )
     assert star.successes <= full.successes
     assert star.point <= full.point

@@ -324,6 +324,41 @@ def test_seed_defaults_to_recorded_random(capsys):
     assert rec["result"]["seed"] == seed  # echoed, reusable for a re-run
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "5", "--d", "8", "--p", "0.4"],
+        ["validate", "--check", "chi_square_tail", "--freedom", "3", "--t", "1", "--trials", "10"],
+        ["scaling", "--r", "3", "--p", "0.4", "--dims", "4,8", "--trials", "10"],
+        ["search", "--n", "5", "--ell", "3", "--k", "3", "--sampler", "binomial", "--p", "0.5",
+         "--max-attempts", "10"],
+    ],
+    ids=["sample", "validate", "scaling", "search"],
+)
+def test_drawn_seed_is_echoed_by_every_sampling_command(argv, capsys):
+    _, out, _ = run_main(argv, capsys)
+    rec = json.loads(out.split("\n")[0])
+    assert isinstance(rec["invocation"]["seed"], int)
+    assert rec["result"].get("seed", rec["invocation"]["seed"]) == rec["invocation"]["seed"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--kind", "density", "--n", "0", "--d", "8", "--p", "0.4", "--trials", "10"],
+         "need at least two vertices, got n=0"),
+        (["estimate", "--kind", "clique", "--r", "3", "--color", "red", "--d", "256", "--p", "0.38",
+          "--trials", "10", "--restrict-perfect", "--alpha-proj", "1.2", "--delta", "0.12", "--spec-ell", "0"],
+         "ell and d must be positive"),
+    ],
+    ids=["n", "spec_ell"],
+)
+def test_zero_is_read_as_given_not_as_the_default(argv, message, capsys):
+    code, out, err = run_main(argv + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert f"error: {message}" in err
+
+
 def test_verify_record_escapes_control_characters(tmp_path, capsys):
     cert = tmp_path / "cert.txt"
     run_main(

@@ -170,11 +170,12 @@ def test_search_rejects_vertex_count_below_one(n):
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_search_rejects_clique_sizes_below_one_before_sampling(sampler, monkeypatch):
     import gaussian_ramsey.cliques as cliques
+    import gaussian_ramsey.estimators as estimators
 
     def no_draws(*args):
         raise AssertionError("an attempt was sampled")
 
-    monkeypatch.setattr(cliques, "sample_cloud_batch", no_draws)
+    monkeypatch.setattr(estimators, "sample_cloud_batch", no_draws)  # where the search's geometric draw lives
     monkeypatch.setattr(cliques.RngStream, "generator", no_draws)
     for ell, k in ((0, 4), (4, -1)):
         with pytest.raises(ValueError, match=f"clique sizes must be at least 1, got ell={ell}, k={k}"):

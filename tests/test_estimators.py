@@ -82,13 +82,19 @@ def test_perfect_restriction_is_subevent_per_trial():
 
 def test_perfect_restriction_coupled_estimates():
     spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100, p=0.4, C=2.0)
-    kwargs = dict(trials=10**5, sampler="bartlett", perfect_spec=spec)
+    kwargs = dict(trials=10**5, sampler="bartlett")
     full = estimate_clique_prob(3, 100, 0.4, "red", stream=RngStream(9), **kwargs)
     star = estimate_clique_prob(
-        3, 100, 0.4, "red", restrict_perfect=True, stream=RngStream(9), **kwargs
+        3, 100, 0.4, "red", restrict_perfect=True, perfect_spec=spec, stream=RngStream(9), **kwargs
     )
     assert star.successes <= full.successes
     assert star.point <= full.point
+
+
+def test_perfect_spec_without_restriction_is_rejected():
+    spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100, p=0.4, C=2.0)
+    with pytest.raises(ValueError, match="perfect_spec is read only with restrict_perfect=True"):
+        estimate_clique_prob(3, 100, 0.4, "red", trials=10, stream=RngStream(9), perfect_spec=spec)
 
 
 def test_thread_count_never_changes_results():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import orth
 
+from gaussian_ramsey import estimators
 from gaussian_ramsey.geometry import (
     PerfectSpec,
     PointCloud,
@@ -239,6 +240,32 @@ def test_is_perfect_projection_violation():
     assert not check.ok
     assert check.first_violation == 2
     assert check.violated_condition == "projection"
+
+
+def test_window_edges(monkeypatch):
+    # exact floats: threshold = 1 * sqrt(4) / sqrt(16) = 0.5; the norm window
+    # (0.75, 1.25) is open and the projection bound 0.5 inclusive
+    spec = PerfectSpec(alpha_proj=1.0, delta=0.25, ell=4, d=16, p=0.4, C=2.0)
+    assert spec.projection_threshold == 0.5
+    at_threshold = np.array([[1.0, 0.0], [0.5, 0.75]])  # norms 1 and sqrt(0.8125), projection 0.5
+    high, low = np.diag([1.25, 1.0]), np.diag([0.75, 1.0])
+    assert bartlett_prefix_norms(at_threshold)[1][1] == 0.5
+    assert is_perfect(TriangularSample(at_threshold, d=16), spec).ok
+    for M in (high, low):
+        check = is_perfect(TriangularSample(M, d=16), spec)
+        assert not check.ok and check.first_violation == 0 and check.violated_condition == "norm"
+
+    coords = np.zeros((4, 16))
+    coords[:, 0] = [1.25, 0.75, 1.0, 0.5]
+    coords[3, 1] = 0.75
+    ext = extract_perfect(PointCloud(coords), spec)
+    assert ext.indices == (2, 3)  # both norm edges dropped, the projection at the threshold kept
+    assert ext.check.ok and ext.check.proj_norms[1] == 0.5
+
+    batch = np.stack([at_threshold, high, low])
+    monkeypatch.setattr(estimators, "sample_bartlett_batch", lambda *args: batch)
+    _, perfect = estimators._pair_batch(None, 3, 2, 16, 0.0, "bartlett", spec)
+    assert perfect.tolist() == [True, False, False]
 
 
 def test_diagonal_window_implication():
