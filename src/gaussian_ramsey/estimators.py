@@ -8,7 +8,10 @@ counts therefore change throughput only, never a single output bit.  One
 pair kernel, _pair_batch, draws every batch and returns the blue mask of
 its pairs; the density sums it per cloud, red and blue cliques are counted
 from it in one draw (correction_scaling samples once), and search_witness
-packs its geometric attempts from it.
+packs its geometric attempts from it.  Edge events read inner products only,
+so the density draws triangular samples whenever n <= d (their Gram has the
+law of a cloud's) and direct clouds only when n > d, where no triangular
+form exists.
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -123,12 +126,16 @@ def _estimate(successes: int, total: int, trials: int, stream: RngStream, config
                           stream.master_seed, status, config)
 
 
+def _trial_elements(n: int, d: int, sampler: str) -> int:
+    """Doubles one trial of _pair_batch holds: n * max(n, d) direct (its cloud or its Gram), n * n triangular."""
+    return n * max(n, d) if sampler == "direct" else n * n
+
+
 def _pair_batch(gen, count, n, d, threshold, sampler, spec):
     """Blue mask of every pair i < j, shape (count, C(n,2)), and the perfect mask (True without a spec).
 
     The random draws do not depend on the spec, so runs sharing a stream are
-    coupled trial by trial.  A direct trial holds n * max(n, d) doubles (its
-    cloud, or its (n, n) Gram when n > d); a triangular one holds n * n.
+    coupled trial by trial.  A trial holds _trial_elements(n, d, sampler) doubles.
     """
     if sampler == "direct":
         grams = gram_batch(sample_cloud_batch(count, n, d, gen))
@@ -151,7 +158,8 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     Pairs within one cloud share vertices, so for n > 2 the confidence
     interval is computed across cloud-level edge counts (cluster form);
     for n = 2 the pairs are independent and the interval is the plain
-    binomial one.
+    binomial one.  A cloud is drawn triangular when n <= d and direct when
+    n > d; config["sampler"] names which.
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got n={n}")
@@ -162,12 +170,13 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     c_p = solve_cp(p)
     threshold = -c_p / math.sqrt(d)
     pairs_per_cloud = n * (n - 1) // 2
+    sampler = "bartlett" if n <= d else "direct"
 
     def worker(gen, count):
-        edges = _pair_batch(gen, count, n, d, threshold, "direct", None)[0].sum(axis=1)
+        edges = _pair_batch(gen, count, n, d, threshold, sampler, None)[0].sum(axis=1)
         return int(edges.sum()), int((edges.astype(np.int64) ** 2).sum())
 
-    batch = _batch_size(n * max(n, d))
+    batch = _batch_size(_trial_elements(n, d, sampler))
     parts = _map_batches(trials, batch, stream, threads, worker)
     edges_total = sum(part[0] for part in parts)
     edges_sq_total = sum(part[1] for part in parts)
@@ -184,6 +193,7 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
         "d": d,
         "p": p,
         "c_p": c_p,
+        "sampler": sampler,
         "trials": trials,
         "pairs": total_pairs,
         "stream_id": stream.stream_id,
@@ -200,7 +210,7 @@ def _clique_counts(r, d, c_p, trials, stream, sampler, spec, threads) -> tuple[i
         blue, perfect = _pair_batch(gen, count, r, d, threshold, sampler, spec)
         return int((~blue.any(axis=1) & perfect).sum()), int((blue.all(axis=1) & perfect).sum())
 
-    batch = _batch_size(r * max(r, d) if sampler == "direct" else r * r)
+    batch = _batch_size(_trial_elements(r, d, sampler))
     parts = _map_batches(trials, batch, stream, threads, worker)
     return sum(part[0] for part in parts), sum(part[1] for part in parts), batch
 

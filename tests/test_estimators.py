@@ -4,6 +4,7 @@ import math
 import warnings
 
 import pytest
+from scipy.stats import ks_2samp
 
 from gaussian_ramsey import estimators
 from gaussian_ramsey.estimators import (
@@ -273,9 +274,10 @@ class _Drawn(Exception):
     [
         (lambda s: estimate_edge_density(2000, 4, 0.4, 10**4, s), 1),
         (lambda s: estimate_edge_density(64, 4, 0.4, 4000, s), (1 << 22) // (64 * 64)),
+        (lambda s: estimate_edge_density(9, 8, 0.4, 10**4, s), estimators._batch_size(9 * max(9, 8))),
         (lambda s: estimate_clique_prob(64, 4, 0.4, "blue", trials=4000, stream=s), (1 << 22) // (64 * 64)),
     ],
-    ids=["density-n2000-d4", "density-n64-d4", "clique-r64-d4"],
+    ids=["density-n2000-d4", "density-n64-d4", "density-n9-d8", "clique-r64-d4"],
 )
 def test_direct_batch_counts_the_gram(monkeypatch, run, batch):
     # n > d: the (n, n) Gram outweighs the cloud, so a direct trial counts n * n doubles
@@ -290,6 +292,34 @@ def test_direct_batch_counts_the_gram(monkeypatch, run, batch):
         warnings.simplefilter("ignore")  # r = 64 is far underpowered
         run(RngStream(1))
     assert asked == [batch]
+
+
+@pytest.mark.parametrize("n, d", [(8, 8), (64, 1024)], ids=["n=d", "n<d"])
+def test_density_draws_triangular_samples_when_n_at_most_d(monkeypatch, n, d):
+    def refuse(count, n, d, gen):
+        raise _Drawn  # before anything is allocated
+
+    monkeypatch.setattr(estimators, "sample_cloud_batch", refuse)
+    est = estimate_edge_density(n, d, 0.4, 50, RngStream(1))
+    assert est.config["sampler"] == "bartlett"
+    assert est.config["batch"] == estimators._batch_size(n * n)
+
+
+@pytest.mark.parametrize("n, d, seed", [(8, 8, 41), (16, 64, 42)], ids=["n=d", "n<d"])
+def test_triangular_density_has_the_law_of_direct_clouds(n, d, seed):
+    # bounds fixed before the first run: mean densities within 4 combined
+    # standard errors, and a two-sample KS test on per-cloud blue-edge counts
+    # with p > 0.01.  At n = d the last diagonal entry is a chi with 1 degree.
+    trials, pairs = 8000, n * (n - 1) // 2
+    est = estimate_edge_density(n, d, 0.4, trials, RngStream(seed))
+    assert est.config["batch"] >= trials  # one batch: batch 0's draws are every cloud of the estimate
+    threshold = -est.config["c_p"] / math.sqrt(d)
+    triangular = _pair_batch(RngStream(seed).generator(), trials, n, d, threshold, "bartlett", None)[0].sum(axis=1)
+    assert triangular.sum() == est.successes
+    direct = _pair_batch(RngStream(seed, 1).generator(), trials, n, d, threshold, "direct", None)[0].sum(axis=1)
+    se = math.sqrt((triangular.var(ddof=1) + direct.var(ddof=1)) / trials) / pairs
+    assert abs(est.point - direct.mean() / pairs) <= 4.0 * se
+    assert ks_2samp(triangular, direct).pvalue > 0.01
 
 
 def test_estimate_record_shape():

@@ -37,6 +37,10 @@ CASES = {
     "estimate-density": ("estimate --kind density --n 6 --d 32 --p 0.4 --trials 3000 --seed 4", 0),
     "estimate-density-batched": (
         "estimate --kind density --n 40 --d 512 --p 0.4 --trials 700 --threads 2 --seed 15", 0),
+    "estimate-density-wide": (
+        "estimate --kind density --n 200 --d 16 --p 0.4 --trials 300 --threads 2 --seed 16", 0),
+    "estimate-density-triangular-batched": (
+        "estimate --kind density --n 64 --d 1024 --p 0.5 --trials 2500 --threads 2 --seed 19", 0),
     "estimate-clique-direct": (
         "estimate --kind clique --r 3 --d 64 --p 0.4 --color blue --trials 20000 --threads 2 --seed 5", 0),
     "estimate-clique-direct-perfect": (
@@ -47,6 +51,8 @@ CASES = {
         "--trials 20000 --seed 6", 0),
     "validate-norm-concentration": (
         "validate --check norm_concentration --d 400 --delta 0.3 --trials 25000 --seed 7", 0),
+    "validate-norm-concentration-hits": (
+        "validate --check norm_concentration --d 100 --delta 0.1 --trials 20000 --seed 18", 0),
     "validate-projection-tail": (
         "validate --check projection_tail --d 2500 --ell 4 --s 8 --p 0.38 --C 2 --trials 1100000 --seed 8", 0),
     "validate-exp-square-moment": (

@@ -4,6 +4,7 @@ import math
 import re
 
 import pytest
+from scipy.special import chdtr, chdtrc
 
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import CHECKS, validate_bound
@@ -48,6 +49,14 @@ def test_norm_concentration_resolvable_regime():
     rec = validate_bound("norm_concentration", {"d": 9, "delta": 0.6}, 10**5, RngStream(3))
     assert rec["empirical"] > 0.0
     assert rec["passed"]
+
+
+def test_norm_concentration_has_the_exact_chi_square_law():
+    # d ||x||^2 ~ chi^2_d; bound fixed before the first run: within 4 SE of the exact frequency
+    d, delta, trials = 100, 0.1, 10**5
+    rec = validate_bound("norm_concentration", {"d": d, "delta": delta}, trials, RngStream(43))
+    exact = chdtr(d, d * (1.0 - delta) ** 2) + chdtrc(d, d * (1.0 + delta) ** 2)
+    assert abs(rec["empirical"] - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
 
 def test_projection_tail_example_vacuous():
