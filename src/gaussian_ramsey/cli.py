@@ -154,7 +154,7 @@ _COMMANDS: dict[str, dict] = {
             "dims": ("ints", "comma-separated strictly ascending dimensions"),
             "trials": ("int", "trials per dimension, shared by both colors"),
             "sampler": ("choice:direct,bartlett", "vector sampler"),
-            "threads": ("int", "worker threads"),
+            "threads": ("int", "worker threads (throughput only; never affects results)"),
             "plot_out": ("path", "two-column plot data file (x=d^-1/2, y=red log-ratio)"),
             "seed": _SEED,
         },
@@ -562,6 +562,9 @@ def run(config: ExperimentConfig) -> tuple[int, str]:
         result, passed, artifact = _HANDLERS[config.command](params)
     except (ValueError, KeyError, ArithmeticError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1, ""
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return 1, ""
 
     record = {

@@ -4,9 +4,12 @@ Trials are independent work items keyed by stream id: an estimate splits
 its budget into fixed-size batches (the batch size is a deterministic
 function of the problem shape, never of the machine), batch b draws from
 stream.offset(b), and results fold over batches in index order.  Thread
-counts therefore change throughput only, never a single output bit.  One
-pair kernel, _pair_batch, draws every batch and returns the blue mask of
-its pairs; the density sums it per cloud, red and blue cliques are counted
+counts therefore change throughput only, never a single output bit.
+One plan runner, _map_plans, runs the batches of one or more plans
+(trials, batch, stream, worker) on a single thread pool; correction_scaling
+hands it one plan per dimension, so all its dimensions share the pool.
+One pair kernel, _pair_batch, draws every batch and returns the blue mask
+of its pairs; the density sums it per cloud, red and blue cliques are counted
 from it in one draw (correction_scaling samples once), and search_witness
 packs its geometric attempts from it.  Edge events read inner products only,
 so the density draws triangular samples whenever n <= d (their Gram has the
@@ -65,19 +68,43 @@ def _batch_size(elements_per_trial: int, cap: int | None = _MAX_BATCH) -> int:
     return max(1, batch if cap is None else min(cap, batch))
 
 
-def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worker):
-    """Run worker(gen, count) over every batch on min(threads, batches, CPUs) threads; results in order."""
-    nbatches = (trials + batch - 1) // batch
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    def run(bi: int):
-        count = min(batch, trials - bi * batch)
-        return worker(stream.offset(bi).generator(), count)
 
-    workers = min(threads, nbatches, os.cpu_count() or 1)
+def _map_plans(plans, threads: int) -> list[list]:
+    """Run every batch of every plan (trials, batch, stream, worker) on one pool; each plan's results in batch order.
+
+    Batch bi of a plan is worker(stream.offset(bi).generator(), count).  The
+    jobs go in plan order, then batch order, to min(threads, batches over all
+    plans, usable CPUs) threads, so no thread idles between plans.
+    """
+    jobs = [(pi, bi) for pi, (trials, batch, _, _) in enumerate(plans)
+            for bi in range((trials + batch - 1) // batch)]
+
+    def run(job):
+        pi, bi = job
+        trials, batch, stream, worker = plans[pi]
+        return worker(stream.offset(bi).generator(), min(batch, trials - bi * batch))
+
+    workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1:
-        return [run(bi) for bi in range(nbatches)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(nbatches)))
+        results = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, jobs))
+    parts = [[] for _ in plans]
+    for (pi, _), result in zip(jobs, results):
+        parts[pi].append(result)
+    return parts
+
+
+def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worker):
+    """Run worker(gen, count) over every batch of one plan (see _map_plans); results in order."""
+    return _map_plans([(trials, batch, stream, worker)], threads)[0]
 
 
 def _binomial_interval(successes: int, trials: int, se: float | None = None) -> tuple[float, float]:
@@ -202,17 +229,16 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     return _estimate(edges_total, total_pairs, trials, stream, config, se)
 
 
-def _clique_counts(r, d, c_p, trials, stream, sampler, spec, threads) -> tuple[int, int, int]:
-    """(red cliques, blue cliques, batch size) over `trials` draws of r vectors; with a spec, perfect draws only."""
+def _clique_plan(r, d, c_p, trials, stream, sampler, spec):
+    """The plan (trials, batch, stream, worker) whose batches count (red, blue) cliques of r vectors;
+    with a spec, perfect draws only."""
     threshold = -c_p / math.sqrt(d)
 
     def worker(gen, count):
         blue, perfect = _pair_batch(gen, count, r, d, threshold, sampler, spec)
         return int((~blue.any(axis=1) & perfect).sum()), int((blue.all(axis=1) & perfect).sum())
 
-    batch = _batch_size(_trial_elements(r, d, sampler))
-    parts = _map_batches(trials, batch, stream, threads, worker)
-    return sum(part[0] for part in parts), sum(part[1] for part in parts), batch
+    return trials, _batch_size(_trial_elements(r, d, sampler)), stream, worker
 
 
 def _binomial_reference(r: int, p: float, color: str, trials: int) -> tuple[float, bool]:
@@ -266,7 +292,8 @@ def estimate_clique_prob(
     spec = None
     if restrict_perfect:
         spec = perfect_spec if perfect_spec is not None else PerfectSpec.from_params(2.0, r, d, p)
-    red, blue, batch = _clique_counts(r, d, c_p, trials, stream, sampler, spec, threads)
+    _, batch, _, worker = _clique_plan(r, d, c_p, trials, stream, sampler, spec)
+    red, blue = map(sum, zip(*_map_batches(trials, batch, stream, threads, worker)))
     config = {
         "op": "clique_prob",
         "r": r,
@@ -307,7 +334,8 @@ def correction_scaling(
     One draw per dimension (stream slot 2*di*STREAM_STRIDE; the odd slots go
     unused) serves both colors, so red and blue are coupled.  Each fit and its
     standard errors use one color's counts only, so the coupling leaves them
-    unaffected; no red-blue difference is reported.
+    unaffected; no red-blue difference is reported.  The batches of every
+    dimension run on one pool.
     """
     if r not in (3, 4):
         raise ValueError(f"scaling diagnostic supports r in {{3, 4}}, got {r}")
@@ -321,8 +349,10 @@ def correction_scaling(
     a = std_normal_pdf(c_p)
     rows = []
     fit_data = {"red": [], "blue": []}
-    for di, d in enumerate(dims):
-        red, blue, _ = _clique_counts(r, d, c_p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None, threads)
+    plans = [_clique_plan(r, d, c_p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None)
+             for di, d in enumerate(dims)]
+    for d, parts in zip(dims, _map_plans(plans, threads)):
+        red, blue = map(sum, zip(*parts))
         row = {"d": d, "x": d**-0.5}
         for color, successes in zip(("red", "blue"), (red, blue)):
             log_ref = math.comb(r, 2) * (math.log(p) if color == "red" else math.log1p(-p))

@@ -435,7 +435,20 @@ def test_arithmetic_error_is_an_error_exit(monkeypatch, capsys):
     assert "math range error" in err
 
 
-_DENSITY = ["estimate", "--kind", "density", "--d", "8", "--p", "0.4", "--trials", "10"]
+@pytest.mark.parametrize("message", ["Unable to allocate 2.98 GiB", ""], ids=["numpy", "bare"])
+def test_memory_error_is_an_error_exit(monkeypatch, capsys, message):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    # scaling at two threads raises inside a pool thread; the error still reaches the CLI
+    monkeypatch.setattr("gaussian_ramsey.estimators.sample_cloud_batch", exhausted)
+    code, out, err = run_main(_SCALING + ["--seed", "1", "--threads", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+_DENSITY =["estimate", "--kind", "density", "--d", "8", "--p", "0.4", "--trials", "10"]
 _CLIQUE = ["estimate", "--kind", "clique", "--r", "3", "--d", "64", "--p", "0.4", "--color", "red", "--trials", "10"]
 _QUADRATIC = ["validate", "--check", "quadratic_moment", "--d", "400", "--k", "2", "--lam", "0.1", "--trials", "100"]
 _SCALING = ["scaling", "--r", "3", "--p", "0.4", "--dims", "64,256", "--trials", "100"]

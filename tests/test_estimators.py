@@ -206,21 +206,23 @@ def _log_ref(r, p, color):
 def test_scaling_counts_both_colors_in_one_draw(monkeypatch, sampler, threads):
     # a small batch budget gives several batches per dimension, so threads=2 runs them concurrently
     monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 4096)
-    drawn = {"normals": 0, "triangular": 0}
+    # pool threads append (atomic) rather than add in place, so no count is lost to a race
+    sizes = {"normals": [], "triangular": []}
     cloud, bartlett = estimators.sample_cloud_batch, estimators.sample_bartlett_batch
 
     def count_cloud(batch, n, d, gen):
-        drawn["normals"] += batch * n * d
+        sizes["normals"].append(batch * n * d)
         return cloud(batch, n, d, gen)
 
     def count_bartlett(batch, r, d, gen):
-        drawn["triangular"] += batch
+        sizes["triangular"].append(batch)
         return bartlett(batch, r, d, gen)
 
     monkeypatch.setattr(estimators, "sample_cloud_batch", count_cloud)
     monkeypatch.setattr(estimators, "sample_bartlett_batch", count_bartlett)
     r, p, dims, trials, stream = 3, 0.4, [16, 64], 3000, RngStream(21)
     rep = correction_scaling(r, p, dims, trials, stream, sampler=sampler, threads=threads)
+    drawn = {key: sum(values) for key, values in sizes.items()}
     # each dimension samples its clouds once, not once per color
     if sampler == "direct":
         assert drawn == {"normals": trials * r * sum(dims), "triangular": 0}

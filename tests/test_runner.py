@@ -150,7 +150,7 @@ def pools(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(estimators, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
     return opened
 
 
@@ -171,12 +171,66 @@ def test_thread_clamp_to_batch_count(pools):
 def test_one_worker_runs_serially(pools, monkeypatch):
     assert _counts(10, 2, 1) == [2] * 5
     assert _counts(2, 2, 10**6) == [2]
-    monkeypatch.setattr(estimators.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
     assert _counts(10, 2, 10**6) == [2] * 5
     assert pools == []
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    if hasattr(estimators.os, "sched_getaffinity"):
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: {0, 5})
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 64)
+        assert estimators._usable_cpus() == 2
+    # without an affinity call the CPU count rules, one CPU when even that is unknown
+    monkeypatch.delattr(estimators.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 3)
+    assert estimators._usable_cpus() == 3
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: None)
+    assert estimators._usable_cpus() == 1
 
 
 def test_clamped_estimate_matches_serial(pools):
     kwargs = dict(r=3, d=64, p=0.4, color="blue", trials=20000, stream=RngStream(6))
     assert estimate_clique_prob(threads=10**6, **kwargs) == estimate_clique_prob(threads=1, **kwargs)
     assert pools == [3]
+
+
+def test_map_plans_returns_each_plan_in_batch_order(pools):
+    stream = RngStream(1)
+    plans = [(5, 2, stream, lambda gen, count: ("a", count)), (3, 3, stream, lambda gen, count: ("b", count))]
+    assert estimators._map_plans(plans, 10**6) == [[("a", 2), ("a", 2), ("a", 1)], [("b", 3)]]
+    assert pools == [3]
+
+
+def test_scaling_runs_every_dimension_on_one_pool(pools, monkeypatch):
+    # direct trials of 3 vectors count 3d doubles: 10, 20 and 40 batches for d = 8, 16, 32
+    monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 512)
+
+    def scaling(threads):
+        return correction_scaling(3, 0.4, [8, 16, 32], 200, RngStream(7), threads=threads)
+
+    serial = scaling(1)
+    assert pools == []
+    assert scaling(10**6) == serial
+    assert pools == [3]  # one pool for the call, not one per dimension
+    assert scaling(2) == serial
+    assert pools == [3, 2]
+
+    class ReversedPool:
+        """Runs the jobs last first and returns their results in submission order."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            return reversed([fn(item) for item in reversed(items)])
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", ReversedPool)
+    assert scaling(10**6) == serial  # no batch's draws depend on when it runs
