@@ -39,6 +39,7 @@ import sys
 from dataclasses import dataclass
 
 import gaussian_ramsey
+from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp, solve_pC, std_normal_pdf, union_bound_report
 from gaussian_ramsey.cliques import (
     certificate_from_text,
@@ -47,8 +48,8 @@ from gaussian_ramsey.cliques import (
     verify_witness,
 )
 from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob, estimate_edge_density
-from gaussian_ramsey.geometry import PerfectSpec, adjacency, gram, sample_cloud
-from gaussian_ramsey.graphs import CapabilityError, graph_to_text
+from gaussian_ramsey.geometry import PerfectSpec
+from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_rows, graph_to_text
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import CHECKS, validate_bound
 
@@ -426,10 +427,14 @@ def _run_bounds(params: dict):
 def _run_sample(params: dict):
     seed = params["seed"]
     n, d, p = params["n"], params["d"], params["p"]
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got n={n}")
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
     c_p = solve_cp(p)
-    stream = RngStream(seed)
-    cloud = sample_cloud(n, d, stream)
-    graph = adjacency(gram(cloud), c_p, d, {"d": d, "p": p, "c_p": c_p, "seed": seed})
+    estimators._batch_size(estimators._trial_elements(n, d, "direct"))  # refuses an oversized cloud before the draw
+    blue = estimators._pair_batch(RngStream(seed).generator(), 1, n, d, -c_p / math.sqrt(d), "direct", None)[0]
+    graph = ColoredGraph(n, _pack_rows(n, blue)[0][0], {"d": d, "p": p, "c_p": c_p, "seed": seed})
     text = graph_to_text(graph)
     result = {
         "n": n,

@@ -175,8 +175,7 @@ def search_witness(
         c_p = solve_cp(p)
         threshold = -c_p / math.sqrt(d)
         base_provenance.update(d=d, c_p=c_p)
-    # per attempt: cloud and Gram, or n * n; the batch partition, and so which stream an attempt draws, rests on it
-    elements = n * (n + d) if sampler == "geometric" else n * n
+    elements = estimators._trial_elements(n, d, "direct") if sampler == "geometric" else n * n
     batch = estimators._batch_size(elements, ATTEMPT_BATCH)
 
     attempt = 0

@@ -19,11 +19,12 @@ Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
 
-One rule, _batch_size, sizes every batch in the package: as many trials as
-fit _BATCH_ELEMENTS doubles, up to a cap.  The estimators cap a batch at
-8192 trials; the validators take none, since a cap would repartition their
-records; search_witness caps it at ATTEMPT_BATCH attempts, since it stops
-at its first witness and would discard the rest of a larger batch.
+One rule, _batch_size, sizes every batch in the package before its first draw:
+as many trials as fit _BATCH_ELEMENTS doubles, up to a cap; a trial of more
+than _MAX_TRIAL_ELEMENTS doubles (512 MiB) is refused.  The estimators cap a
+batch at 8192 trials; the validators take none, since a cap would repartition
+their records; search_witness caps it at ATTEMPT_BATCH attempts, since it
+stops at its first witness and would discard the rest of a larger batch.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from gaussian_ramsey.sampling import RngStream
 #: target elements per sampling batch (doubles); keeps batches ~32 MB.
 _BATCH_ELEMENTS = 1 << 22
 _MAX_BATCH = 8192
+#: largest trial, in doubles, that any sampling path may draw (512 MiB).
+_MAX_TRIAL_ELEMENTS = 1 << 26
 
 #: stream-id stride separating sub-estimates of composite reports.
 STREAM_STRIDE = 1 << 24
@@ -64,6 +67,8 @@ _Z95 = float(ndtri(0.975))
 
 def _batch_size(elements_per_trial: int, cap: int | None = _MAX_BATCH) -> int:
     """Trials per batch: as many as fit _BATCH_ELEMENTS doubles, at least one, at most cap (None: no cap)."""
+    if elements_per_trial > _MAX_TRIAL_ELEMENTS:
+        raise ValueError(f"one trial would hold {elements_per_trial} doubles, over the cap of {_MAX_TRIAL_ELEMENTS}")
     batch = _BATCH_ELEMENTS // max(1, elements_per_trial)
     return max(1, batch if cap is None else min(cap, batch))
 

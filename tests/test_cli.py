@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import gaussian_ramsey
+from gaussian_ramsey import estimators
 from gaussian_ramsey.cli import ExperimentConfig, main, parse_config, render_csv, render_json, run
-from gaussian_ramsey.cliques import certificate_from_text
+from gaussian_ramsey.cliques import certificate_from_text, search_witness
 from gaussian_ramsey.graphs import graph_from_text
+from gaussian_ramsey.sampling import RngStream
 
 
 def run_main(argv, capsys):
@@ -388,12 +390,53 @@ def test_verify_record_escapes_control_characters(tmp_path, capsys):
          "--diag", "1", "--trials", "10"],
         ["search", "--n", "5", "--ell", "3", "--k", "3", "--sampler", "geometric", "--d", "0",
          "--p", "0.5", "--max-attempts", "10"],
+        ["sample", "--n", "5", "--d", "0", "--p", "0.4"],
     ],
 )
 def test_zero_dimension_is_an_error_exit(argv, capsys):
     code, out, err = run_main(argv + ["--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert "dimension" in err
+
+
+def test_sample_vertex_count_below_one_is_an_error_exit(capsys):
+    code, out, err = run_main(["sample", "--n", "0", "--d", "8", "--p", "0.4", "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert "vertex count must be positive, got n=0" in err
+
+
+def test_sample_draws_the_coloring_of_a_searchs_first_attempt(capsys):
+    # with ell = k = n + 1 no clique can exist, so the search returns attempt 0
+    cert = search_witness(20, 21, 21, "geometric", {"d": 64, "p": 0.4}, 1, RngStream(3))
+    code, out, _ = run_main(["sample", "--n", "20", "--d", "64", "--p", "0.4", "--seed", "3"], capsys)
+    assert code == 0 and cert.graph.provenance["attempt"] == 0
+    assert graph_from_text(out.split("\n", 1)[1]).blue_rows == cert.graph.blue_rows
+
+
+#: one trial of each is far over estimators._MAX_TRIAL_ELEMENTS doubles
+_OVERSIZED = {
+    "sample": "sample --n 20000 --d 64 --p 0.4",
+    "density": "estimate --kind density --n 20000 --d 64 --p 0.4 --trials 1",
+    "clique": "estimate --kind clique --r 20000 --d 30000 --sampler bartlett --p 0.4 --color red --trials 1",
+    # the oversized dimension second: every plan is sized before the first one draws
+    "scaling": "scaling --r 3 --p 0.4 --dims 64,2000000000 --trials 1",
+    "search": "search --n 512 --ell 4 --k 4 --sampler geometric --d 100000000 --p 0.5 --max-attempts 1",
+    "projection_tail": "validate --check projection_tail --d 1000000000 --ell 1 --s 1000000000 --p 0.4 "
+                       "--C 2000000000 --trials 1",
+}
+
+
+@pytest.mark.parametrize("argv", _OVERSIZED.values(), ids=_OVERSIZED)
+@pytest.mark.filterwarnings("ignore:binomial reference")
+def test_oversized_trial_is_refused_before_any_generator(argv, monkeypatch, capsys):
+    def no_generator(self):
+        raise AssertionError("a generator was made for an oversized trial")
+
+    monkeypatch.setattr(RngStream, "generator", no_generator)
+    code, out, err = run_main(argv.split() + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: one trial would hold ")
+    assert f"doubles, over the cap of {estimators._MAX_TRIAL_ELEMENTS}" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

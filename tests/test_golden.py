@@ -32,7 +32,9 @@ CASES = {
         "search --n 18 --ell 4 --k 4 --sampler binomial --p 0.5 --max-attempts 300 --seed 1", 1),
     "search-geometric-n18-44": (
         "search --n 18 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 300 --seed 1", 1),
+    "sample-n1": ("sample --n 1 --d 5 --p 0.4 --seed 2", 0),
     "sample-n20": ("sample --n 20 --d 64 --p 0.4 --seed 3", 0),
+    "sample-n65": ("sample --n 65 --d 64 --p 0.4 --seed 4", 0),
     "sample-n130": ("sample --n 130 --d 16 --p 0.25 --seed 9", 0),
     "estimate-density": ("estimate --kind density --n 6 --d 32 --p 0.4 --trials 3000 --seed 4", 0),
     "estimate-density-batched": (

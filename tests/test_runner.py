@@ -119,7 +119,8 @@ def test_no_draw_spans_more_than_one_batch(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "sampler, params, elements",
-    [("geometric", {"p": 0.5, "d": 64}, 18 * (18 + 64)), ("binomial", {"p": 0.5}, 18 * 18)],
+    [("geometric", {"p": 0.5, "d": 64}, estimators._trial_elements(18, 64, "direct")),
+     ("binomial", {"p": 0.5}, 18 * 18)],
     ids=["geometric", "binomial"],
 )
 def test_search_batches_stay_within_the_element_budget(monkeypatch, sampler, params, elements):
@@ -129,6 +130,14 @@ def test_search_batches_stay_within_the_element_budget(monkeypatch, sampler, par
     assert search_witness(18, 4, 4, sampler, params, 20, RngStream(5)) is None
     assert len(sizes) == 7
     assert max(sizes) <= 3 * elements
+
+
+def test_batch_size_refuses_a_trial_over_the_cap():
+    cap = estimators._MAX_TRIAL_ELEMENTS
+    assert estimators._batch_size(cap) == estimators._batch_size(cap, None) == 1
+    for limit in (estimators._MAX_BATCH, None, 256):
+        with pytest.raises(ValueError, match=f"one trial would hold {cap + 1} doubles, over the cap of {cap}"):
+            estimators._batch_size(cap + 1, limit)
 
 
 @pytest.fixture
