@@ -11,7 +11,9 @@ hands it one plan per dimension, so all its dimensions share the pool.
 One pair kernel, _pair_batch, draws every batch and returns the blue mask
 of its pairs; the density sums it per cloud, red and blue cliques are counted
 from it in one draw (correction_scaling samples once), and search_witness
-packs its geometric attempts from it.  Edge events read inner products only,
+packs its geometric attempts from it.  A triangular batch is drawn batch-last
+(geometry._bartlett_rows, the one consumption order) and the kernel computes
+only its pairs i < j from those rows.  Edge events read inner products only,
 so the density draws triangular samples whenever n <= d (their Gram has the
 law of a cloud's) and direct clouds only when n > d, where no triangular
 form exists.
@@ -41,10 +43,10 @@ from scipy.special import betaincinv, ndtri
 from gaussian_ramsey.analytic import solve_cp, std_normal_pdf
 from gaussian_ramsey.geometry import (
     PerfectSpec,
+    _bartlett_rows,
     _cholesky,
     bartlett_prefix_norms,
     gram_batch,
-    sample_bartlett_batch,
     sample_cloud_batch,
 )
 from gaussian_ramsey.sampling import RngStream
@@ -166,19 +168,26 @@ def _trial_elements(n: int, d: int, sampler: str) -> int:
 def _pair_batch(gen, count, n, d, threshold, sampler, spec):
     """Blue mask of every pair i < j, shape (count, C(n,2)), and the perfect mask (True without a spec).
 
+    Row i's pairs j > i fill one slice of the mask (np.triu_indices order), read off the direct
+    clouds' BLAS Gram or computed alone from the batch-last triangular rows, G_ij = sum_{k<=i} L_jk L_ik.
     The random draws do not depend on the spec, so runs sharing a stream are
     coupled trial by trial.  A trial holds _trial_elements(n, d, sampler) doubles.
     """
     if sampler == "direct":
         grams = gram_batch(sample_cloud_batch(count, n, d, gen))
+        rows = (grams[:, i, i + 1 :] for i in range(n - 1))
         triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
     elif sampler == "bartlett":
-        triangular = sample_bartlett_batch(count, n, d, gen)
-        grams = gram_batch(triangular)
+        L = _bartlett_rows(count, n, d, gen)
+        rows = (np.einsum("jkb,kb->bj", L[i + 1 :, : i + 1], L[i, : i + 1]) for i in range(n - 1))
+        triangular = np.moveaxis(L, -1, 0)
     else:
         raise ValueError(f"sampler must be 'direct' or 'bartlett', got {sampler!r}")
-    iu = np.triu_indices(n, 1)
-    blue = grams[:, iu[0], iu[1]] >= threshold
+    blue = np.empty((count, n * (n - 1) // 2), dtype=bool)
+    start = 0
+    for pairs in rows:
+        np.greater_equal(pairs, threshold, out=blue[:, start : start + pairs.shape[1]])
+        start += pairs.shape[1]
     if spec is None:
         return blue, True
     return blue, spec.admits(*bartlett_prefix_norms(triangular)).all(axis=1)

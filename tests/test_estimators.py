@@ -1,8 +1,10 @@
 """Monte-Carlo estimators: moments, coupling, determinism, reporting."""
 
 import math
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
@@ -14,7 +16,7 @@ from gaussian_ramsey.estimators import (
     estimate_clique_prob,
     estimate_edge_density,
 )
-from gaussian_ramsey.geometry import PerfectSpec
+from gaussian_ramsey.geometry import PerfectSpec, bartlett_prefix_norms, gram_batch, sample_bartlett_batch
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import validate_bound
 
@@ -79,6 +81,55 @@ def test_perfect_restriction_is_subevent_per_trial():
     assert restricted.sum() <= success.sum()
     assert not (restricted & ~success).any()
     assert perfect.sum() < 20000  # the spec actually bites
+
+
+def _gram_gather_reference(seed, count, r, d, threshold, spec):
+    """The pair and perfect masks the Gram way: the (count, r, r) triangular batch drawn in the package's
+    order, its BLAS Gram gathered through np.triu_indices, and prefix norms from np.cumsum."""
+    gen = RngStream(seed).generator()
+    il = np.tril_indices(r, -1)
+    M = np.zeros((count, r, r))
+    if r > 1:
+        M[:, il[0], il[1]] = gen.standard_normal((count, len(il[0]))) / math.sqrt(d)
+    for i in range(r):
+        M[:, i, i] = np.sqrt(gen.chisquare(d - i, size=count) / d)
+    assert np.array_equal(M, sample_bartlett_batch(count, r, d, RngStream(seed).generator()))
+    sq = np.cumsum(M * M, axis=-1)
+    norms, proj = np.sqrt(np.diagonal(sq, 0, 1, 2)), np.zeros((count, r))
+    proj[:, 1:] = np.sqrt(np.diagonal(sq, -1, 1, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(bartlett_prefix_norms(M), (norms, proj)))
+    iu = np.triu_indices(r, 1)
+    return gram_batch(M)[:, iu[0], iu[1]] >= threshold, spec.admits(norms, proj).all(axis=1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 64])
+def test_triangular_pair_kernel_matches_the_gram_gather(r):
+    count, d, p = 400, 256, 0.4
+    threshold = -estimators.solve_cp(p) / math.sqrt(d)
+    spec = PerfectSpec(alpha_proj=1.0, delta=0.1, ell=r, d=d, p=p, C=2.0)
+    admitted = 0
+    for seed in range(30, 35):
+        blue, perfect = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, "bartlett", spec)
+        ref_blue, ref_perfect = _gram_gather_reference(seed, count, r, d, threshold, spec)
+        assert blue.shape == (count, r * (r - 1) // 2) and blue.dtype == bool
+        assert np.array_equal(blue, ref_blue)
+        assert np.array_equal(perfect, ref_perfect)
+        admitted += int(perfect.sum())
+    assert 0 < admitted < 5 * count  # the spec admits some trials and refuses others
+
+
+def test_direct_pair_batch_holds_about_the_doubles_it_counts():
+    # numpy reports its allocations to tracemalloc: the (1, 600, 600) Gram is the one large array,
+    # and the pair mask is a byte per pair, so no index arrays or float copy of the pairs may join it
+    gen = RngStream(3).generator()
+    tracemalloc.start()
+    try:
+        blue = _pair_batch(gen, 1, 600, 16, 0.0, "direct", None)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blue.shape == (1, 600 * 599 // 2)
+    assert peak <= 1.25 * estimators._trial_elements(600, 16, "direct") * 8
 
 
 def test_perfect_restriction_coupled_estimates():
@@ -208,7 +259,7 @@ def test_scaling_counts_both_colors_in_one_draw(monkeypatch, sampler, threads):
     monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 4096)
     # pool threads append (atomic) rather than add in place, so no count is lost to a race
     sizes = {"normals": [], "triangular": []}
-    cloud, bartlett = estimators.sample_cloud_batch, estimators.sample_bartlett_batch
+    cloud, bartlett = estimators.sample_cloud_batch, estimators._bartlett_rows
 
     def count_cloud(batch, n, d, gen):
         sizes["normals"].append(batch * n * d)
@@ -219,7 +270,7 @@ def test_scaling_counts_both_colors_in_one_draw(monkeypatch, sampler, threads):
         return bartlett(batch, r, d, gen)
 
     monkeypatch.setattr(estimators, "sample_cloud_batch", count_cloud)
-    monkeypatch.setattr(estimators, "sample_bartlett_batch", count_bartlett)
+    monkeypatch.setattr(estimators, "_bartlett_rows", count_bartlett)
     r, p, dims, trials, stream = 3, 0.4, [16, 64], 3000, RngStream(21)
     rep = correction_scaling(r, p, dims, trials, stream, sampler=sampler, threads=threads)
     drawn = {key: sum(values) for key, values in sizes.items()}

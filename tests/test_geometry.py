@@ -263,7 +263,7 @@ def test_window_edges(monkeypatch):
     assert ext.check.ok and ext.check.proj_norms[1] == 0.5
 
     batch = np.stack([at_threshold, high, low])
-    monkeypatch.setattr(estimators, "sample_bartlett_batch", lambda *args: batch)
+    monkeypatch.setattr(estimators, "_bartlett_rows", lambda *args: np.moveaxis(batch, 0, -1))  # batch-last
     _, perfect = estimators._pair_batch(None, 3, 2, 16, 0.0, "bartlett", spec)
     assert perfect.tolist() == [True, False, False]
 

@@ -51,6 +51,14 @@ CASES = {
     "estimate-clique-bartlett-perfect": (
         "estimate --kind clique --r 4 --d 400 --p 0.4 --color blue --sampler bartlett --restrict-perfect "
         "--trials 20000 --seed 6", 0),
+    # the pair kernel's edges: one pair, no pairs (norms only), and n = d, the last n the triangular draw takes
+    "estimate-clique-bartlett-r2": (
+        "estimate --kind clique --r 2 --d 64 --p 0.4 --color blue --sampler bartlett --trials 20000 --seed 20", 0),
+    "estimate-clique-bartlett-r1-perfect": (
+        "estimate --kind clique --r 1 --d 64 --p 0.4 --color red --sampler bartlett --restrict-perfect "
+        "--alpha-proj 1.2 --delta 0.12 --trials 20000 --seed 21", 0),
+    "estimate-density-triangular-square": (
+        "estimate --kind density --n 32 --d 32 --p 0.4 --trials 5000 --threads 2 --seed 22", 0),
     "validate-norm-concentration": (
         "validate --check norm_concentration --d 400 --delta 0.3 --trials 25000 --seed 7", 0),
     "validate-norm-concentration-hits": (
