@@ -468,12 +468,13 @@ def _run_estimate(params: dict):
                 p=params["p"],
                 C=2.0,
             )
+        elif params.get("restrict_perfect"):
+            spec = PerfectSpec.from_params(2.0, params["r"], params["d"], params["p"])
         est = estimate_clique_prob(
             params["r"],
             params["d"],
             params["p"],
             params["color"],
-            restrict_perfect=bool(params.get("restrict_perfect")),
             trials=params["trials"],
             stream=stream,
             sampler=params.get("sampler", "direct"),

@@ -12,9 +12,10 @@ that none exists.  Completeness is what makes a verified certificate
 meaningful: a coloring of K_n with no red K_ell and no blue K_k
 establishes R(ell, k) > n.
 
-The witness search samples fresh colorings (geometric or binomial) a batch
-at a time as pair masks, the geometric ones through the estimators' pair
-kernel, packs each batch's blue and red rows at once, and verifies the
+The witness search walks the estimators' one batch partition
+(estimators._partition), samples fresh colorings (geometric or binomial) a
+batch at a time as pair masks, the geometric ones through the estimators'
+pair kernel, packs each batch's blue and red rows at once, and verifies the
 attempts in order; the certificate returned is the one with the lowest
 attempt index that verifies, so a seed determines it.
 """
@@ -22,7 +23,7 @@ attempt index that verifies, so a seed determines it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp
@@ -179,10 +180,8 @@ def search_witness(
     batch = estimators._batch_size(elements, ATTEMPT_BATCH)
 
     attempt = 0
-    bi = 0
-    while attempt < max_attempts:
-        count = min(batch, max_attempts - attempt)
-        gen = stream.offset(bi).generator()
+    for sub, count in estimators._partition(max_attempts, batch, stream):
+        gen = sub.generator()
         if sampler == "geometric":
             pairs = estimators._pair_batch(gen, count, n, d, threshold, "direct", None)[0]
         else:
@@ -190,11 +189,9 @@ def search_witness(
         blue, red = _pack_rows(n, pairs)  # one pack per batch, both colors; its rows need no validation
         for t in range(count):
             g = _unchecked_graph(n, blue[t], red[t], dict(base_provenance, attempt=attempt))
-            cert = verify_witness(g, ell, k)
-            if cert.checked:  # rebuilt through validation, which recomputes the red rows
-                return replace(cert, graph=ColoredGraph(n, blue[t], cert.graph.provenance))
+            if verify_witness(g, ell, k).checked:  # the returned graph is validated and recomputes its red rows
+                return WitnessCertificate(n, ell, k, ColoredGraph(n, blue[t], g.provenance), checked=True)
             attempt += 1
-        bi += 1
     return None
 
 

@@ -1,10 +1,10 @@
 """Monte-Carlo estimators for edge density and clique probabilities.
 
-Trials are independent work items keyed by stream id: an estimate splits
-its budget into fixed-size batches (the batch size is a deterministic
-function of the problem shape, never of the machine), batch b draws from
-stream.offset(b), and results fold over batches in index order.  Thread
-counts therefore change throughput only, never a single output bit.
+Trials are independent work items keyed by stream id: _partition, the one
+batch partition (search_witness walks it too), splits a budget into batches
+whose size is a function of the problem shape, never of the machine; batch b
+draws from stream.offset(b), and results fold over batches in index order, so
+thread counts change throughput only, never a single output bit.
 One plan runner, _map_plans, runs the batches of one or more plans
 (trials, batch, stream, worker) on a single thread pool; correction_scaling
 hands it one plan per dimension, so all its dimensions share the pool.
@@ -82,20 +82,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _partition(trials: int, batch: int, stream: RngStream):
+    """The one batch partition, lazily: (stream.offset(bi), count) per batch bi of `batch` trials, the last short."""
+    for bi, start in enumerate(range(0, trials, batch)):
+        yield stream.offset(bi), min(batch, trials - start)
+
+
 def _map_plans(plans, threads: int) -> list[list]:
     """Run every batch of every plan (trials, batch, stream, worker) on one pool; each plan's results in batch order.
 
-    Batch bi of a plan is worker(stream.offset(bi).generator(), count).  The
+    Batch (sub, count) of _partition(trials, batch, stream) is worker(sub.generator(), count).  The
     jobs go in plan order, then batch order, to min(threads, batches over all
     plans, usable CPUs) threads, so no thread idles between plans.
     """
-    jobs = [(pi, bi) for pi, (trials, batch, _, _) in enumerate(plans)
-            for bi in range((trials + batch - 1) // batch)]
+    jobs = [(pi, sub, count) for pi, (trials, batch, stream, _) in enumerate(plans)
+            for sub, count in _partition(trials, batch, stream)]
 
     def run(job):
-        pi, bi = job
-        trials, batch, stream, worker = plans[pi]
-        return worker(stream.offset(bi).generator(), min(batch, trials - bi * batch))
+        pi, sub, count = job
+        return plans[pi][3](sub.generator(), count)
 
     workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1:
@@ -104,7 +109,7 @@ def _map_plans(plans, threads: int) -> list[list]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
     parts = [[] for _ in plans]
-    for (pi, _), result in zip(jobs, results):
+    for (pi, _, _), result in zip(jobs, results):
         parts[pi].append(result)
     return parts
 
@@ -266,7 +271,6 @@ def estimate_clique_prob(
     d: int,
     p: float,
     color: str,
-    restrict_perfect: bool = False,
     *,
     trials: int,
     stream: RngStream,
@@ -274,15 +278,13 @@ def estimate_clique_prob(
     perfect_spec: PerfectSpec | None = None,
     threads: int = 1,
 ) -> EstimateResult:
-    """P[all C(r,2) pairs are `color`], optionally also requiring perfectness.
+    """P[all C(r,2) pairs are `color`], also requiring perfectness under perfect_spec when one is given.
 
     `sampler` chooses between the direct cloud and the triangular sampler
-    (same distribution, very different cost profiles).  With
-    restrict_perfect the default spec is the canonical one at C=2, ell=r;
-    pass an explicit spec to tighten it (a spec without restrict_perfect
-    is an error).  An estimate whose binomial reference predicts fewer
-    than 100 successes is flagged "underpowered" rather than silently
-    returning noise.
+    (same distribution, very different cost profiles).  The canonical
+    restriction is PerfectSpec.from_params(2.0, r, d, p).  An estimate whose
+    binomial reference predicts fewer than 100 successes is flagged
+    "underpowered" rather than silently returning noise.
     """
     if r < 1:
         raise ValueError(f"clique size must be positive, got {r}")
@@ -292,8 +294,6 @@ def estimate_clique_prob(
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
-    if perfect_spec is not None and not restrict_perfect:
-        raise ValueError("perfect_spec is read only with restrict_perfect=True")
     c_p = solve_cp(p)
     reference, underpowered = _binomial_reference(r, p, color, trials)
     if underpowered:
@@ -303,10 +303,7 @@ def estimate_clique_prob(
             "estimate will be noise-dominated",
             stacklevel=2,
         )
-    spec = None
-    if restrict_perfect:
-        spec = perfect_spec if perfect_spec is not None else PerfectSpec.from_params(2.0, r, d, p)
-    _, batch, _, worker = _clique_plan(r, d, c_p, trials, stream, sampler, spec)
+    _, batch, _, worker = _clique_plan(r, d, c_p, trials, stream, sampler, perfect_spec)
     red, blue = map(sum, zip(*_map_batches(trials, batch, stream, threads, worker)))
     config = {
         "op": "clique_prob",
@@ -316,13 +313,13 @@ def estimate_clique_prob(
         "c_p": c_p,
         "color": color,
         "sampler": sampler,
-        "restrict_perfect": restrict_perfect,
+        "restrict_perfect": perfect_spec is not None,
         "trials": trials,
         "stream_id": stream.stream_id,
         "batch": batch,
     }
-    if spec is not None:
-        config.update(alpha_proj=spec.alpha_proj, delta=spec.delta, spec_ell=spec.ell)
+    if perfect_spec is not None:
+        config.update(alpha_proj=perfect_spec.alpha_proj, delta=perfect_spec.delta, spec_ell=perfect_spec.ell)
     successes = red if color == "red" else blue
     return _estimate(successes, trials, trials, stream, config, status="underpowered" if underpowered else "ok")
 

@@ -105,13 +105,17 @@ class PerfectSpec:
         if self.delta <= 0.0:
             raise ValueError(f"norm half-width must be positive, got {self.delta}")
         if self.ell < 1 or self.d < 1:
-            raise ValueError("ell and d must be positive")
+            raise ValueError(f"ell and d must be positive, got ell={self.ell}, d={self.d}")
 
     @classmethod
     def from_params(cls, C: float, ell: int, d: int, p: float) -> "PerfectSpec":
         """Canonical spec: alpha = 100 C ln(10/p), delta = alpha d^(-1/4)."""
         if not 0.0 < p < 1.0:
-            raise ValueError(f"probability must lie in (0, 1), got {p}")
+            raise ValueError(f"probability must lie in (0, 1), got p={p}")
+        if C <= 0.0:
+            raise ValueError(f"C must be positive, got C={C}")
+        if d < 1:  # before d^(-1/4)
+            raise ValueError(f"dimension must be at least 1, got d={d}")
         alpha = 100.0 * C * math.log(10.0 / p)
         return cls(alpha_proj=alpha, delta=alpha * d**-0.25, ell=ell, d=d, p=p, C=C)
 
@@ -167,11 +171,6 @@ def _bartlett_rows(batch: int, r: int, d: int, gen) -> np.ndarray:
     return L
 
 
-def sample_bartlett_batch(batch: int, r: int, d: int, gen) -> np.ndarray:
-    """(batch, r, r) independent triangular samples: _bartlett_rows's draw, batch first."""
-    return np.ascontiguousarray(np.moveaxis(_bartlett_rows(batch, r, d, gen), -1, 0))
-
-
 def sample_cloud(n: int, d: int, stream) -> PointCloud:
     """n i.i.d. rows from N(0, I_d / d)."""
     if n < 1 or d < 1:
@@ -185,7 +184,7 @@ def sample_bartlett(r: int, d: int, stream) -> TriangularSample:
     if r < 1:
         raise ValueError(f"row count must be positive, got {r}")
     gen = as_generator(stream)
-    return TriangularSample(sample_bartlett_batch(1, r, d, gen)[0], d=d)
+    return TriangularSample(_bartlett_rows(1, r, d, gen)[:, :, 0], d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
+    def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be non-negative, got seed={self.master_seed}")
+
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the origin of this stream."""
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))

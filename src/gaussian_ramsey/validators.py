@@ -13,7 +13,7 @@ Checks, in the order of CHECKS (which also names the parameter keys each reads):
                           chi-square is drawn per trial instead of d coordinates:
                           the same kind of reduction as projection_tail's.
 * projection_tail      -- P[ ||pi_W(x)|| >= alpha sqrt(ell)/sqrt(d) ] <= (p/10)^(10 C ell)
-                          for an s-dimensional subspace W, alpha = 100 C ln(10/p).
+                          for an s-dimensional subspace W, alpha = 100 C ln(10/p) from PerfectSpec.from_params.
                           By rotation invariance W is taken to be the span of the
                           first s coordinates, so only those coordinates are drawn.
 * exp_square_moment    -- E[exp(lambda X^2)] <= 1 + 4 lambda sigma^2 / (1 - 2 lambda sigma^2)
@@ -52,6 +52,7 @@ import numpy as np
 
 from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp, std_normal_cdf, std_normal_pdf
+from gaussian_ramsey.geometry import PerfectSpec
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated, truncated_mean
 
 
@@ -121,7 +122,7 @@ def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
         raise ValueError(f"subspace dimension must lie in [1, d], got s={s}")
     if s > C * ell:
         raise ValueError(f"requires s <= C*ell, got s={s} > {C * ell}")
-    alpha = 100.0 * C * math.log(10.0 / p)
+    alpha = PerfectSpec.from_params(C, ell, d, p).alpha_proj
     threshold_sq = alpha * alpha * ell / d
     log_bound = 10.0 * C * ell * math.log(p / 10.0)
     bound = math.exp(log_bound) if log_bound > -700 else 0.0

@@ -35,10 +35,10 @@ from gaussian_ramsey.estimators import (
 from gaussian_ramsey.geometry import (
     PerfectSpec,
     PointCloud,
+    _bartlett_rows,
     bartlett_prefix_norms,
     extract_perfect,
     gram_batch,
-    sample_bartlett_batch,
     sample_cloud_batch,
 )
 from gaussian_ramsey.graphs import ColoredGraph
@@ -103,7 +103,7 @@ def _pooled_offdiag(sampler: str, ntr: int, r: int, d: int, stream: RngStream) -
     if sampler == "direct":
         grams = gram_batch(sample_cloud_batch(ntr, r, d, gen))
     else:
-        grams = gram_batch(sample_bartlett_batch(ntr, r, d, gen))
+        grams = gram_batch(np.moveaxis(_bartlett_rows(ntr, r, d, gen), -1, 0))
     iu = np.triu_indices(r, 1)
     return grams[:, iu[0], iu[1]].ravel()
 
@@ -214,7 +214,7 @@ def test_criterion_08_perfectness_machinery():
         (PerfectSpec(alpha_proj=1.32, delta=0.07, ell=4, d=1600, p=0.38, C=2.0), 802),
     ):
         assert spec.diagonal_window_applies
-        Ms = sample_bartlett_batch(10**4, 8, 1600, RngStream(seed).generator())
+        Ms = np.moveaxis(_bartlett_rows(10**4, 8, 1600, RngStream(seed).generator()), -1, 0)
         norms, proj = bartlett_prefix_norms(Ms)
         perfect = (
             (norms > 1.0 - spec.delta)
@@ -242,7 +242,7 @@ def test_criterion_08_perfectness_machinery():
     kwargs = dict(trials=2 * 10**5, sampler="bartlett")
     full = estimate_clique_prob(5, 256, 0.38, "blue", stream=RngStream(803), **kwargs)
     star = estimate_clique_prob(
-        5, 256, 0.38, "blue", restrict_perfect=True, perfect_spec=rspec, stream=RngStream(803), **kwargs
+        5, 256, 0.38, "blue", perfect_spec=rspec, stream=RngStream(803), **kwargs
     )
     assert star.successes <= full.successes
     assert star.point <= full.point

@@ -559,6 +559,40 @@ def test_seed_is_rejected_where_nothing_is_drawn(argv, tmp_path, capsys):
     assert code == 2 and out == "" and "unknown key 'seed'" in err
 
 
+#: the five commands that sample, each otherwise valid
+_SAMPLING = {
+    "sample": ["sample", "--n", "5", "--d", "8", "--p", "0.4"],
+    "estimate": _DENSITY,
+    "validate": ["validate", "--check", "chi_square_tail", "--freedom", "3", "--t", "1", "--trials", "10"],
+    "scaling": _SCALING,
+    "search": _SEARCH + ["--sampler", "binomial"],
+}
+
+
+@pytest.mark.parametrize("argv", _SAMPLING.values(), ids=_SAMPLING)
+def test_negative_seed_is_refused_before_any_generator(argv, monkeypatch, capsys):
+    def no_generator(self):
+        raise AssertionError("a generator was made for a negative seed")
+
+    monkeypatch.setattr(RngStream, "generator", no_generator)
+    code, out, err = run_main(argv + ["--seed", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "seed" in err and "-1" in err
+
+
+@pytest.mark.parametrize(
+    "values, name",
+    [(["--ell", "1", "--p", "0", "--C", "2"], "p"), (["--ell", "1", "--p", "-1", "--C", "2"], "p"),
+     (["--ell", "1", "--p", "1.5", "--C", "2"], "p"), (["--ell", "-1", "--p", "0.4", "--C", "-2"], "C")],
+    ids=["p-zero", "p-negative", "p-above-one", "C-and-ell-negative"],
+)
+def test_projection_tail_checks_its_spec_parameters(values, name, capsys):
+    argv = ["validate", "--check", "projection_tail", "--d", "10", "--s", "1", "--trials", "10", "--seed", "1"]
+    code, out, err = run_main(argv + values, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"{name}=" in err
+
+
 def test_infinite_cutoff_is_a_valid_value(capsys):
     code, out, err = run_main(_QUADRATIC + ["--cutoffs=-inf,0", "--seed", "1"], capsys)
     assert code == 0

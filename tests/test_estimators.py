@@ -16,7 +16,7 @@ from gaussian_ramsey.estimators import (
     estimate_clique_prob,
     estimate_edge_density,
 )
-from gaussian_ramsey.geometry import PerfectSpec, bartlett_prefix_norms, gram_batch, sample_bartlett_batch
+from gaussian_ramsey.geometry import PerfectSpec, _bartlett_rows, bartlett_prefix_norms, gram_batch, sample_bartlett
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import validate_bound
 
@@ -83,9 +83,8 @@ def test_perfect_restriction_is_subevent_per_trial():
     assert perfect.sum() < 20000  # the spec actually bites
 
 
-def _gram_gather_reference(seed, count, r, d, threshold, spec):
-    """The pair and perfect masks the Gram way: the (count, r, r) triangular batch drawn in the package's
-    order, its BLAS Gram gathered through np.triu_indices, and prefix norms from np.cumsum."""
+def _hand_built_triangular(seed, count, r, d):
+    """The (count, r, r) triangular batch drawn in the package's order, one entry group at a time."""
     gen = RngStream(seed).generator()
     il = np.tril_indices(r, -1)
     M = np.zeros((count, r, r))
@@ -93,7 +92,15 @@ def _gram_gather_reference(seed, count, r, d, threshold, spec):
         M[:, il[0], il[1]] = gen.standard_normal((count, len(il[0]))) / math.sqrt(d)
     for i in range(r):
         M[:, i, i] = np.sqrt(gen.chisquare(d - i, size=count) / d)
-    assert np.array_equal(M, sample_bartlett_batch(count, r, d, RngStream(seed).generator()))
+    return M
+
+
+def _gram_gather_reference(seed, count, r, d, threshold, spec):
+    """The pair and perfect masks the Gram way: the hand-built triangular batch, its BLAS Gram
+    gathered through np.triu_indices, and prefix norms from np.cumsum."""
+    M = _hand_built_triangular(seed, count, r, d)
+    assert np.array_equal(M, np.moveaxis(_bartlett_rows(count, r, d, RngStream(seed).generator()), -1, 0))
+    assert np.array_equal(sample_bartlett(r, d, RngStream(seed)).M, _hand_built_triangular(seed, 1, r, d)[0])
     sq = np.cumsum(M * M, axis=-1)
     norms, proj = np.sqrt(np.diagonal(sq, 0, 1, 2)), np.zeros((count, r))
     proj[:, 1:] = np.sqrt(np.diagonal(sq, -1, 1, 2))
@@ -137,16 +144,10 @@ def test_perfect_restriction_coupled_estimates():
     kwargs = dict(trials=10**5, sampler="bartlett")
     full = estimate_clique_prob(3, 100, 0.4, "red", stream=RngStream(9), **kwargs)
     star = estimate_clique_prob(
-        3, 100, 0.4, "red", restrict_perfect=True, perfect_spec=spec, stream=RngStream(9), **kwargs
+        3, 100, 0.4, "red", perfect_spec=spec, stream=RngStream(9), **kwargs
     )
     assert star.successes <= full.successes
     assert star.point <= full.point
-
-
-def test_perfect_spec_without_restriction_is_rejected():
-    spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100, p=0.4, C=2.0)
-    with pytest.raises(ValueError, match="perfect_spec is read only with restrict_perfect=True"):
-        estimate_clique_prob(3, 100, 0.4, "red", trials=10, stream=RngStream(9), perfect_spec=spec)
 
 
 def test_thread_count_never_changes_results():

@@ -11,6 +11,7 @@ from gaussian_ramsey.geometry import (
     PerfectSpec,
     PointCloud,
     TriangularSample,
+    _bartlett_rows,
     _cholesky,
     adjacency,
     bartlett_prefix_norms,
@@ -20,7 +21,6 @@ from gaussian_ramsey.geometry import (
     gram_from_bartlett,
     is_perfect,
     sample_bartlett,
-    sample_bartlett_batch,
     sample_cloud,
     sample_cloud_batch,
 )
@@ -122,14 +122,14 @@ def test_adjacency_rotation_invariance():
 
 def test_bartlett_single_row():
     # r = 1: the entry is sqrt(chi^2_d / d); squared mean 1
-    Ms = sample_bartlett_batch(10**5, 1, 64, RngStream(8).generator())
+    Ms = np.moveaxis(_bartlett_rows(10**5, 1, 64, RngStream(8).generator()), -1, 0)
     sq = Ms[:, 0, 0] ** 2
     assert abs(sq.mean() - 1.0) <= 4.0 * math.sqrt(2.0 / 64 / 10**5)
 
 
 def test_bartlett_diagonal_means():
     d = 32
-    Ms = sample_bartlett_batch(50000, 5, d, RngStream(9).generator())
+    Ms = np.moveaxis(_bartlett_rows(50000, 5, d, RngStream(9).generator()), -1, 0)
     for i in range(5):
         expect = (d - i) / d  # 1-based row i+1 has chi^2_{d-i} mass
         sq = Ms[:, i, i] ** 2
@@ -139,7 +139,7 @@ def test_bartlett_diagonal_means():
 
 def test_bartlett_offdiag_variance():
     d = 49
-    Ms = sample_bartlett_batch(50000, 4, d, RngStream(10).generator())
+    Ms = np.moveaxis(_bartlett_rows(50000, 4, d, RngStream(10).generator()), -1, 0)
     il = np.tril_indices(4, -1)
     vals = Ms[:, il[0], il[1]].ravel()
     assert abs(vals.mean()) <= 4.0 / math.sqrt(d * vals.size)
@@ -272,7 +272,7 @@ def test_diagonal_window_implication():
     # perfect (tight spec with the window hypothesis) forces the diagonal
     # into (1 - 2 delta, 1 + delta) on every trial, deterministically
     lo, hi = TIGHT.diagonal_window
-    Ms = sample_bartlett_batch(2000, 8, 1600, RngStream(14).generator())
+    Ms = np.moveaxis(_bartlett_rows(2000, 8, 1600, RngStream(14).generator()), -1, 0)
     checked = 0
     for t in range(2000):
         ts = TriangularSample(Ms[t], d=1600)
@@ -375,7 +375,7 @@ def test_canonical_spec_perfect_fraction_bound():
     # scale the canonical window is degenerate, so the fraction is 1
     spec = PerfectSpec.from_params(2.0, 4, 1600, 0.38)
     norms, proj = bartlett_prefix_norms(
-        sample_bartlett_batch(10**4, 8, 1600, RngStream(30).generator())
+        np.moveaxis(_bartlett_rows(10**4, 8, 1600, RngStream(30).generator()), -1, 0)
     )
     perfect = (
         (norms > 1.0 - spec.delta)

@@ -94,3 +94,7 @@ def test_verify_record_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--in", "cert.txt"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "verify-n12-44.txt").read_text(encoding="utf-8")
+
+
+def test_every_golden_is_read():
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted([*CASES, "verify-n12-44"])

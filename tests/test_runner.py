@@ -8,6 +8,7 @@ import pytest
 from gaussian_ramsey import estimators
 from gaussian_ramsey.cliques import search_witness
 from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob, estimate_edge_density
+from gaussian_ramsey.geometry import PerfectSpec
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated
 from gaussian_ramsey.validators import validate_bound
 
@@ -88,7 +89,9 @@ def _record_draws(monkeypatch) -> list[int]:
 
 _RUNS = {
     "density": lambda s: estimate_edge_density(4, 8, 0.4, 5000, s, threads=2),
-    "clique-direct": lambda s: estimate_clique_prob(3, 8, 0.4, "blue", True, trials=5000, stream=s),
+    "clique-direct": lambda s: estimate_clique_prob(
+        3, 8, 0.4, "blue", trials=5000, stream=s, perfect_spec=PerfectSpec.from_params(2.0, 3, 8, 0.4)
+    ),
     "clique-bartlett": lambda s: estimate_clique_prob(4, 8, 0.4, "blue", trials=5000, stream=s, sampler="bartlett"),
     "scaling": lambda s: correction_scaling(3, 0.4, [8, 16], 5000, s, sampler="bartlett"),
     "conditional_edge": lambda s: validate_bound(
@@ -209,6 +212,14 @@ def test_map_plans_returns_each_plan_in_batch_order(pools):
     plans = [(5, 2, stream, lambda gen, count: ("a", count)), (3, 3, stream, lambda gen, count: ("b", count))]
     assert estimators._map_plans(plans, 10**6) == [[("a", 2), ("a", 2), ("a", 1)], [("b", 3)]]
     assert pools == [3]
+
+
+def test_partition_is_lazy_and_ends_short():
+    stream = RngStream(4, 7)
+    batches = [(RngStream(4, 7), 4), (RngStream(4, 8), 4), (RngStream(4, 9), 2)]
+    assert list(estimators._partition(10, 4, stream)) == batches
+    assert list(estimators._partition(1, 256, stream)) == [(RngStream(4, 7), 1)]
+    assert next(estimators._partition(10**18, 1, stream)) == (RngStream(4, 7), 1)
 
 
 def test_scaling_runs_every_dimension_on_one_pool(pools, monkeypatch):
