@@ -398,12 +398,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _echo(command: str, params: dict) -> dict:
     """Semantic parameters in canonical key order (independent of source)."""
-    ordering = list(_COMMANDS[command]["keys"]) + list(_COMMON_KEYS)
-    return {
-        k: params[k]
-        for k in ordering
-        if k not in _NON_SEMANTIC and params.get(k) is not None
-    }
+    return {k: params[k] for k in _COMMANDS[command]["keys"] if k not in _NON_SEMANTIC and params.get(k) is not None}
 
 
 def _run_solve(params: dict):
@@ -425,17 +420,12 @@ def _run_bounds(params: dict):
 
 
 def _run_sample(params: dict):
-    seed = params["seed"]
-    n, d, p = params["n"], params["d"], params["p"]
+    n, d, p, seed = params["n"], params["d"], params["p"], params["seed"]
     if n < 1:
         raise ValueError(f"vertex count must be positive, got n={n}")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
-    c_p = solve_cp(p)
-    estimators._batch_size(estimators._trial_elements(n, d, "direct"))  # refuses an oversized cloud before the draw
-    blue = estimators._pair_batch(RngStream(seed).generator(), 1, n, d, -c_p / math.sqrt(d), "direct", None)[0]
+    c_p, _, draw = estimators._pair_plan(n, d, p, "direct")  # refuses a bad d or an oversized cloud before the draw
+    blue = draw(RngStream(seed).generator(), 1)[0]
     graph = ColoredGraph(n, _pack_rows(n, blue)[0][0], {"d": d, "p": p, "c_p": c_p, "seed": seed})
-    text = graph_to_text(graph)
     result = {
         "n": n,
         "d": d,
@@ -444,7 +434,7 @@ def _run_sample(params: dict):
         "blue_edges": graph.blue_count(),
         "density": graph.blue_count() / (n * (n - 1) / 2) if n > 1 else 0.0,
     }
-    return result, True, text
+    return result, True, graph_to_text(graph)
 
 
 def _run_estimate(params: dict):
@@ -460,14 +450,7 @@ def _run_estimate(params: dict):
         if any(params.get(key) is not None for key in ("alpha_proj", "delta", "spec_ell")):
             if params.get("alpha_proj") is None or params.get("delta") is None or not params.get("restrict_perfect"):
                 raise UsageError("custom perfect spec needs alpha-proj and delta together, and restrict-perfect")
-            spec = PerfectSpec(
-                alpha_proj=params["alpha_proj"],
-                delta=params["delta"],
-                ell=params.get("spec_ell", params["r"]),
-                d=params["d"],
-                p=params["p"],
-                C=2.0,
-            )
+            spec = PerfectSpec(params["alpha_proj"], params["delta"], params.get("spec_ell", params["r"]), params["d"])
         elif params.get("restrict_perfect"):
             spec = PerfectSpec.from_params(2.0, params["r"], params["d"], params["p"])
         est = estimate_clique_prob(

@@ -15,18 +15,17 @@ establishes R(ell, k) > n.
 The witness search walks the estimators' one batch partition
 (estimators._partition), samples fresh colorings (geometric or binomial) a
 batch at a time as pair masks, the geometric ones through the estimators'
-pair kernel, packs each batch's blue and red rows at once, and verifies the
+pair plan (estimators._pair_plan, which sets their threshold and batch
+size), packs each batch's blue and red rows at once, and verifies the
 attempts in order; the certificate returned is the one with the lowest
 attempt index that verifies, so a seed determines it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from gaussian_ramsey import estimators
-from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.graphs import (
     ColoredGraph,
     _pack_rows,
@@ -106,8 +105,6 @@ def find_mono_clique(g: ColoredGraph, size: int, color: str) -> tuple[int, ...] 
         raise ValueError(f"size must lie in [1, {g.n}], got {size}")
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
-    if size == 1:
-        return (0,)
     rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
     found = _search([], (1 << g.n) - 1, size, rows, other)
     return None if found is None else tuple(sorted(found))
@@ -171,22 +168,17 @@ def search_witness(
     base_provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
     if sampler == "geometric":
         d = int(params["d"])
-        if d < 1:
-            raise ValueError(f"dimension must be at least 1, got d={d}")
-        c_p = solve_cp(p)
-        threshold = -c_p / math.sqrt(d)
+        c_p, batch, draw = estimators._pair_plan(n, d, p, "direct", cap=ATTEMPT_BATCH)
         base_provenance.update(d=d, c_p=c_p)
-    elements = estimators._trial_elements(n, d, "direct") if sampler == "geometric" else n * n
-    batch = estimators._batch_size(elements, ATTEMPT_BATCH)
+    else:
+        batch = estimators._batch_size(n * n, ATTEMPT_BATCH)
+
+        def draw(gen, count):
+            return gen.random((count, n * (n - 1) // 2)) >= p, True  # blue with probability 1 - p
 
     attempt = 0
     for sub, count in estimators._partition(max_attempts, batch, stream):
-        gen = sub.generator()
-        if sampler == "geometric":
-            pairs = estimators._pair_batch(gen, count, n, d, threshold, "direct", None)[0]
-        else:
-            pairs = gen.random((count, n * (n - 1) // 2)) >= p  # blue with probability 1 - p
-        blue, red = _pack_rows(n, pairs)  # one pack per batch, both colors; its rows need no validation
+        blue, red = _pack_rows(n, draw(sub.generator(), count)[0])  # both colors at once; rows need no validation
         for t in range(count):
             g = _unchecked_graph(n, blue[t], red[t], dict(base_provenance, attempt=attempt))
             if verify_witness(g, ell, k).checked:  # the returned graph is validated and recomputes its red rows

@@ -6,17 +6,19 @@ whose size is a function of the problem shape, never of the machine; batch b
 draws from stream.offset(b), and results fold over batches in index order, so
 thread counts change throughput only, never a single output bit.
 One plan runner, _map_plans, runs the batches of one or more plans
-(trials, batch, stream, worker) on a single thread pool; correction_scaling
-hands it one plan per dimension, so all its dimensions share the pool.
-One pair kernel, _pair_batch, draws every batch and returns the blue mask
-of its pairs; the density sums it per cloud, red and blue cliques are counted
-from it in one draw (correction_scaling samples once), and search_witness
-packs its geometric attempts from it.  A triangular batch is drawn batch-last
-(geometry._bartlett_rows, the one consumption order) and the kernel computes
-only its pairs i < j from those rows.  Edge events read inner products only,
-so the density draws triangular samples whenever n <= d (their Gram has the
-law of a cloud's) and direct clouds only when n > d, where no triangular
-form exists.
+(trials, batch, stream, worker) on a single thread pool, _IN_FLIGHT batches
+at a time, and keeps one small result per batch; correction_scaling hands it
+one plan per dimension, so all its dimensions share the pool.
+One pair plan, _pair_plan, checks d, solves c_p, sets the edge threshold
+-c_p/sqrt(d) and sizes the batch before any draw; its draw is the one pair
+kernel, _pair_batch, which returns the blue mask of a batch's pairs.  The
+density sums it per cloud, red and blue cliques are counted from one draw
+(correction_scaling samples once), and search_witness and the CLI's sample
+take their geometric colorings from it.  A triangular batch is drawn
+batch-last (geometry._bartlett_rows, the one consumption order) and the
+kernel computes only its pairs i < j from those rows.  Edge events read
+inner products only, so the density draws triangular samples whenever
+n <= d (their Gram has the law of a cloud's), direct clouds only when n > d.
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -31,6 +33,8 @@ stops at its first witness and would discard the rest of a larger batch.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import warnings
@@ -56,6 +60,9 @@ _BATCH_ELEMENTS = 1 << 22
 _MAX_BATCH = 8192
 #: largest trial, in doubles, that any sampling path may draw (512 MiB).
 _MAX_TRIAL_ELEMENTS = 1 << 26
+
+#: batches handed to the thread pool at once; bounds the runner's bookkeeping, never its results.
+_IN_FLIGHT = 256
 
 #: stream-id stride separating sub-estimates of composite reports.
 STREAM_STRIDE = 1 << 24
@@ -92,25 +99,22 @@ def _map_plans(plans, threads: int) -> list[list]:
     """Run every batch of every plan (trials, batch, stream, worker) on one pool; each plan's results in batch order.
 
     Batch (sub, count) of _partition(trials, batch, stream) is worker(sub.generator(), count).  The
-    jobs go in plan order, then batch order, to min(threads, batches over all
-    plans, usable CPUs) threads, so no thread idles between plans.
+    jobs are made lazily, in plan order, then batch order, and go _IN_FLIGHT at a time to min(threads,
+    batches over all plans, usable CPUs) threads, so no thread idles between plans.
     """
-    jobs = [(pi, sub, count) for pi, (trials, batch, stream, _) in enumerate(plans)
-            for sub, count in _partition(trials, batch, stream)]
+    jobs = ((pi, sub, count) for pi, (trials, batch, stream, _) in enumerate(plans)
+            for sub, count in _partition(trials, batch, stream))
 
     def run(job):
         pi, sub, count = job
-        return plans[pi][3](sub.generator(), count)
+        return pi, plans[pi][3](sub.generator(), count)
 
-    workers = min(threads, len(jobs), _usable_cpus())
-    if workers <= 1:
-        results = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
+    workers = min(threads, sum(-(-trials // batch) for trials, batch, _, _ in plans), _usable_cpus())
     parts = [[] for _ in plans]
-    for (pi, _, _), result in zip(jobs, results):
-        parts[pi].append(result)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        while chunk := list(itertools.islice(jobs, _IN_FLIGHT)):
+            for pi, result in (pool.map if pool else map)(run, chunk):  # one thread: no pool at all
+                parts[pi].append(result)
     return parts
 
 
@@ -198,6 +202,24 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec):
     return blue, spec.admits(*bartlett_prefix_norms(triangular)).all(axis=1)
 
 
+def _pair_plan(n, d, p, sampler, spec=None, cap=_MAX_BATCH):
+    """(c_p, batch, draw) for n vectors in R^d at red probability p: the one place the edge threshold is set.
+
+    It checks d and sizes the batch (_batch_size, at most cap) before any draw; draw(gen, count) is
+    _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d).
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got d={d}")
+    c_p = solve_cp(p)
+    threshold = -c_p / math.sqrt(d)
+    batch = _batch_size(_trial_elements(n, d, sampler), cap)
+
+    def draw(gen, count):
+        return _pair_batch(gen, count, n, d, threshold, sampler, spec)
+
+    return c_p, batch, draw
+
+
 def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStream, threads: int = 1) -> EstimateResult:
     """Fraction of vertex pairs joined by an edge, over `trials` sampled clouds.
 
@@ -209,23 +231,17 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got n={n}")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
+    sampler = "bartlett" if n <= d else "direct"
+    c_p, batch, draw = _pair_plan(n, d, p, sampler)
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
-    c_p = solve_cp(p)
-    threshold = -c_p / math.sqrt(d)
     pairs_per_cloud = n * (n - 1) // 2
-    sampler = "bartlett" if n <= d else "direct"
 
     def worker(gen, count):
-        edges = _pair_batch(gen, count, n, d, threshold, sampler, None)[0].sum(axis=1)
+        edges = draw(gen, count)[0].sum(axis=1)
         return int(edges.sum()), int((edges.astype(np.int64) ** 2).sum())
 
-    batch = _batch_size(_trial_elements(n, d, sampler))
-    parts = _map_batches(trials, batch, stream, threads, worker)
-    edges_total = sum(part[0] for part in parts)
-    edges_sq_total = sum(part[1] for part in parts)
+    edges_total, edges_sq_total = map(sum, zip(*_map_batches(trials, batch, stream, threads, worker)))
 
     se = None  # pairs within one cloud share vertices: use the spread of cloud-level counts
     if n > 2 and trials > 1:
@@ -248,16 +264,16 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     return _estimate(edges_total, total_pairs, trials, stream, config, se)
 
 
-def _clique_plan(r, d, c_p, trials, stream, sampler, spec):
-    """The plan (trials, batch, stream, worker) whose batches count (red, blue) cliques of r vectors;
-    with a spec, perfect draws only."""
-    threshold = -c_p / math.sqrt(d)
+def _clique_plan(r, d, p, trials, stream, sampler, spec):
+    """c_p, and the plan (trials, batch, stream, worker) whose batches count (red, blue) cliques of
+    r vectors; with a spec, perfect draws only."""
+    c_p, batch, draw = _pair_plan(r, d, p, sampler, spec)
 
     def worker(gen, count):
-        blue, perfect = _pair_batch(gen, count, r, d, threshold, sampler, spec)
+        blue, perfect = draw(gen, count)
         return int((~blue.any(axis=1) & perfect).sum()), int((blue.all(axis=1) & perfect).sum())
 
-    return trials, _batch_size(_trial_elements(r, d, sampler)), stream, worker
+    return c_p, (trials, batch, stream, worker)
 
 
 def _binomial_reference(r: int, p: float, color: str, trials: int) -> tuple[float, bool]:
@@ -288,13 +304,11 @@ def estimate_clique_prob(
     """
     if r < 1:
         raise ValueError(f"clique size must be positive, got {r}")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
+    c_p, (_, batch, _, worker) = _clique_plan(r, d, p, trials, stream, sampler, perfect_spec)
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
-    c_p = solve_cp(p)
     reference, underpowered = _binomial_reference(r, p, color, trials)
     if underpowered:
         warnings.warn(
@@ -303,7 +317,6 @@ def estimate_clique_prob(
             "estimate will be noise-dominated",
             stacklevel=2,
         )
-    _, batch, _, worker = _clique_plan(r, d, c_p, trials, stream, sampler, perfect_spec)
     red, blue = map(sum, zip(*_map_batches(trials, batch, stream, threads, worker)))
     config = {
         "op": "clique_prob",
@@ -352,17 +365,14 @@ def correction_scaling(
         raise ValueError(f"scaling diagnostic supports r in {{3, 4}}, got {r}")
     if len(dims) < 2 or any(a >= b for a, b in zip(dims, dims[1:])):
         raise ValueError(f"dims must be at least two strictly ascending dimensions, got {list(dims)}")
-    if dims[0] < 1:
-        raise ValueError(f"dimensions must be at least 1, got d={dims[0]}")
+    planned = [_clique_plan(r, d, p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None)
+               for di, d in enumerate(dims)]
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
-    c_p = solve_cp(p)
-    a = std_normal_pdf(c_p)
+    a = std_normal_pdf(planned[0][0])  # every plan solves the same c_p
     rows = []
     fit_data = {"red": [], "blue": []}
-    plans = [_clique_plan(r, d, c_p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None)
-             for di, d in enumerate(dims)]
-    for d, parts in zip(dims, _map_plans(plans, threads)):
+    for d, parts in zip(dims, _map_plans([plan for _, plan in planned], threads)):
         red, blue = map(sum, zip(*parts))
         row = {"d": d, "x": d**-0.5}
         for color, successes in zip(("red", "blue"), (red, blue)):

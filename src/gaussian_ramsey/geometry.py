@@ -96,8 +96,6 @@ class PerfectSpec:
     delta: float
     ell: int
     d: int
-    p: float
-    C: float
 
     def __post_init__(self) -> None:
         if self.alpha_proj <= 0.0:
@@ -117,7 +115,7 @@ class PerfectSpec:
         if d < 1:  # before d^(-1/4)
             raise ValueError(f"dimension must be at least 1, got d={d}")
         alpha = 100.0 * C * math.log(10.0 / p)
-        return cls(alpha_proj=alpha, delta=alpha * d**-0.25, ell=ell, d=d, p=p, C=C)
+        return cls(alpha_proj=alpha, delta=alpha * d**-0.25, ell=ell, d=d)
 
     @property
     def degenerate(self) -> bool:

@@ -210,8 +210,8 @@ def test_criterion_08_perfectness_machinery():
     # diagonal window on perfect samples: a loose spec (everything perfect)
     # and a tight one where ~22% pass and the window actually has teeth
     for spec, seed in (
-        (PerfectSpec(alpha_proj=6.0, delta=0.3, ell=4, d=1600, p=0.38, C=2.0), 800),
-        (PerfectSpec(alpha_proj=1.32, delta=0.07, ell=4, d=1600, p=0.38, C=2.0), 802),
+        (PerfectSpec(alpha_proj=6.0, delta=0.3, ell=4, d=1600), 800),
+        (PerfectSpec(alpha_proj=1.32, delta=0.07, ell=4, d=1600), 802),
     ):
         assert spec.diagonal_window_applies
         Ms = np.moveaxis(_bartlett_rows(10**4, 8, 1600, RngStream(seed).generator()), -1, 0)
@@ -228,7 +228,7 @@ def test_criterion_08_perfectness_machinery():
         assert window[perfect].all()  # 100% of perfect samples
 
     # extraction re-verifies on 100% of trials
-    spec = PerfectSpec(alpha_proj=1.1, delta=0.025, ell=4, d=1600, p=0.38, C=2.0)
+    spec = PerfectSpec(alpha_proj=1.1, delta=0.025, ell=4, d=1600)
     clouds = sample_cloud_batch(10**4, 8, 1600, RngStream(801).generator())
     dropped = 0
     for t in range(10**4):
@@ -238,7 +238,7 @@ def test_criterion_08_perfectness_machinery():
     assert dropped > 0  # the filter is doing real work
 
     # restricted estimates are sub-events, deterministically under one stream
-    rspec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=4, d=256, p=0.38, C=2.0)
+    rspec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=4, d=256)
     kwargs = dict(trials=2 * 10**5, sampler="bartlett")
     full = estimate_clique_prob(5, 256, 0.38, "blue", stream=RngStream(803), **kwargs)
     star = estimate_clique_prob(

@@ -593,6 +593,48 @@ def test_projection_tail_checks_its_spec_parameters(values, name, capsys):
     assert err.startswith("error: ") and f"{name}=" in err
 
 
+_GEOMETRIC_SEARCH = _SEARCH + ["--sampler", "geometric", "--d", "8"]
+#: the five runs that draw Gaussian pair masks, each otherwise valid
+_PAIR_PLANNED = {
+    "density": _DENSITY,
+    "clique": ["estimate", "--kind", "clique", "--r", "3", "--d", "64", "--p", "0.4", "--color", "red", "--trials", "2000"],
+    "scaling": _SCALING,
+    "search-geometric": _GEOMETRIC_SEARCH,
+    "sample": _SAMPLING["sample"],
+}
+
+
+@pytest.mark.parametrize("argv", _PAIR_PLANNED.values(), ids=_PAIR_PLANNED)
+def test_every_gaussian_draw_is_planned_by_the_pair_plan(argv, monkeypatch, capsys):
+    argv = argv + ["--seed", "3"]
+    plain = run_main(argv, capsys)
+    calls = []
+    pair_plan = estimators._pair_plan
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return pair_plan(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_pair_plan", recording)
+    assert run_main(argv, capsys) == plain
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--n", "5", "--d", "0", "--p", "0.4"], _SEARCH + ["--sampler", "geometric", "--d", "0"]],
+    ids=["sample", "search-geometric"],
+)
+def test_zero_dimension_is_refused_before_any_generator(argv, monkeypatch, capsys):
+    def no_generator(self):
+        raise AssertionError("a generator was made for d = 0")
+
+    monkeypatch.setattr(RngStream, "generator", no_generator)
+    code, out, err = run_main(argv + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: dimension must be at least 1")
+
+
 def test_infinite_cutoff_is_a_valid_value(capsys):
     code, out, err = run_main(_QUADRATIC + ["--cutoffs=-inf,0", "--seed", "1"], capsys)
     assert code == 0

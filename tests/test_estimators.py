@@ -73,7 +73,7 @@ def test_red_probability_nonincreasing_in_r():
 
 
 def test_perfect_restriction_is_subevent_per_trial():
-    spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100, p=0.4, C=2.0)
+    spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100)
     gen = RngStream(8).generator()
     blue, perfect = _pair_batch(gen, 20000, 3, 100, -0.00253, "bartlett", spec)
     success = ~blue.any(axis=1)  # red triangles
@@ -113,7 +113,7 @@ def _gram_gather_reference(seed, count, r, d, threshold, spec):
 def test_triangular_pair_kernel_matches_the_gram_gather(r):
     count, d, p = 400, 256, 0.4
     threshold = -estimators.solve_cp(p) / math.sqrt(d)
-    spec = PerfectSpec(alpha_proj=1.0, delta=0.1, ell=r, d=d, p=p, C=2.0)
+    spec = PerfectSpec(alpha_proj=1.0, delta=0.1, ell=r, d=d)
     admitted = 0
     for seed in range(30, 35):
         blue, perfect = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, "bartlett", spec)
@@ -140,7 +140,7 @@ def test_direct_pair_batch_holds_about_the_doubles_it_counts():
 
 
 def test_perfect_restriction_coupled_estimates():
-    spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100, p=0.4, C=2.0)
+    spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100)
     kwargs = dict(trials=10**5, sampler="bartlett")
     full = estimate_clique_prob(3, 100, 0.4, "red", stream=RngStream(9), **kwargs)
     star = estimate_clique_prob(

@@ -27,7 +27,7 @@ from gaussian_ramsey.geometry import (
 from gaussian_ramsey.sampling import RngStream
 from oracles import pack_blue_rows
 
-TIGHT = PerfectSpec(alpha_proj=6.0, delta=0.3, ell=4, d=1600, p=0.38, C=2.0)
+TIGHT = PerfectSpec(alpha_proj=6.0, delta=0.3, ell=4, d=1600)
 
 
 def _svd_projection_norms(X):
@@ -196,7 +196,7 @@ def test_repeated_row_is_dependent():
     gen = RngStream(18).generator()
     a, b, c = gen.standard_normal((3, 64)) / 8.0
     X = np.array([a, b, a, c])
-    spec = PerfectSpec(alpha_proj=3.0, delta=0.5, ell=1, d=64, p=0.38, C=2.0)
+    spec = PerfectSpec(alpha_proj=3.0, delta=0.5, ell=1, d=64)
     check = is_perfect(PointCloud(X), spec)
     _, batch_proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None])))
     assert check.proj_norms[2] == check.norms[2]  # the repeat adds no direction
@@ -235,7 +235,7 @@ def test_is_perfect_projection_violation():
     M = np.eye(4)
     M[2, 0] = 0.5  # long shadow on the prefix span
     M[2, 2] = math.sqrt(1.0 - 0.25)  # keep the norm at 1
-    spec = PerfectSpec(alpha_proj=6.0, delta=0.3, ell=4, d=1600, p=0.38, C=2.0)
+    spec = PerfectSpec(alpha_proj=6.0, delta=0.3, ell=4, d=1600)
     check = is_perfect(TriangularSample(M, d=1600), spec)
     assert not check.ok
     assert check.first_violation == 2
@@ -245,7 +245,7 @@ def test_is_perfect_projection_violation():
 def test_window_edges(monkeypatch):
     # exact floats: threshold = 1 * sqrt(4) / sqrt(16) = 0.5; the norm window
     # (0.75, 1.25) is open and the projection bound 0.5 inclusive
-    spec = PerfectSpec(alpha_proj=1.0, delta=0.25, ell=4, d=16, p=0.4, C=2.0)
+    spec = PerfectSpec(alpha_proj=1.0, delta=0.25, ell=4, d=16)
     assert spec.projection_threshold == 0.5
     at_threshold = np.array([[1.0, 0.0], [0.5, 0.75]])  # norms 1 and sqrt(0.8125), projection 0.5
     high, low = np.diag([1.25, 1.0]), np.diag([0.75, 1.0])
@@ -303,14 +303,14 @@ def test_extract_drops_bad_vector_keeps_rest():
     for i in range(6):
         X[i, i] = 1.0
     X[3, 3] = 3.0  # norm violation
-    spec = PerfectSpec(alpha_proj=5.0, delta=0.2, ell=4, d=100, p=0.38, C=2.0)
+    spec = PerfectSpec(alpha_proj=5.0, delta=0.2, ell=4, d=100)
     ext = extract_perfect(PointCloud(X), spec)
     assert ext.indices == (0, 1, 2, 4, 5)
     assert ext.check.ok
 
 
 def test_extract_output_reverifies_on_random_clouds():
-    spec = PerfectSpec(alpha_proj=1.2, delta=0.08, ell=2, d=64, p=0.38, C=2.0)
+    spec = PerfectSpec(alpha_proj=1.2, delta=0.08, ell=2, d=64)
     clouds = sample_cloud_batch(300, 10, 64, RngStream(16).generator())
     dropped_any = 0
     for t in range(300):
@@ -330,9 +330,9 @@ def test_extract_filter_sees_the_bits_is_perfect_recomputes():
         X = gen.standard_normal((6, 64)) / 8.0
         X[2] *= 3.0  # dropped on its norm: the kept span is not the prefix span
         X[5] = 0.5 * X[0] + 0.5 * X[3] + 0.3 * X[5]  # the longest projection
-        probe = PerfectSpec(alpha_proj=1.0, delta=0.9, ell=1, d=1, p=0.38, C=2.0)
+        probe = PerfectSpec(alpha_proj=1.0, delta=0.9, ell=1, d=1)
         thr = is_perfect(PointCloud(X[list(kept)]), probe).proj_norms[-1]
-        spec = PerfectSpec(alpha_proj=thr, delta=0.9, ell=1, d=1, p=0.38, C=2.0)
+        spec = PerfectSpec(alpha_proj=thr, delta=0.9, ell=1, d=1)
         assert spec.projection_threshold == thr
         ext = extract_perfect(PointCloud(X), spec)
         assert ext.indices == kept
@@ -341,7 +341,7 @@ def test_extract_filter_sees_the_bits_is_perfect_recomputes():
 
 def test_projection_monotone_in_subspace():
     # projection onto the full prefix is at least the kept-subset projection
-    spec = PerfectSpec(alpha_proj=1.2, delta=0.08, ell=2, d=64, p=0.38, C=2.0)
+    spec = PerfectSpec(alpha_proj=1.2, delta=0.08, ell=2, d=64)
     clouds = sample_cloud_batch(100, 10, 64, RngStream(17).generator())
     for t in range(100):
         X = clouds[t]
@@ -355,17 +355,17 @@ def test_projection_monotone_in_subspace():
 
 
 def test_extract_empty_input():
-    spec = PerfectSpec(alpha_proj=1.0, delta=0.5, ell=2, d=16, p=0.4, C=2.0)
+    spec = PerfectSpec(alpha_proj=1.0, delta=0.5, ell=2, d=16)
     X = np.zeros((3, 16))  # zero vectors: norm outside window, all dropped
     ext = extract_perfect(PointCloud(X), spec)
     assert ext.indices == ()
     assert ext.check.ok
 
 
-def _canonical_failure_bound(spec: PerfectSpec) -> float:
-    """Per-index failure bound: norm tail plus projection tail."""
+def _canonical_failure_bound(spec: PerfectSpec, C: float, p: float) -> float:
+    """Per-index failure bound, norm tail plus projection tail, of PerfectSpec.from_params(C, spec.ell, spec.d, p)."""
     norm_tail = 2.0 * math.exp(-spec.delta**2 * spec.d / 10.0)
-    log_proj = 10.0 * spec.C * spec.ell * math.log(spec.p / 10.0)
+    log_proj = 10.0 * C * spec.ell * math.log(p / 10.0)
     return norm_tail + (math.exp(log_proj) if log_proj > -700 else 0.0)
 
 
@@ -382,7 +382,7 @@ def test_canonical_spec_perfect_fraction_bound():
         & (norms < 1.0 + spec.delta)
         & (proj <= spec.projection_threshold)
     ).all(axis=1)
-    assert perfect.mean() >= 1.0 - 8.0 * _canonical_failure_bound(spec)
+    assert perfect.mean() >= 1.0 - 8.0 * _canonical_failure_bound(spec, 2.0, 0.38)
 
 
 def test_canonical_spec_extraction_drop_bound():
@@ -390,5 +390,5 @@ def test_canonical_spec_extraction_drop_bound():
     spec = PerfectSpec.from_params(2.0, 4, 1600, 0.38)
     clouds = sample_cloud_batch(500, 8, 1600, RngStream(31).generator())
     drops = [8 - len(extract_perfect(PointCloud(clouds[t]), spec).indices) for t in range(500)]
-    bound = 8.0 * _canonical_failure_bound(spec)
+    bound = 8.0 * _canonical_failure_bound(spec, 2.0, 0.38)
     assert np.mean(drops) <= bound + 3.0 * (np.std(drops) / math.sqrt(500) + 1e-12)

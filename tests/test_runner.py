@@ -7,7 +7,7 @@ import pytest
 
 from gaussian_ramsey import estimators
 from gaussian_ramsey.cliques import search_witness
-from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob, estimate_edge_density
+from gaussian_ramsey.estimators import STREAM_STRIDE, correction_scaling, estimate_clique_prob, estimate_edge_density
 from gaussian_ramsey.geometry import PerfectSpec
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated
 from gaussian_ramsey.validators import validate_bound
@@ -212,6 +212,41 @@ def test_map_plans_returns_each_plan_in_batch_order(pools):
     plans = [(5, 2, stream, lambda gen, count: ("a", count)), (3, 3, stream, lambda gen, count: ("b", count))]
     assert estimators._map_plans(plans, 10**6) == [[("a", 2), ("a", 2), ("a", 1)], [("b", 3)]]
     assert pools == [3]
+
+
+def test_runner_hands_the_pool_at_most_in_flight_jobs(monkeypatch):
+    handed = []
+
+    class CountingPool:
+        """Runs each map call serially and records how many jobs it was handed."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            handed.append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+    stream = RngStream(8)
+
+    def worker(gen, count):
+        return count, int(gen.integers(1 << 32))
+
+    plans = [(10**4, 1, stream, worker), (5, 2, stream.offset(STREAM_STRIDE), worker)]
+    serial = estimators._map_plans(plans, 1)
+    assert handed == []
+    assert estimators._map_plans(plans, 2) == serial
+    assert sum(handed) == 10**4 + 3 and max(handed) <= estimators._IN_FLIGHT
+    assert [len(part) for part in serial] == [10**4, 3]
 
 
 def test_partition_is_lazy_and_ends_short():
