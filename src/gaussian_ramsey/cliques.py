@@ -1,12 +1,14 @@
 """Exact monochromatic clique search and witness-coloring certificates.
 
 The search is a complete branch-and-bound over packed adjacency bitmasks,
-run directly on the graph's blue or red rows, with the color-ordered
-branching of MCQ (Tomita & Seki 2003) and BBMC (San Segundo et al. 2011).
-At each node it greedily colors the candidate set into independent
-classes, branches on the vertices of the highest class first, drops each
-vertex from the candidates after its branch, and stops once no class left
-is high enough to complete the clique; popcount prunes the rest.  It
+run directly on the graph's blue or red rows, with the k_min rule of BBMC
+(San Segundo, Rodriguez-Losada & Jimenez 2011).  At each node that still
+needs k vertices it greedily colors only the k - 1 lowest independent
+classes of the candidate set, returns at once if the candidates run out
+first, and branches on every vertex left over, from the highest label
+down, dropping each from the candidates after its branch.  The search
+stays complete: the vertices never branched on lie in k - 1 independent
+sets, so they cannot complete the clique.  Popcount prunes the rest.  It
 returns some clique of the requested size, or None with the guarantee
 that none exists.  Completeness is what makes a verified certificate
 meaningful: a coloring of K_n with no red K_ell and no blue K_k
@@ -43,52 +45,40 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 ATTEMPT_BATCH = 256
 
 
-def _search(R: list[int], P: int, size: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -> list[int] | None:
-    """A clique of the given size that holds R and draws the rest from P, or None.
+def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -> list[int] | None:
+    """need vertices of P that are pairwise adjacent in adj, or None if P holds none.
 
-    R is a clique and P its common neighbours in adj; non_adj[v] holds the
-    vertices other than v that are not adjacent to v (the other color's row).
+    non_adj[v] holds the vertices other than v that are not adjacent to v
+    (the other color's row).  The caller ensures P has at least need
+    vertices.  BBMC's k_min rule: greedily color only the need - 1 lowest
+    independent classes of P and branch on the vertices left over; a clique
+    within need - 1 independent sets has at most need - 1 vertices, so every
+    clique of size need holds a branched vertex.
     """
-    need = size - len(R)
-    if P.bit_count() < need:
-        return None
     if need == 1:
-        return R + [(P & -P).bit_length() - 1]
-    if need == 2:
-        rest = P
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            nbrs = P & adj[v]
-            if nbrs:
-                return R + [v, (nbrs & -nbrs).bit_length() - 1]
-        return None
-    # greedy coloring: each class is independent, so a clique within classes 0..c has at most c + 1 vertices
-    classes = []
-    rem = P
-    while rem:
-        cls = 0
-        cand = rem
+        return [(P & -P).bit_length() - 1]
+    need -= 1
+    branch = P
+    for _ in range(need):
+        cand = branch
         while cand:
             bit = cand & -cand
-            cls |= bit
+            branch ^= bit
             cand &= non_adj[bit.bit_length() - 1]
-        rem ^= cls
-        classes.append(cls)
-    # branch on the highest class first; below class need - 1 no vertex left can complete R
-    for c in range(len(classes) - 1, need - 2, -1):
-        cls = classes[c]
-        while cls:
-            bit = cls & -cls
-            cls ^= bit
-            v = bit.bit_length() - 1
-            R.append(v)
-            found = _search(R, P & adj[v], size, adj, non_adj)
-            R.pop()
+        if not branch:
+            return None
+    # from the highest label down, each vertex dropped from P after its branch
+    while branch:
+        v = branch.bit_length() - 1
+        bit = 1 << v
+        branch ^= bit
+        Q = P & adj[v]
+        if Q.bit_count() >= need:
+            found = _search(Q, need, adj, non_adj)
             if found is not None:
+                found.append(v)
                 return found
-            P ^= bit
+        P ^= bit
     return None
 
 
@@ -106,7 +96,7 @@ def find_mono_clique(g: ColoredGraph, size: int, color: str) -> tuple[int, ...] 
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
-    found = _search([], (1 << g.n) - 1, size, rows, other)
+    found = _search((1 << g.n) - 1, size, rows, other)
     return None if found is None else tuple(sorted(found))
 
 

@@ -317,6 +317,32 @@ def test_paley17_has_red_triangle():
     assert found is not None and not brute_has_clique(g, 4, "blue")
 
 
+# Paley graphs at the size of the benchmark's absence proofs: omega from the
+# published table (OEIS A077367), with one explicit omega-clique each
+PALEY_OMEGA_CLIQUE = {
+    101: (0, 1, 5, 6, 22),
+    109: (0, 1, 4, 26, 29, 64),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PALEY_OMEGA_CLIQUE))
+def test_paley_absence_proofs_under_relabeling(q):
+    g = paley(q)
+    clique = PALEY_OMEGA_CLIQUE[q]
+    omega = len(clique)
+    assert all(g.blue_rows[i] >> j & 1 for i, j in combinations(clique, 2))
+    gen = RngStream(q).generator()
+    for _ in range(3):
+        h = g.relabeled(list(gen.permutation(q)))
+        assert verify_witness(h, omega + 1, omega + 1).checked
+        assert not verify_witness(h, omega, omega + 1).checked
+        for color in ("red", "blue"):
+            rows = h.blue_rows if color == "blue" else h.red_rows
+            found = find_mono_clique(h, omega, color)
+            assert found is not None and len(set(found)) == omega, color
+            assert all(rows[i] >> j & 1 for i, j in combinations(found, 2)), color
+
+
 def test_verify_skips_the_blue_search_after_a_red_clique(monkeypatch):
     import gaussian_ramsey.cliques as cliques
 
