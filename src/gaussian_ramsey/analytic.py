@@ -264,6 +264,8 @@ def union_bound_report(C: float, ell: int, D: float, eps: float | None = None) -
     eps1 = bounds.epsilon_margin
     if eps is None:
         eps = eps1 / 10.0
+    elif not eps >= 0.0:
+        raise ValueError(f"eps must be at least 0, got eps={eps}")
     red_base, blue_base = union_bases(bounds.p_C, C, eps, eps1)
 
     # Self-consistency of the first-order shift: the shifted density must

@@ -423,7 +423,7 @@ def _run_sample(params: dict):
     n, d, p, seed = params["n"], params["d"], params["p"], params["seed"]
     if n < 1:
         raise ValueError(f"vertex count must be positive, got n={n}")
-    c_p, _, draw = estimators._pair_plan(n, d, p, "direct")  # refuses a bad d or an oversized cloud before the draw
+    c_p, _, _, draw = estimators._pair_plan(n, d, p)  # refuses a bad d or an oversized trial before the draw
     blue = draw(RngStream(seed).generator(), 1)[0]
     graph = ColoredGraph(n, _pack_rows(n, blue)[0][0], {"d": d, "p": p, "c_p": c_p, "seed": seed})
     result = {

@@ -17,10 +17,11 @@ establishes R(ell, k) > n.
 The witness search walks the estimators' one batch partition
 (estimators._partition), samples fresh colorings (geometric or binomial) a
 batch at a time as pair masks, the geometric ones through the estimators'
-pair plan (estimators._pair_plan, which sets their threshold and batch
-size), packs each batch's blue and red rows at once, and verifies the
-attempts in order; the certificate returned is the one with the lowest
-attempt index that verifies, so a seed determines it.
+pair plan (estimators._pair_plan: threshold, batch size and sampler, with
+triangular batches at n <= d drawn batch-last, so an attempt's coloring
+depends on its batch), packs each batch's blue and red rows at once, and
+verifies the attempts in order; the lowest verifying attempt is returned,
+so a seed determines it.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def search_witness(
     base_provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
     if sampler == "geometric":
         d = int(params["d"])
-        c_p, batch, draw = estimators._pair_plan(n, d, p, "direct", cap=ATTEMPT_BATCH)
+        c_p, _, batch, draw = estimators._pair_plan(n, d, p, cap=ATTEMPT_BATCH)
         base_provenance.update(d=d, c_p=c_p)
     else:
         batch = estimators._batch_size(n * n, ATTEMPT_BATCH)

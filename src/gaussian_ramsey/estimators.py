@@ -9,16 +9,16 @@ One plan runner, _map_plans, runs the batches of one or more plans
 (trials, batch, stream, worker) on a single thread pool, _IN_FLIGHT batches
 at a time, and keeps one small result per batch; correction_scaling hands it
 one plan per dimension, so all its dimensions share the pool.
-One pair plan, _pair_plan, checks d, solves c_p, sets the edge threshold
--c_p/sqrt(d) and sizes the batch before any draw; its draw is the one pair
-kernel, _pair_batch, which returns the blue mask of a batch's pairs.  The
-density sums it per cloud, red and blue cliques are counted from one draw
-(correction_scaling samples once), and search_witness and the CLI's sample
-take their geometric colorings from it.  A triangular batch is drawn
-batch-last (geometry._bartlett_rows, the one consumption order) and the
-kernel computes only its pairs i < j from those rows.  Edge events read
-inner products only, so the density draws triangular samples whenever
-n <= d (their Gram has the law of a cloud's), direct clouds only when n > d.
+One pair plan, _pair_plan, checks d and the sampler, solves c_p, sets the
+edge threshold -c_p/sqrt(d) and sizes the batch before any draw.  It alone
+picks the sampler of a caller that names none (the density, search_witness
+and the CLI's sample): triangular when n <= d, since edges read inner
+products only and a triangular Gram has a cloud's law, direct when n > d.
+Its draw is the one pair kernel, _pair_batch, which returns the blue mask
+of a batch's pairs; the density sums it per cloud, and red and blue cliques
+are counted from one draw (correction_scaling samples once).  A triangular
+batch is drawn batch-last (geometry._bartlett_rows, the one consumption
+order) and the kernel computes only its pairs i < j from those rows.
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -186,12 +186,10 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec):
         grams = gram_batch(sample_cloud_batch(count, n, d, gen))
         rows = (grams[:, i, i + 1 :] for i in range(n - 1))
         triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
-    elif sampler == "bartlett":
+    else:  # "bartlett": _pair_plan has checked the name and n <= d
         L = _bartlett_rows(count, n, d, gen)
         rows = (np.einsum("jkb,kb->bj", L[i + 1 :, : i + 1], L[i, : i + 1]) for i in range(n - 1))
         triangular = np.moveaxis(L, -1, 0)
-    else:
-        raise ValueError(f"sampler must be 'direct' or 'bartlett', got {sampler!r}")
     blue = np.empty((count, n * (n - 1) // 2), dtype=bool)
     start = 0
     for pairs in rows:
@@ -202,14 +200,19 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec):
     return blue, spec.admits(*bartlett_prefix_norms(triangular)).all(axis=1)
 
 
-def _pair_plan(n, d, p, sampler, spec=None, cap=_MAX_BATCH):
-    """(c_p, batch, draw) for n vectors in R^d at red probability p: the one place the edge threshold is set.
+def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
+    """(c_p, sampler, batch, draw) for n vectors in R^d at red probability p: the one place the edge
+    threshold is set and a sampler chosen (if none is named, "bartlett" when n <= d, else "direct").
 
-    It checks d and sizes the batch (_batch_size, at most cap) before any draw; draw(gen, count) is
-    _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d).
+    It checks d and the sampler and sizes the batch (_batch_size, at most cap) before any draw;
+    draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d).
     """
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got d={d}")
+    if sampler is None:
+        sampler = "bartlett" if n <= d else "direct"
+    if sampler not in ("direct", "bartlett") or (sampler == "bartlett" and n > d):
+        raise ValueError(f"sampler must be 'direct', or 'bartlett' with n <= d; got {sampler!r} at n={n}, d={d}")
     c_p = solve_cp(p)
     threshold = -c_p / math.sqrt(d)
     batch = _batch_size(_trial_elements(n, d, sampler), cap)
@@ -217,7 +220,7 @@ def _pair_plan(n, d, p, sampler, spec=None, cap=_MAX_BATCH):
     def draw(gen, count):
         return _pair_batch(gen, count, n, d, threshold, sampler, spec)
 
-    return c_p, batch, draw
+    return c_p, sampler, batch, draw
 
 
 def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStream, threads: int = 1) -> EstimateResult:
@@ -226,13 +229,11 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     Pairs within one cloud share vertices, so for n > 2 the confidence
     interval is computed across cloud-level edge counts (cluster form);
     for n = 2 the pairs are independent and the interval is the plain
-    binomial one.  A cloud is drawn triangular when n <= d and direct when
-    n > d; config["sampler"] names which.
+    binomial one.  The pair plan picks the sampler; config["sampler"] names it.
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got n={n}")
-    sampler = "bartlett" if n <= d else "direct"
-    c_p, batch, draw = _pair_plan(n, d, p, sampler)
+    c_p, sampler, batch, draw = _pair_plan(n, d, p)
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     pairs_per_cloud = n * (n - 1) // 2
@@ -267,7 +268,7 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
 def _clique_plan(r, d, p, trials, stream, sampler, spec):
     """c_p, and the plan (trials, batch, stream, worker) whose batches count (red, blue) cliques of
     r vectors; with a spec, perfect draws only."""
-    c_p, batch, draw = _pair_plan(r, d, p, sampler, spec)
+    c_p, _, batch, draw = _pair_plan(r, d, p, sampler, spec)
 
     def worker(gen, count):
         blue, perfect = draw(gen, count)

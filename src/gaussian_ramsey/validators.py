@@ -9,13 +9,10 @@ count passes) but flagged vacuous.
 Checks, in the order of CHECKS (which also names the parameter keys each reads):
 
 * norm_concentration   -- P[ ||x|| outside (1-delta, 1+delta) ] <= 2 exp(-delta^2 d / 10)
-                          for x ~ N(0, I_d/d).  ||x||^2 ~ chi^2_d / d, so one
-                          chi-square is drawn per trial instead of d coordinates:
-                          the same kind of reduction as projection_tail's.
+                          for x ~ N(0, I_d/d); ||x||^2 ~ chi^2_d / d, so one chi-square per trial.
 * projection_tail      -- P[ ||pi_W(x)|| >= alpha sqrt(ell)/sqrt(d) ] <= (p/10)^(10 C ell)
-                          for an s-dimensional subspace W, alpha = 100 C ln(10/p) from PerfectSpec.from_params.
-                          By rotation invariance W is taken to be the span of the
-                          first s coordinates, so only those coordinates are drawn.
+                          for an s-dimensional subspace W and C > 1, alpha = 100 C ln(10/p) from
+                          PerfectSpec.from_params; ||pi_W(x)||^2 ~ chi^2_s / d, so one chi-square per trial.
 * exp_square_moment    -- E[exp(lambda X^2)] <= 1 + 4 lambda sigma^2 / (1 - 2 lambda sigma^2)
                           for centered X with variance proxy sigma^2 (sampled Gaussian),
                           requires 0 <= lambda < 1/(2 sigma^2).
@@ -118,6 +115,8 @@ def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
 def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
     d, ell, s = int(params["d"]), int(params["ell"]), int(params["s"])
     p, C = float(params["p"]), float(params["C"])
+    if not C > 1.0:  # the clique ratio k/ell, as solve and bounds require
+        raise ValueError(f"C must exceed 1, got C={C}")
     if not 1 <= s <= d:
         raise ValueError(f"subspace dimension must lie in [1, d], got s={s}")
     if s > C * ell:
@@ -127,13 +126,10 @@ def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
     log_bound = 10.0 * C * ell * math.log(p / 10.0)
     bound = math.exp(log_bound) if log_bound > -700 else 0.0
 
-    def draw(gen, count):
-        # rotation invariance: project onto the first s coordinate axes,
-        # so the remaining d - s coordinates never need to be drawn
-        coords = gen.standard_normal((count, s)) / math.sqrt(d)
-        return int(((coords * coords).sum(axis=1) >= threshold_sq).sum())
+    def draw(gen, count):  # ||pi_W(x)||^2 ~ chi^2_s / d
+        return int((gen.chisquare(s, size=count) / d >= threshold_sq).sum())
 
-    freq, se = _rate(sum(_batches(stream, trials, s, draw)), trials)
+    freq, se = _rate(sum(_batches(stream, trials, 1, draw)), trials)
     return _one_sided(freq, bound, se, bound < 1.0 / trials, log_bound=log_bound, alpha_proj=alpha)
 
 

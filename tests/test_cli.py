@@ -14,8 +14,8 @@ import pytest
 import gaussian_ramsey
 from gaussian_ramsey import estimators
 from gaussian_ramsey.cli import ExperimentConfig, main, parse_config, render_csv, render_json, run
-from gaussian_ramsey.cliques import certificate_from_text, search_witness
-from gaussian_ramsey.graphs import graph_from_text
+from gaussian_ramsey.cliques import ATTEMPT_BATCH, certificate_from_text, search_witness
+from gaussian_ramsey.graphs import MAX_WORDS, WORD_BITS, graph_from_text
 from gaussian_ramsey.sampling import RngStream
 
 
@@ -420,9 +420,6 @@ _OVERSIZED = {
     "clique": "estimate --kind clique --r 20000 --d 30000 --sampler bartlett --p 0.4 --color red --trials 1",
     # the oversized dimension second: every plan is sized before the first one draws
     "scaling": "scaling --r 3 --p 0.4 --dims 64,2000000000 --trials 1",
-    "search": "search --n 512 --ell 4 --k 4 --sampler geometric --d 100000000 --p 0.5 --max-attempts 1",
-    "projection_tail": "validate --check projection_tail --d 1000000000 --ell 1 --s 1000000000 --p 0.4 "
-                       "--C 2000000000 --trials 1",
 }
 
 
@@ -437,6 +434,33 @@ def test_oversized_trial_is_refused_before_any_generator(argv, monkeypatch, caps
     assert code == 1 and out == ""
     assert err.startswith("error: one trial would hold ")
     assert f"doubles, over the cap of {estimators._MAX_TRIAL_ELEMENTS}" in err
+
+
+def test_no_geometric_search_exceeds_the_trial_cap(capsys):
+    # the engine takes n <= 512, and the plan draws n <= d triangular and n > d
+    # direct, so one attempt holds at most 512 * 512 doubles, whatever d is
+    top = MAX_WORDS * WORD_BITS
+    for n in (1, 2, top - 1, top):
+        for d in {max(1, n - 1), n, n + 1, 10**8}:
+            _, sampler, batch, _ = estimators._pair_plan(n, d, 0.5, cap=ATTEMPT_BATCH)
+            assert sampler == ("bartlett" if n <= d else "direct")
+            assert estimators._trial_elements(n, d, sampler) <= top * top < estimators._MAX_TRIAL_ELEMENTS
+            assert batch * estimators._trial_elements(n, d, sampler) <= estimators._BATCH_ELEMENTS
+    argv = "search --n 512 --ell 4 --k 4 --sampler geometric --d 100000000 --p 0.5 --max-attempts 1 --seed 1"
+    code, out, err = run_main(argv.split(), capsys)
+    assert code == 1 and err == "" and '"found":false' in out
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [("bounds --C 2 --D 100 --ell 5 --eps -1", "eps"),
+     ("validate --check projection_tail --d 2500 --ell 100000 --s 2 --p 0.5 --C 0.00002 --trials 10 --seed 1", "C")],
+    ids=["bounds-eps-negative", "projection-tail-C-at-most-one"],
+)
+def test_values_outside_the_papers_domain_are_refused_by_name(argv, name, capsys):
+    code, out, err = run_main(argv.split(), capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"{name}=" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -15,7 +15,7 @@ from gaussian_ramsey.cliques import (
     verify_witness,
 )
 from gaussian_ramsey.analytic import solve_cp
-from gaussian_ramsey.geometry import adjacency, gram, gram_batch, sample_cloud, sample_cloud_batch
+from gaussian_ramsey.geometry import _bartlett_rows, adjacency, gram, gram_batch, sample_cloud, sample_cloud_batch
 from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, from_blue_matrix
 from gaussian_ramsey.sampling import RngStream
 
@@ -202,7 +202,10 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     stream = RngStream(59)
     cert = search_witness(n, 2, 2, sampler, {"d": d, "p": p}, attempts, stream)
     gen = stream.offset(0).generator()  # attempts fit in the first batch
-    if sampler == "geometric":
+    if sampler == "geometric" and n <= d:  # the plan's rule: triangular rows, batch-last
+        L = np.moveaxis(_bartlett_rows(attempts, n, d, gen), -1, 0)
+        blue = L @ L.transpose(0, 2, 1) >= -solve_cp(p) / np.sqrt(d)
+    elif sampler == "geometric":
         blue = gram_batch(sample_cloud_batch(attempts, n, d, gen)) >= -solve_cp(p) / np.sqrt(d)
     else:
         iu = np.triu_indices(n, 1)

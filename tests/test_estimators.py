@@ -9,6 +9,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 from gaussian_ramsey import estimators
+from gaussian_ramsey.cli import main
+from gaussian_ramsey.cliques import ATTEMPT_BATCH, search_witness
 from gaussian_ramsey.estimators import (
     STREAM_STRIDE,
     _pair_batch,
@@ -348,15 +350,78 @@ def test_direct_batch_counts_the_gram(monkeypatch, run, batch):
     assert asked == [batch]
 
 
-@pytest.mark.parametrize("n, d", [(8, 8), (64, 1024)], ids=["n=d", "n<d"])
-def test_density_draws_triangular_samples_when_n_at_most_d(monkeypatch, n, d):
-    def refuse(count, n, d, gen):
+#: every caller that names no sampler, run at n vectors in R^d
+_NO_SAMPLER_NAMED = {
+    "density": lambda n, d: estimate_edge_density(n, d, 0.4, 50, RngStream(1)),
+    # ell = k = n + 1: no clique can exist, so attempt 0 verifies
+    "search": lambda n, d: search_witness(n, n + 1, n + 1, "geometric", {"d": d, "p": 0.4}, 50, RngStream(1)),
+    "sample": lambda n, d: main(["sample", "--n", str(n), "--d", str(d), "--p", "0.4", "--seed", "1"]),
+}
+
+
+@pytest.mark.parametrize(
+    "caller, n, d",
+    [pytest.param(caller, n, d, id=shape if caller == "density" else f"{caller}-{shape}")
+     for caller in _NO_SAMPLER_NAMED for n, d, shape in ((8, 8, "n=d"), (64, 1024, "n<d"), (9, 8, "n=d+1"))],
+)
+def test_density_draws_triangular_samples_when_n_at_most_d(monkeypatch, capsys, caller, n, d):
+    # the density, the geometric search and sample name no sampler: the pair plan's
+    # rule picks triangular when n <= d and direct when n > d, and the other draw never runs
+    sampler = "bartlett" if n <= d else "direct"
+
+    def refuse(*args):
         raise _Drawn  # before anything is allocated
 
-    monkeypatch.setattr(estimators, "sample_cloud_batch", refuse)
-    est = estimate_edge_density(n, d, 0.4, 50, RngStream(1))
-    assert est.config["sampler"] == "bartlett"
-    assert est.config["batch"] == estimators._batch_size(n * n)
+    monkeypatch.setattr(estimators, "_bartlett_rows" if sampler == "direct" else "sample_cloud_batch", refuse)
+    result = _NO_SAMPLER_NAMED[caller](n, d)
+    if caller == "density":
+        assert result.config["sampler"] == sampler
+        assert result.config["batch"] == estimators._batch_size(estimators._trial_elements(n, d, sampler))
+    elif caller == "search":
+        assert result.checked and result.graph.provenance["attempt"] == 0
+    else:
+        assert result == 0 and capsys.readouterr().out.startswith('{"command":"sample"')
+
+
+@pytest.mark.parametrize("run", [
+    lambda s: estimate_clique_prob(3, 8, 0.4, "blue", trials=50, stream=s, sampler="bartlet"),
+    lambda s: estimate_clique_prob(9, 8, 0.4, "blue", trials=50, stream=s, sampler="bartlett"),
+    lambda s: correction_scaling(3, 0.4, [2, 8], 50, s, sampler="bartlett"),
+], ids=["unknown-name", "bartlett-n>d", "scaling-bartlett-n>d"])
+def test_pair_plan_refuses_a_sampler_before_any_generator(run, monkeypatch):
+    def no_generator(self):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(RngStream, "generator", no_generator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the underpowered warning, too
+        with pytest.raises(ValueError, match="sampler must be 'direct', or 'bartlett' with n <= d"):
+            run(RngStream(1))
+
+
+def test_search_colorings_have_one_law_under_both_samplers():
+    # bounds fixed before the first run: at the search shape n = 18, d = 64, a
+    # two-sample KS test per color on per-attempt monochromatic-triangle counts,
+    # direct against the triangular draw the plan picks, with p > 0.01, and mean
+    # counts within 4 combined standard errors.  Per color, since at p = 1/2 the
+    # red and blue corrections of order d^(-1/2) cancel in their sum.
+    n, d, attempts = 18, 64, 4000
+    _, sampler, _, triangular = estimators._pair_plan(n, d, 0.5, cap=ATTEMPT_BATCH)
+    _, _, _, direct = estimators._pair_plan(n, d, 0.5, "direct", cap=ATTEMPT_BATCH)
+    assert sampler == "bartlett"
+    iu = np.triu_indices(n, 1)
+
+    def mono_triangles(blue):
+        A = np.zeros((len(blue), n, n))
+        A[:, iu[0], iu[1]] = blue
+        A += A.transpose(0, 2, 1)
+        return [np.rint(np.einsum("tij,tjk,tki->t", M, M, M) / 6) for M in (A, 1.0 - A - np.eye(n))]
+
+    tri = mono_triangles(triangular(RngStream(44).generator(), attempts)[0])
+    cloud = mono_triangles(direct(RngStream(44, 1).generator(), attempts)[0])
+    for t, c in zip(tri, cloud):
+        assert abs(t.mean() - c.mean()) <= 4.0 * math.sqrt((t.var(ddof=1) + c.var(ddof=1)) / attempts)
+        assert ks_2samp(t, c).pvalue > 0.01
 
 
 @pytest.mark.parametrize("n, d, seed", [(8, 8, 41), (16, 64, 42)], ids=["n=d", "n<d"])

@@ -27,7 +27,7 @@ CASES = {
     "search-binomial-n11-44": (
         "search --n 11 --ell 4 --k 4 --sampler binomial --p 0.5 --max-attempts 1000 --seed 2", 0),
     "search-geometric-n12-44": (
-        "search --n 12 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 1000 --seed 3", 0),
+        "search --n 12 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 1000 --seed 1028", 0),
     "search-binomial-n18-44": (
         "search --n 18 --ell 4 --k 4 --sampler binomial --p 0.5 --max-attempts 300 --seed 1", 1),
     "search-geometric-n18-44": (

@@ -121,17 +121,18 @@ def test_no_draw_spans_more_than_one_batch(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "sampler, params, elements",
-    [("geometric", {"p": 0.5, "d": 64}, estimators._trial_elements(18, 64, "direct")),
-     ("binomial", {"p": 0.5}, 18 * 18)],
+    "sampler, params, elements, draws",
+    # n = 18 <= d = 64: a triangular batch, one draw of its lower triangles and one chi draw per row
+    [("geometric", {"p": 0.5, "d": 64}, estimators._trial_elements(18, 64, "bartlett"), 1 + 18),
+     ("binomial", {"p": 0.5}, 18 * 18, 1)],
     ids=["geometric", "binomial"],
 )
-def test_search_batches_stay_within_the_element_budget(monkeypatch, sampler, params, elements):
+def test_search_batches_stay_within_the_element_budget(monkeypatch, sampler, params, elements, draws):
     # n = 18 = R(4, 4): no attempt verifies, so all 20 attempts are drawn, 3 per batch
     monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 3 * elements)
     sizes = _record_draws(monkeypatch)
     assert search_witness(18, 4, 4, sampler, params, 20, RngStream(5)) is None
-    assert len(sizes) == 7
+    assert len(sizes) == 7 * draws
     assert max(sizes) <= 3 * elements
 
 

@@ -2,9 +2,10 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
-from scipy.special import chdtr, chdtrc
+from scipy.special import chdtr, chdtrc, gammaincc
 
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import CHECKS, validate_bound
@@ -68,6 +69,24 @@ def test_projection_tail_example_vacuous():
     assert rec["log_bound"] < math.log(1.0 / 10**6)
     assert rec["vacuous"]
     assert rec["passed"]
+
+
+def test_projection_tail_has_the_exact_chi_square_law(monkeypatch):
+    # d ||pi_W(x)||^2 ~ chi^2_s.  No in-domain spec has hits (C > 1 puts the threshold
+    # far out), so the spec is stubbed to alpha = sqrt(s / ell): the threshold t = s / d.
+    # Bounds fixed before the first run: the check's frequency and that of s drawn
+    # coordinates each within 4 SE of gammaincc(s/2, d t/2).
+    import gaussian_ramsey.validators as validators
+
+    d, ell, s, trials = 100, 4, 8, 10**5
+    alpha, t = math.sqrt(s / ell), s / d
+    stub = SimpleNamespace(from_params=lambda C, ell, d, p: SimpleNamespace(alpha_proj=alpha))
+    monkeypatch.setattr(validators, "PerfectSpec", stub)
+    rec = validate_bound("projection_tail", {"d": d, "ell": ell, "s": s, "p": 0.38, "C": 2.0}, trials, RngStream(45))
+    coords = RngStream(45, 1).generator().standard_normal((trials, s)) / math.sqrt(d)
+    exact = gammaincc(s / 2, d * t / 2)
+    for freq in (rec["empirical"], ((coords * coords).sum(axis=1) >= t).mean()):
+        assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
 
 def test_projection_tail_domain():
