@@ -194,7 +194,7 @@ class _LastWins(argparse.Action):
         setattr(namespace, self.dest, True if self.nargs == 0 else values)
 
 
-def _value(tag: str, raw: str):
+def _value(tag: str, raw: str, finite: bool = True):
     """One flag argument or config-file value, parsed strictly by its type tag."""
     if tag == "path":
         if any("\ud800" <= ch <= "\udfff" for ch in raw):  # a lone surrogate: the name is not UTF-8
@@ -211,13 +211,13 @@ def _value(tag: str, raw: str):
             raise argparse.ArgumentTypeError(f"invalid flag value {raw!r} (use true or false)")
         return truth
     if tag in ("ints", "floats"):
-        return [_value(tag[:-1], item) for item in raw.split(",")]
+        return [_value(tag[:-1], item, finite=False) for item in raw.split(",")]  # -inf cutoff: no truncation
     try:
         value = int(raw) if tag == "int" else float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {tag} value {raw!r}") from None
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("NaN is not a valid value")
+    if math.isnan(value) or (finite and math.isinf(value)):  # only a list item may be infinite
+        raise argparse.ArgumentTypeError("NaN is not a valid value" if math.isnan(value) else f"{raw!r} is not finite")
     return value
 
 

@@ -15,13 +15,13 @@ meaningful: a coloring of K_n with no red K_ell and no blue K_k
 establishes R(ell, k) > n.
 
 The witness search walks the estimators' one batch partition
-(estimators._partition), samples fresh colorings (geometric or binomial) a
-batch at a time as pair masks, the geometric ones through the estimators'
-pair plan (estimators._pair_plan: threshold, batch size and sampler, with
-triangular batches at n <= d drawn batch-last, so an attempt's coloring
-depends on its batch), packs each batch's blue and red rows at once, and
-verifies the attempts in order; the lowest verifying attempt is returned,
-so a seed determines it.
+(estimators._partition), samples colorings (geometric or binomial) a batch
+at a time as pair masks, the geometric ones through the estimators' pair
+plan (estimators._pair_plan: threshold, batch size and sampler; triangular
+batches at n <= d are drawn batch-last, so an attempt's coloring depends on
+its batch), and packs each batch's blue and red rows at once.  Attempts go
+to find_mono_clique on those rows in order; only the lowest verifying one,
+which a seed determines, gets a provenance dict and a validated graph.
 """
 
 from __future__ import annotations
@@ -167,14 +167,14 @@ def search_witness(
         def draw(gen, count):
             return gen.random((count, n * (n - 1) // 2)) >= p, True  # blue with probability 1 - p
 
-    attempt = 0
-    for sub, count in estimators._partition(max_attempts, batch, stream):
+    for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
         blue, red = _pack_rows(n, draw(sub.generator(), count)[0])  # both colors at once; rows need no validation
         for t in range(count):
-            g = _unchecked_graph(n, blue[t], red[t], dict(base_provenance, attempt=attempt))
-            if verify_witness(g, ell, k).checked:  # the returned graph is validated and recomputes its red rows
-                return WitnessCertificate(n, ell, k, ColoredGraph(n, blue[t], g.provenance), checked=True)
-            attempt += 1
+            g = _unchecked_graph(n, blue[t], red[t], base_provenance)
+            red_free = ell > n or find_mono_clique(g, ell, "red") is None  # verify_witness's verdict and guards
+            if red_free and (k > n or find_mono_clique(g, k, "blue") is None):
+                g = ColoredGraph(n, blue[t], dict(base_provenance, attempt=bi * batch + t))
+                return WitnessCertificate(n, ell, k, g, checked=True)  # rebuilt: validated, recomputes red rows
     return None
 
 

@@ -145,8 +145,8 @@ def _unchecked_graph(n: int, rows: tuple[int, ...], red_rows: tuple[int, ...], p
 
     Only for rows that are symmetric, loop-free and within n bits by
     construction, with red their complement, as _pack_rows's are:
-    search_witness's attempt batches.  Every other graph is validated and
-    computes its own red rows.
+    search_witness's attempts, which share one provenance dict and meet only
+    find_mono_clique.  Every other graph is validated and computes its red rows.
     """
     g = object.__new__(ColoredGraph)
     vars(g).update(n=n, blue_rows=rows, provenance=provenance, red_rows=red_rows)

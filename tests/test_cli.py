@@ -665,6 +665,27 @@ def test_infinite_cutoff_is_a_valid_value(capsys):
     assert json.loads(out)["invocation"]["cutoffs"] == [None, 0]  # -inf renders as null
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["bounds", "--C", "2", "--D", "100", "--ell", "5", "--eps", "inf"], "--eps"),
+        (["validate", "--check", "conditional_edge", "--p", "0.5", "--d", "4", "--inner", "inf", "--diag", "1"],
+         "--inner"),
+        (["validate", "--check", "conditional_edge", "--p", "0.5", "--d", "4", "--inner", "0.1", "--diag", "inf"],
+         "--diag"),
+        (["validate", "--check", "chi_square_tail", "--freedom", "10", "--t", "inf"], "--t"),
+        (["bounds", "--C", "2", "--D", "inf", "--ell", "5"], "--D"),
+        (["bounds", "--C", "inf", "--D", "100", "--ell", "5"], "--C"),
+    ],
+    ids=["eps", "inner", "diag", "t", "D", "C"],
+)
+def test_infinite_float_is_a_usage_error(argv, key, capsys):
+    # a float key takes no infinity (JSON would echo it as null); only an item of cutoffs may be -inf
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"argument {key}: 'inf' is not finite" in err and "Traceback" not in err
+
+
 def test_config_key_repeated_warns_last_wins(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=4\nseed=5\n")

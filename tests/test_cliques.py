@@ -1,6 +1,5 @@
 """Exact clique search, witness verification, and the sampling search."""
 
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +15,7 @@ from gaussian_ramsey.cliques import (
 )
 from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import _bartlett_rows, adjacency, gram, gram_batch, sample_cloud, sample_cloud_batch
-from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, from_blue_matrix
+from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_rows, from_blue_matrix
 from gaussian_ramsey.sampling import RngStream
 
 
@@ -187,18 +186,19 @@ def test_search_rejects_clique_sizes_below_one_before_sampling(sampler, monkeypa
 def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     # every attempt's graph, packed once per batch without validation, equals
     # from_blue_matrix on that attempt's matrix, red rows included; the returned
-    # certificate is validated
+    # certificate is validated and records its attempt
     import gaussian_ramsey.cliques as cliques
 
     attempts, d, p = 4, 8, 0.3
     seen = []
 
-    def recording(g, ell, k):
-        seen.append(g)
-        cert = verify_witness(g, ell, k)
-        return replace(cert, checked=len(seen) == attempts)  # the last attempt "verifies"
+    def recording(g, size, color):
+        if color == "red":  # each attempt's first engine call
+            seen.append(g)
+        find_mono_clique(g, size, color)
+        return None if len(seen) == attempts else (0, 1)  # the last attempt "verifies"
 
-    monkeypatch.setattr(cliques, "verify_witness", recording)
+    monkeypatch.setattr(cliques, "find_mono_clique", recording)
     stream = RngStream(59)
     cert = search_witness(n, 2, 2, sampler, {"d": d, "p": p}, attempts, stream)
     gen = stream.offset(0).generator()  # attempts fit in the first batch
@@ -215,10 +215,52 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     for t, g in enumerate(seen):
         assert g == from_blue_matrix(blue[t], g.provenance)
         assert g.red_rows == ColoredGraph(g.n, g.blue_rows).red_rows  # the batch's red rows, which eq ignores
-        assert g.provenance["attempt"] == t
-    assert cert.graph == seen[-1] and cert.graph is not seen[-1] and cert.checked  # rebuilt, so validated
+    assert cert.graph.provenance == dict(seen[-1].provenance, attempt=attempts - 1)
+    assert cert.graph.blue_rows == seen[-1].blue_rows and cert.graph is not seen[-1] and cert.checked  # rebuilt
     assert cert.graph.red_rows == seen[-1].red_rows and cert.graph.red_rows is not seen[-1].red_rows  # recomputed
     assert ColoredGraph(cert.n, cert.graph.blue_rows, cert.graph.provenance) == cert.graph
+
+
+@pytest.mark.parametrize("sampler", ["geometric", "binomial"])
+def test_blind_engine_makes_the_search_claim_a_witness(sampler, monkeypatch):
+    # every attempt's verdict goes through find_mono_clique: a blind engine
+    # certifies the first attempt even where no witness exists (R(4, 4) = 18)
+    import gaussian_ramsey.cliques as cliques
+
+    params = {"d": 64, "p": 0.5}
+    assert search_witness(18, 4, 4, sampler, params, 3, RngStream(61)) is None
+    monkeypatch.setattr(cliques, "find_mono_clique", lambda g, size, color: None)
+    cert = search_witness(18, 4, 4, sampler, params, 3, RngStream(61))
+    assert cert.checked and cert.graph.provenance["attempt"] == 0
+
+
+@pytest.mark.parametrize("ell, k", [(6, 3), (3, 6), (6, 6)])  # a clique size above n = 5
+@pytest.mark.parametrize("sampler", ["geometric", "binomial"])
+def test_clique_sizes_above_n_decide_as_verify_witness_does(sampler, ell, k, monkeypatch):
+    # the search's per-attempt verdict keeps verify_witness's size guards: a
+    # clique larger than the graph cannot occur, so it never rejects an attempt
+    import gaussian_ramsey.cliques as cliques
+
+    n, attempts = 5, 40
+    packed = []
+
+    def recording(n, pairs):
+        blue, red = _pack_rows(n, pairs)
+        packed.extend(blue)
+        return blue, red
+
+    monkeypatch.setattr(cliques, "_pack_rows", recording)
+    firsts = set()
+    for seed in range(6):
+        packed.clear()
+        cert = search_witness(n, ell, k, sampler, {"d": 8, "p": 0.5}, attempts, RngStream(seed))
+        verdicts = [verify_witness(ColoredGraph(n, rows), ell, k).checked for rows in packed]
+        first = verdicts.index(True) if True in verdicts else None
+        assert (None if cert is None else cert.graph.provenance["attempt"]) == first
+        if cert is not None:
+            assert cert.checked and cert.graph.blue_rows == packed[first]
+        firsts.add(first)
+    assert (firsts == {0}) if min(ell, k) > n else (len(firsts) > 1)  # each seed verifies at once only if both are
 
 
 def test_search_first_hit_wins_deterministically():
