@@ -15,12 +15,12 @@ meaningful: a coloring of K_n with no red K_ell and no blue K_k
 establishes R(ell, k) > n.
 
 The witness search walks the estimators' one batch partition
-(estimators._partition), samples colorings (geometric or binomial) a batch
-at a time as pair masks, the geometric ones through the estimators' pair
-plan (estimators._pair_plan: threshold, batch size and sampler; triangular
-batches at n <= d are drawn batch-last, so an attempt's coloring depends on
-its batch), and packs each batch's blue and red rows at once.  Attempts go
-to find_mono_clique on those rows in order; only the lowest verifying one,
+(estimators._partition) and samples colorings (geometric or binomial) a
+batch at a time as batch-last pair masks (C(n,2), count), the geometric
+ones through the pair plan (estimators._pair_plan; at n <= d the triangular
+draw is batch-last too, so an attempt's coloring depends on its batch).  It
+packs each batch's blue and red rows at once; attempts go to
+find_mono_clique on those rows in order, and only the lowest verifying one,
 which a seed determines, gets a provenance dict and a validated graph.
 """
 
@@ -165,7 +165,7 @@ def search_witness(
         batch = estimators._batch_size(n * n, ATTEMPT_BATCH)
 
         def draw(gen, count):
-            return gen.random((count, n * (n - 1) // 2)) >= p, True  # blue with probability 1 - p
+            return (gen.random((count, n * (n - 1) // 2)) >= p).T, True  # blue with probability 1 - p, drawn in order
 
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
         blue, red = _pack_rows(n, draw(sub.generator(), count)[0])  # both colors at once; rows need no validation

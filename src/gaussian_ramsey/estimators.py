@@ -14,9 +14,9 @@ edge threshold -c_p/sqrt(d) and sizes the batch before any draw.  It alone
 picks the sampler of a caller that names none (the density, search_witness
 and the CLI's sample): triangular when n <= d, since edges read inner
 products only and a triangular Gram has a cloud's law, direct when n > d.
-Its draw is the one pair kernel, _pair_batch, which returns the blue mask
-of a batch's pairs; the density sums it per cloud, and red and blue cliques
-are counted from one draw (correction_scaling samples once).  A triangular
+Its draw is the one pair kernel, _pair_batch: a batch's blue pair mask,
+batch-last (C(n,2), count), which the density sums per cloud; one draw
+counts red and blue cliques (correction_scaling samples once).  A triangular
 batch is drawn batch-last (geometry._bartlett_rows, the one consumption
 order) and the kernel computes only its pairs i < j from those rows.
 Success counting is exact integer arithmetic; probabilities are reported
@@ -154,9 +154,7 @@ class EstimateResult:
 
 
 def _log_point(successes: int, trials: int) -> float:
-    if successes == 0:
-        return -math.inf
-    return math.log(successes) - math.log(trials)
+    return math.log(successes) - math.log(trials) if successes else -math.inf
 
 
 def _estimate(successes: int, total: int, trials: int, stream: RngStream, config: dict,
@@ -175,26 +173,26 @@ def _trial_elements(n: int, d: int, sampler: str) -> int:
 
 
 def _pair_batch(gen, count, n, d, threshold, sampler, spec):
-    """Blue mask of every pair i < j, shape (count, C(n,2)), and the perfect mask (True without a spec).
+    """Blue mask of every pair i < j, batch-last (C(n,2), count), and the perfect mask (True without a spec).
 
-    Row i's pairs j > i fill one slice of the mask (np.triu_indices order), read off the direct
+    Row i's pairs j > i fill whole rows of the mask (np.triu_indices order), read off the direct
     clouds' BLAS Gram or computed alone from the batch-last triangular rows, G_ij = sum_{k<=i} L_jk L_ik.
     The random draws do not depend on the spec, so runs sharing a stream are
     coupled trial by trial.  A trial holds _trial_elements(n, d, sampler) doubles.
     """
     if sampler == "direct":
         grams = gram_batch(sample_cloud_batch(count, n, d, gen))
-        rows = (grams[:, i, i + 1 :] for i in range(n - 1))
+        rows = (grams[:, i, i + 1 :].T for i in range(n - 1))
         triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
     else:  # "bartlett": _pair_plan has checked the name and n <= d
         L = _bartlett_rows(count, n, d, gen)
-        rows = (np.einsum("jkb,kb->bj", L[i + 1 :, : i + 1], L[i, : i + 1]) for i in range(n - 1))
+        rows = (np.einsum("jkb,kb->jb", L[i + 1 :, : i + 1], L[i, : i + 1]) for i in range(n - 1))
         triangular = np.moveaxis(L, -1, 0)
-    blue = np.empty((count, n * (n - 1) // 2), dtype=bool)
+    blue = np.empty((n * (n - 1) // 2, count), dtype=bool)
     start = 0
     for pairs in rows:
-        np.greater_equal(pairs, threshold, out=blue[:, start : start + pairs.shape[1]])
-        start += pairs.shape[1]
+        np.greater_equal(pairs, threshold, out=blue[start : start + len(pairs)])
+        start += len(pairs)
     if spec is None:
         return blue, True
     return blue, spec.admits(*bartlett_prefix_norms(triangular)).all(axis=1)
@@ -239,7 +237,7 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     pairs_per_cloud = n * (n - 1) // 2
 
     def worker(gen, count):
-        edges = draw(gen, count)[0].sum(axis=1)
+        edges = draw(gen, count)[0].sum(axis=0)
         return int(edges.sum()), int((edges.astype(np.int64) ** 2).sum())
 
     edges_total, edges_sq_total = map(sum, zip(*_map_batches(trials, batch, stream, threads, worker)))
@@ -272,7 +270,7 @@ def _clique_plan(r, d, p, trials, stream, sampler, spec):
 
     def worker(gen, count):
         blue, perfect = draw(gen, count)
-        return int((~blue.any(axis=1) & perfect).sum()), int((blue.all(axis=1) & perfect).sum())
+        return int((~blue.any(axis=0) & perfect).sum()), int((blue.all(axis=0) & perfect).sum())
 
     return c_p, (trials, batch, stream, worker)
 

@@ -104,7 +104,7 @@ def _unpack(rows, n: int) -> np.ndarray:
 
 
 def _pack_rows(n: int, pairs: np.ndarray) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Blue and red rows of pair masks, (count, C(n,2)) over i < j: one tuple of n ints per mask.
+    """Blue and red rows of batch-last pair masks, (C(n,2), count) over i < j: one tuple of n ints per mask.
 
     Each mask is scattered to both triangles of rows padded to whole 64-bit
     words and packed in one pass; red is the complement off the diagonal,
@@ -113,9 +113,9 @@ def _pack_rows(n: int, pairs: np.ndarray) -> tuple[list[tuple[int, ...]], list[t
     """
     width = _words_for(n) * WORD_BITS
     iu = np.triu_indices(n, 1)
-    bits = np.zeros((len(pairs), n, width), bool)
-    bits[:, iu[0], iu[1]] = pairs
-    bits[:, iu[1], iu[0]] = pairs
+    bits = np.zeros((pairs.shape[1], n, width), bool)
+    bits[:, iu[0], iu[1]] = pairs.T
+    bits[:, iu[1], iu[0]] = pairs.T
     blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
     full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
     diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
@@ -136,7 +136,7 @@ def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
     blue = np.asarray(blue, dtype=bool)
     if blue.ndim != 2 or blue.shape[0] != blue.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {blue.shape}")
-    rows, _ = _pack_rows(len(blue), blue[np.triu_indices(len(blue), 1)][None])
+    rows, _ = _pack_rows(len(blue), blue[np.triu_indices(len(blue), 1)][:, None])
     return ColoredGraph(len(blue), rows[0], provenance or {})
 
 

@@ -156,6 +156,8 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
     cutoffs = np.asarray(params["cutoffs"], dtype=float)
     if cutoffs.shape != (k,):
         raise ValueError(f"need exactly k={k} cutoffs, got shape {cutoffs.shape}")
+    if any(std_normal_cdf(-b) < np.finfo(float).tiny for b in cutoffs):  # the sampler and mean lose every digit
+        raise ValueError(f"cutoffs={cutoffs.tolist()}: a tail mass 1 - Phi(b) is under the least normal double")
     if d < 4.0 * abs(lam) * k:
         raise ValueError(f"requires d >= 4 |lambda| k = {4.0 * abs(lam) * k}, got d={d}")
     specs = [TruncatedSpec(cutoff=float(b), side="lower", d=d) for b in cutoffs]

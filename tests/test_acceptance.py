@@ -251,7 +251,7 @@ def test_criterion_08_perfectness_machinery():
     threshold = -solve_cp(0.38) / 16.0
     with_spec, perfect = _pair_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", rspec)
     without_spec, _ = _pair_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", None)
-    with_spec, without_spec = with_spec.all(axis=1), without_spec.all(axis=1)  # blue 5-cliques
+    with_spec, without_spec = with_spec.all(axis=0), without_spec.all(axis=0)  # blue 5-cliques
     assert (with_spec == without_spec).all()
     assert (with_spec & perfect).sum() < with_spec.sum()  # the restriction bites
     _report(8, f"perfectness: window implication, extraction re-verified, P* <= P ({dropped} drops)")

@@ -665,6 +665,28 @@ def test_infinite_cutoff_is_a_valid_value(capsys):
     assert json.loads(out)["invocation"]["cutoffs"] == [None, 0]  # -inf renders as null
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cutoffs", ["38,0", "40,0", "1e308,0", "0,inf"])
+def test_far_tail_cutoff_is_refused_before_any_generator(cutoffs, monkeypatch, capsys):
+    # past b = 37.52 the tail mass 1 - Phi(b) is below the least normal double, and the
+    # truncated sampler and mean lose every digit; +inf conditions on a null event
+    def no_generator(self):
+        raise AssertionError("a generator was made for a far-tail cutoff")
+
+    monkeypatch.setattr(RngStream, "generator", no_generator)
+    code, out, err = run_main(_QUADRATIC + [f"--cutoffs={cutoffs}", "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cutoffs=") and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cutoffs", ["30,0", "-inf,0"])
+def test_cutoffs_with_a_normal_tail_mass_still_run(cutoffs, capsys):
+    code, out, err = run_main(_QUADRATIC + [f"--cutoffs={cutoffs}", "--seed", "1"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["passed"]
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

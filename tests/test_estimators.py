@@ -78,7 +78,7 @@ def test_perfect_restriction_is_subevent_per_trial():
     spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100)
     gen = RngStream(8).generator()
     blue, perfect = _pair_batch(gen, 20000, 3, 100, -0.00253, "bartlett", spec)
-    success = ~blue.any(axis=1)  # red triangles
+    success = ~blue.any(axis=0)  # red triangles
     restricted = success & perfect
     assert restricted.sum() <= success.sum()
     assert not (restricted & ~success).any()
@@ -119,6 +119,7 @@ def test_triangular_pair_kernel_matches_the_gram_gather(r):
     admitted = 0
     for seed in range(30, 35):
         blue, perfect = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, "bartlett", spec)
+        blue = blue.T  # trial by trial, as the reference gathers it
         ref_blue, ref_perfect = _gram_gather_reference(seed, count, r, d, threshold, spec)
         assert blue.shape == (count, r * (r - 1) // 2) and blue.dtype == bool
         assert np.array_equal(blue, ref_blue)
@@ -127,13 +128,43 @@ def test_triangular_pair_kernel_matches_the_gram_gather(r):
     assert 0 < admitted < 5 * count  # the spec admits some trials and refuses others
 
 
+@pytest.mark.parametrize("sampler", ["bartlett", "direct"])
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 18, 25, 64])
+def test_pair_mask_is_batch_last_and_bit_identical(r, sampler, monkeypatch):
+    # the mask is one contiguous row per pair i < j (np.triu_indices order), one column per trial;
+    # the triangular pairs it thresholds are, bit for bit, those of the batch-first kernel kept here
+    count, d, seed = 257, 64, 9
+    threshold = -estimators.solve_cp(0.4) / math.sqrt(d)
+    thresholded = []
+    greater_equal = np.greater_equal
+
+    def recording(values, *args, **kwargs):
+        thresholded.append(np.array(values))
+        return greater_equal(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "greater_equal", recording)
+    blue = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, sampler, None)[0]
+    monkeypatch.undo()
+    assert blue.shape == (r * (r - 1) // 2, count) and blue.dtype == bool and blue.flags.c_contiguous
+    if sampler == "direct":
+        grams = gram_batch(estimators.sample_cloud_batch(count, r, d, RngStream(seed).generator()))
+        assert np.array_equal(blue, (grams[(slice(None), *np.triu_indices(r, 1))] >= threshold).T)
+        return
+    L = _bartlett_rows(count, r, d, RngStream(seed).generator())
+    batch_first = [np.einsum("jkb,kb->bj", L[i + 1 :, : i + 1], L[i, : i + 1]) for i in range(r - 1)]
+    assert len(thresholded) == len(batch_first)
+    for values, reference in zip(thresholded, batch_first):
+        assert np.array_equal(values.T.view(np.uint64), reference.view(np.uint64))
+    assert np.array_equal(blue, np.concatenate([np.empty((count, 0)), *batch_first], axis=1).T >= threshold)
+
+
 def test_direct_pair_batch_holds_about_the_doubles_it_counts():
     # numpy reports its allocations to tracemalloc: the (1, 600, 600) Gram is the one large array,
     # and the pair mask is a byte per pair, so no index arrays or float copy of the pairs may join it
     gen = RngStream(3).generator()
     tracemalloc.start()
     try:
-        blue = _pair_batch(gen, 1, 600, 16, 0.0, "direct", None)[0]
+        blue = _pair_batch(gen, 1, 600, 16, 0.0, "direct", None)[0].T  # a view: allocates nothing
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -417,8 +448,8 @@ def test_search_colorings_have_one_law_under_both_samplers():
         A += A.transpose(0, 2, 1)
         return [np.rint(np.einsum("tij,tjk,tki->t", M, M, M) / 6) for M in (A, 1.0 - A - np.eye(n))]
 
-    tri = mono_triangles(triangular(RngStream(44).generator(), attempts)[0])
-    cloud = mono_triangles(direct(RngStream(44, 1).generator(), attempts)[0])
+    tri = mono_triangles(triangular(RngStream(44).generator(), attempts)[0].T)
+    cloud = mono_triangles(direct(RngStream(44, 1).generator(), attempts)[0].T)
     for t, c in zip(tri, cloud):
         assert abs(t.mean() - c.mean()) <= 4.0 * math.sqrt((t.var(ddof=1) + c.var(ddof=1)) / attempts)
         assert ks_2samp(t, c).pvalue > 0.01
@@ -433,9 +464,9 @@ def test_triangular_density_has_the_law_of_direct_clouds(n, d, seed):
     est = estimate_edge_density(n, d, 0.4, trials, RngStream(seed))
     assert est.config["batch"] >= trials  # one batch: batch 0's draws are every cloud of the estimate
     threshold = -est.config["c_p"] / math.sqrt(d)
-    triangular = _pair_batch(RngStream(seed).generator(), trials, n, d, threshold, "bartlett", None)[0].sum(axis=1)
+    triangular = _pair_batch(RngStream(seed).generator(), trials, n, d, threshold, "bartlett", None)[0].sum(axis=0)
     assert triangular.sum() == est.successes
-    direct = _pair_batch(RngStream(seed, 1).generator(), trials, n, d, threshold, "direct", None)[0].sum(axis=1)
+    direct = _pair_batch(RngStream(seed, 1).generator(), trials, n, d, threshold, "direct", None)[0].sum(axis=0)
     se = math.sqrt((triangular.var(ddof=1) + direct.var(ddof=1)) / trials) / pairs
     assert abs(est.point - direct.mean() / pairs) <= 4.0 * se
     assert ks_2samp(triangular, direct).pvalue > 0.01

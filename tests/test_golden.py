@@ -7,9 +7,12 @@ index at which each sampler first verifies, and the certificate text, so
 any change to graph building or to the clique engine that alters a
 record fails here.  The estimate, validate and scaling cases pin the
 batch partition, the stream of each batch and the fold order of the
-Monte-Carlo runner; several of them span more than one batch.
+Monte-Carlo runner; several of them span more than one batch.  Every
+record also replays: the argv rebuilt from the invocation it echoes gives
+the same bytes and exit status.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,26 @@ def test_record_bytes(name, capsys):
     argv, status = CASES[name]
     assert main(argv.split()) == status
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def _replayed_argv(record: dict) -> list[str]:
+    """The argv a record echoes: its command, then --key-with-hyphens=value per invocation key, lists
+    comma-joined and a true value as a bare flag.  No execution knob (--threads) is echoed."""
+    argv = [record["command"]]
+    for key, value in record["invocation"].items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv.append(flag if value is True else f"{flag}={value}")
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_echoed_invocation_replays_the_record(name, capsys):
+    # at the default thread count, so the --threads 2 cases also show that their bytes are thread-invariant
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert main(_replayed_argv(json.loads(golden.split("\n", 1)[0]))) == CASES[name][1]
+    assert capsys.readouterr().out == golden
 
 
 def test_verify_record_bytes(tmp_path, monkeypatch, capsys):
