@@ -66,6 +66,10 @@ class ExperimentConfig:
     parameters: dict
 
 
+class _Infinity(float):
+    """An infinite list item (a -inf cutoff truncates nothing): echoed as text, since JSON has no Infinity."""
+
+
 # ---------------------------------------------------------------------------
 # option tables: key -> (type tag, help); the tag drives the one value parser.
 # "modes" is (mode key, {mode: (keys it needs, keys it may take)}).
@@ -218,7 +222,7 @@ def _value(tag: str, raw: str, finite: bool = True):
         raise argparse.ArgumentTypeError(f"invalid {tag} value {raw!r}") from None
     if math.isnan(value) or (finite and math.isinf(value)):  # only a list item may be infinite
         raise argparse.ArgumentTypeError("NaN is not a valid value" if math.isnan(value) else f"{raw!r} is not finite")
-    return value
+    return _Infinity(value) if math.isinf(value) else value
 
 
 @functools.cache  # one parser per process, built on first use; _LastWins keeps its state on the namespace
@@ -318,6 +322,8 @@ def render_json(obj) -> str:
         return "true"
     if obj is False:
         return "false"
+    if isinstance(obj, _Infinity):
+        return render_json(str(obj))  # "-inf", which the value parser reads back
     if isinstance(obj, float):
         return _render_float(obj) if math.isfinite(obj) else "null"  # JSON has no NaN or Infinity
     if isinstance(obj, int):

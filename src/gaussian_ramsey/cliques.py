@@ -19,20 +19,21 @@ The witness search walks the estimators' one batch partition
 batch at a time as batch-last pair masks (C(n,2), count), the geometric
 ones through the pair plan (estimators._pair_plan; at n <= d the triangular
 draw is batch-last too, so an attempt's coloring depends on its batch).  It
-packs each batch's blue and red rows at once; attempts go to
-find_mono_clique on those rows in order, and only the lowest verifying one,
-which a seed determines, gets a provenance dict and a validated graph.
+packs each batch's blue and red rows at once; each attempt, only its rows
+(_Attempt), is decided in order by _verdict, the witness rule verify_witness
+uses too, and only the lowest verifying one, which a seed determines, gets a
+provenance dict and a validated graph.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from gaussian_ramsey import estimators
 from gaussian_ramsey.graphs import (
     ColoredGraph,
     _pack_rows,
-    _unchecked_graph,
     capability_check,
     graph_from_text,
     graph_to_text,
@@ -44,6 +45,7 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 #: attempts sampled per derived stream in search_witness, at most; fewer when
 #: a batch would exceed the estimators' per-batch element budget.
 ATTEMPT_BATCH = 256
+_Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # a search attempt: _pack_rows's rows, all the engine reads
 
 
 def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -> list[int] | None:
@@ -83,11 +85,12 @@ def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -
     return None
 
 
-def find_mono_clique(g: ColoredGraph, size: int, color: str) -> tuple[int, ...] | None:
+def find_mono_clique(g: ColoredGraph | _Attempt, size: int, color: str) -> tuple[int, ...] | None:
     """A monochromatic clique of the given size, as sorted vertices, or None if none exists.
 
-    Complete: a None return is a proof of absence.  Which clique is
-    returned when several exist is unspecified.  Graphs beyond the
+    It reads g.n, g.blue_rows and g.red_rows only, which a search _Attempt
+    holds too.  Complete: a None return is a proof of absence.  Which
+    clique is returned when several exist is unspecified.  Graphs beyond the
     word budget raise CapabilityError instead of silently taking
     exponential time (and the recursion stays within Python's limit).
     """
@@ -121,12 +124,16 @@ def _check_clique_sizes(ell: int, k: int) -> None:
         raise ValueError(f"clique sizes must be at least 1, got ell={ell}, k={k}")
 
 
+def _verdict(g: ColoredGraph | _Attempt, ell: int, k: int) -> bool:
+    """The witness rule: no red K_ell and no blue K_k; a clique larger than the graph cannot occur."""
+    red_free = ell > g.n or find_mono_clique(g, ell, "red") is None
+    return red_free and (k > g.n or find_mono_clique(g, k, "blue") is None)  # a red clique settles it
+
+
 def verify_witness(g: ColoredGraph, ell: int, k: int) -> WitnessCertificate:
     """Exhaustively check for red K_ell and blue K_k; checked=True iff neither exists."""
     _check_clique_sizes(ell, k)
-    red = find_mono_clique(g, ell, "red") if ell <= g.n else None
-    blue = find_mono_clique(g, k, "blue") if red is None and k <= g.n else None  # a red clique settles it
-    return WitnessCertificate(n=g.n, ell=ell, k=k, graph=g, checked=red is None and blue is None)
+    return WitnessCertificate(n=g.n, ell=ell, k=k, graph=g, checked=_verdict(g, ell, k))
 
 
 def search_witness(
@@ -170,30 +177,22 @@ def search_witness(
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
         blue, red = _pack_rows(n, draw(sub.generator(), count)[0])  # both colors at once; rows need no validation
         for t in range(count):
-            g = _unchecked_graph(n, blue[t], red[t], base_provenance)
-            red_free = ell > n or find_mono_clique(g, ell, "red") is None  # verify_witness's verdict and guards
-            if red_free and (k > n or find_mono_clique(g, k, "blue") is None):
+            if _verdict(_Attempt(n, blue[t], red[t]), ell, k):
                 g = ColoredGraph(n, blue[t], dict(base_provenance, attempt=bi * batch + t))
                 return WitnessCertificate(n, ell, k, g, checked=True)  # rebuilt: validated, recomputes red rows
     return None
 
 
 def certificate_to_text(cert: WitnessCertificate) -> str:
-    provenance = dict(cert.graph.provenance)
-    provenance["ell"] = cert.ell
-    provenance["k"] = cert.k
-    g = ColoredGraph(cert.graph.n, cert.graph.blue_rows, provenance)
+    g = ColoredGraph(cert.graph.n, cert.graph.blue_rows, dict(cert.graph.provenance, ell=cert.ell, k=cert.k))
     return graph_to_text(g, magic=_CERT_MAGIC)
 
 
 def certificate_from_text(text: str) -> WitnessCertificate:
     """Parse a serialized certificate; checked=False until re-verified."""
     g = graph_from_text(text, magic=_CERT_MAGIC)
-    provenance = dict(g.provenance)
-    try:
-        ell = int(provenance.pop("ell"))
-        k = int(provenance.pop("k"))
+    try:  # the header parses ell and k as ints; they leave this fresh graph's provenance, so it is validated once
+        ell, k = g.provenance.pop("ell"), g.provenance.pop("k")
     except KeyError as exc:
         raise ValueError("certificate header missing ell or k") from exc
-    graph = ColoredGraph(g.n, g.blue_rows, provenance)
-    return WitnessCertificate(n=g.n, ell=ell, k=k, graph=graph, checked=False)
+    return WitnessCertificate(n=g.n, ell=ell, k=k, graph=g, checked=False)

@@ -9,11 +9,11 @@ One plan runner, _map_plans, runs the batches of one or more plans
 (trials, batch, stream, worker) on a single thread pool, _IN_FLIGHT batches
 at a time, and keeps one small result per batch; correction_scaling hands it
 one plan per dimension, so all its dimensions share the pool.
-One pair plan, _pair_plan, checks d and the sampler, solves c_p, sets the
-edge threshold -c_p/sqrt(d) and sizes the batch before any draw.  It alone
-picks the sampler of a caller that names none (the density, search_witness
-and the CLI's sample): triangular when n <= d, since edges read inner
-products only and a triangular Gram has a cloud's law, direct when n > d.
+One pair plan, _pair_plan, checks d and the sampler, solves c_p, takes the
+edge threshold (geometry._edge_threshold) and sizes the batch before any
+draw.  It alone picks the sampler of a caller that names none (the density,
+search_witness and the CLI's sample): triangular when n <= d, since edges
+read inner products only and a triangular Gram has a cloud's law, else direct.
 Its draw is the one pair kernel, _pair_batch: a batch's blue pair mask,
 batch-last (C(n,2), count), which the density sums per cloud; one draw
 counts red and blue cliques (correction_scaling samples once).  A triangular
@@ -49,6 +49,7 @@ from gaussian_ramsey.geometry import (
     PerfectSpec,
     _bartlett_rows,
     _cholesky,
+    _edge_threshold,
     bartlett_prefix_norms,
     gram_batch,
     sample_cloud_batch,
@@ -199,11 +200,11 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec):
 
 
 def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
-    """(c_p, sampler, batch, draw) for n vectors in R^d at red probability p: the one place the edge
-    threshold is set and a sampler chosen (if none is named, "bartlett" when n <= d, else "direct").
+    """(c_p, sampler, batch, draw) for n vectors in R^d at red probability p: the one place a
+    sampler is chosen (if none is named, "bartlett" when n <= d, else "direct").
 
     It checks d and the sampler and sizes the batch (_batch_size, at most cap) before any draw;
-    draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d).
+    draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d) (geometry._edge_threshold).
     """
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got d={d}")
@@ -212,7 +213,7 @@ def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
     if sampler not in ("direct", "bartlett") or (sampler == "bartlett" and n > d):
         raise ValueError(f"sampler must be 'direct', or 'bartlett' with n <= d; got {sampler!r} at n={n}, d={d}")
     c_p = solve_cp(p)
-    threshold = -c_p / math.sqrt(d)
+    threshold = _edge_threshold(c_p, d)
     batch = _batch_size(_trial_elements(n, d, sampler), cap)
 
     def draw(gen, count):

@@ -205,11 +205,16 @@ def gram_from_bartlett(ts: TriangularSample) -> np.ndarray:
     return gram_batch(ts.M[None])[0]
 
 
-def adjacency(gram_matrix: np.ndarray, c_p: float, d: int, provenance: dict | None = None) -> ColoredGraph:
-    """Blue edge iff <x_i, x_j> >= -c_p/sqrt(d), inclusive at equality."""
+def _edge_threshold(c_p: float, d: int) -> float:
+    """-c_p/sqrt(d), the least inner product of a blue edge: the one place the edge rule is written."""
     if c_p < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {c_p}")
-    return from_blue_matrix(gram_matrix >= -c_p / math.sqrt(d), provenance)
+    return -c_p / math.sqrt(d)
+
+
+def adjacency(gram_matrix: np.ndarray, c_p: float, d: int, provenance: dict | None = None) -> ColoredGraph:
+    """Blue edge iff <x_i, x_j> >= -c_p/sqrt(d), inclusive at equality."""
+    return from_blue_matrix(gram_matrix >= _edge_threshold(c_p, d), provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -140,19 +140,6 @@ def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
     return ColoredGraph(len(blue), rows[0], provenance or {})
 
 
-def _unchecked_graph(n: int, rows: tuple[int, ...], red_rows: tuple[int, ...], provenance: dict) -> ColoredGraph:
-    """A ColoredGraph built without __post_init__'s checks, its red rows given.
-
-    Only for rows that are symmetric, loop-free and within n bits by
-    construction, with red their complement, as _pack_rows's are:
-    search_witness's attempts, which share one provenance dict and meet only
-    find_mono_clique.  Every other graph is validated and computes its red rows.
-    """
-    g = object.__new__(ColoredGraph)
-    vars(g).update(n=n, blue_rows=rows, provenance=provenance, red_rows=red_rows)
-    return g
-
-
 def _format_value(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")

@@ -49,7 +49,7 @@ import numpy as np
 
 from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp, std_normal_cdf, std_normal_pdf
-from gaussian_ramsey.geometry import PerfectSpec
+from gaussian_ramsey.geometry import PerfectSpec, _edge_threshold
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated, truncated_mean
 
 
@@ -214,7 +214,7 @@ def _conditional_edge(params: dict, trials: int, stream: RngStream) -> dict:
     c_p = solve_cp(p)
     a = std_normal_pdf(c_p)
     root_d = math.sqrt(d)
-    b = -(c_p / root_d + inner) / diag
+    b = (_edge_threshold(c_p, d) - inner) / diag
     shift = -root_d * b - c_p  # 0 when inner = 0 and diag = 1
 
     exact = std_normal_cdf(-root_d * b)

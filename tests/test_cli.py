@@ -662,7 +662,8 @@ def test_zero_dimension_is_refused_before_any_generator(argv, monkeypatch, capsy
 def test_infinite_cutoff_is_a_valid_value(capsys):
     code, out, err = run_main(_QUADRATIC + ["--cutoffs=-inf,0", "--seed", "1"], capsys)
     assert code == 0
-    assert json.loads(out)["invocation"]["cutoffs"] == [None, 0]  # -inf renders as null
+    record = json.loads(out)
+    assert record["invocation"]["cutoffs"] == record["result"]["params"]["cutoffs"] == ["-inf", 0]  # float() reads it
 
 
 @pytest.mark.filterwarnings("error")

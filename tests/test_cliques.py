@@ -184,13 +184,13 @@ def test_search_rejects_clique_sizes_below_one_before_sampling(sampler, monkeypa
 @pytest.mark.parametrize("n", [5, 18, 64, 65, 130])  # one-, two- and three-word rows
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
-    # every attempt's graph, packed once per batch without validation, equals
-    # from_blue_matrix on that attempt's matrix, red rows included; the returned
-    # certificate is validated and records its attempt
+    # every attempt's rows, packed once per batch without validation, equal
+    # from_blue_matrix's on that attempt's matrix, red rows included; the returned
+    # certificate is a validated graph that recomputes its red rows and records its attempt
     import gaussian_ramsey.cliques as cliques
 
     attempts, d, p = 4, 8, 0.3
-    seen = []
+    seen, validated = [], []
 
     def recording(g, size, color):
         if color == "red":  # each attempt's first engine call
@@ -198,9 +198,15 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
         find_mono_clique(g, size, color)
         return None if len(seen) == attempts else (0, 1)  # the last attempt "verifies"
 
+    def validating(g, post_init=ColoredGraph.__post_init__):
+        post_init(g)
+        validated.append(g)
+
     monkeypatch.setattr(cliques, "find_mono_clique", recording)
+    monkeypatch.setattr(ColoredGraph, "__post_init__", validating)
     stream = RngStream(59)
     cert = search_witness(n, 2, 2, sampler, {"d": d, "p": p}, attempts, stream)
+    assert len(validated) == 1 and validated[0] is cert.graph  # only the certificate is a graph, and it is checked
     gen = stream.offset(0).generator()  # attempts fit in the first batch
     if sampler == "geometric" and n <= d:  # the plan's rule: triangular rows, batch-last
         L = np.moveaxis(_bartlett_rows(attempts, n, d, gen), -1, 0)
@@ -213,10 +219,11 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
         blue[:, iu[0], iu[1]] = gen.random((attempts, len(iu[0]))) >= p
     assert len(seen) == attempts
     for t, g in enumerate(seen):
-        assert g == from_blue_matrix(blue[t], g.provenance)
-        assert g.red_rows == ColoredGraph(g.n, g.blue_rows).red_rows  # the batch's red rows, which eq ignores
-    assert cert.graph.provenance == dict(seen[-1].provenance, attempt=attempts - 1)
-    assert cert.graph.blue_rows == seen[-1].blue_rows and cert.graph is not seen[-1] and cert.checked  # rebuilt
+        expected = from_blue_matrix(blue[t])
+        assert (g.n, g.blue_rows, g.red_rows) == (expected.n, expected.blue_rows, expected.red_rows)
+    base = {"p": p, "seed": 59, "sampler": sampler} | ({"d": d, "c_p": solve_cp(p)} if sampler == "geometric" else {})
+    assert cert.graph.provenance == dict(base, attempt=attempts - 1)
+    assert cert.graph.blue_rows == seen[-1].blue_rows and cert.checked
     assert cert.graph.red_rows == seen[-1].red_rows and cert.graph.red_rows is not seen[-1].red_rows  # recomputed
     assert ColoredGraph(cert.n, cert.graph.blue_rows, cert.graph.provenance) == cert.graph
 

@@ -73,6 +73,9 @@ CASES = {
     "validate-quadratic-moment": (
         "validate --check quadratic_moment --d 400 --k 5 --lam 2.5 --cutoffs=-0.3,-0.3,0,0.5,-1 "
         "--trials 20000 --seed 10", 0),
+    # -inf truncates nothing, and its echo must parse back
+    "validate-quadratic-moment-inf": (
+        "validate --check quadratic_moment --d 400 --k 3 --lam 1.5 --cutoffs=-inf,-0.3,0 --trials 20000 --seed 23", 0),
     "validate-chi-square-tail": (
         "validate --check chi_square_tail --freedom 100 --t 2 --trials 30000 --seed 11", 0),
     "validate-conditional-edge": (
