@@ -14,9 +14,10 @@ the final union-bound bases.
 
 Accuracy contract: the cdf is evaluated through the complementary error
 function (good to a few ulp over |t| <= 12); c_p is -ndtri(p) from
-scipy.special, within 4 ulp of the true quantile for p in (1e-6, 1/2)
-and to a relative 1e-15 for p down to 1e-300; the p_C solver drives its
-defining identity below 1e-12.  The exponential-correction bounds carry
+scipy.special (imported on the first quantile asked for; c_{1/2} = 0 asks
+for none), within 4 ulp of the true quantile for p in (1e-6, 1/2) and to
+a relative 1e-15 for p down to 1e-300; the p_C solver drives its defining
+identity below 1e-12.  The exponential-correction bounds carry
 unquantified error factors in their derivation; the evaluators compute the
 explicit main terms only and are labeled as such in their outputs.
 """
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtri
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -46,7 +45,9 @@ def std_normal_cdf(t: float) -> float:
 
 
 def inv_std_normal_cdf(q: float) -> float:
-    """Inverse of std_normal_cdf on (0, 1), by scipy.special.ndtri."""
+    """Inverse of std_normal_cdf on (0, 1), by scipy.special.ndtri (imported on first call)."""
+    from scipy.special import ndtri
+
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {q}")
     return float(ndtri(q))
@@ -139,6 +140,12 @@ class RamseyParams:
             raise ValueError(f"clique size must be positive, got {self.ell}")
         if self.D < 1.0:
             raise ValueError(f"dimension multiplier must be >= 1, got {self.D}")
+        try:
+            finite = math.isfinite(self.C * self.ell) and math.isfinite(self.D * self.D * self.ell * self.ell)
+        except OverflowError:  # an int ell too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"C*ell and D^2*ell^2 must be finite, got C={self.C}, D={self.D}, ell={self.ell}")
         if self.d < self.k:
             raise ValueError(
                 f"dimension d={self.d} below blue clique size k={self.k}; "

@@ -220,6 +220,8 @@ def _value(tag: str, raw: str, finite: bool = True):
         value = int(raw) if tag == "int" else float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {tag} value {raw!r}") from None
+    if tag == "int":  # no int is NaN or infinite, and isnan would overflow past ~308 digits
+        return value
     if math.isnan(value) or (finite and math.isinf(value)):  # only a list item may be infinite
         raise argparse.ArgumentTypeError("NaN is not a valid value" if math.isnan(value) else f"{raw!r} is not finite")
     return _Infinity(value) if math.isinf(value) else value

@@ -42,9 +42,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv, ndtri
 
-from gaussian_ramsey.analytic import solve_cp, std_normal_pdf
+from gaussian_ramsey.analytic import inv_std_normal_cdf, solve_cp, std_normal_pdf
 from gaussian_ramsey.geometry import (
     PerfectSpec,
     _bartlett_rows,
@@ -70,9 +69,6 @@ STREAM_STRIDE = 1 << 24
 
 #: expected-success threshold below which an estimate is flagged underpowered.
 MIN_EXPECTED_SUCCESSES = 100.0
-
-#: two-sided 95% normal quantile.
-_Z95 = float(ndtri(0.975))
 
 
 def _batch_size(elements_per_trial: int, cap: int | None = _MAX_BATCH) -> int:
@@ -125,14 +121,16 @@ def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worke
 
 
 def _binomial_interval(successes: int, trials: int, se: float | None = None) -> tuple[float, float]:
-    """95% interval: exact (Clopper-Pearson) below 30 successes or failures, else normal with
-    standard error se (default: the binomial one)."""
+    """95% interval: exact (Clopper-Pearson, by scipy.special imported on the first call) below 30
+    successes or failures, else normal with standard error se (default: the binomial one)."""
+    from scipy.special import betaincinv
+
     if successes < 30 or trials - successes < 30:
         lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, 0.025))
         hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 0.975))
         return lo, hi
     p = successes / trials
-    half = _Z95 * (math.sqrt(p * (1.0 - p) / trials) if se is None else se)
+    half = inv_std_normal_cdf(0.975) * (math.sqrt(p * (1.0 - p) / trials) if se is None else se)
     return max(0.0, p - half), min(1.0, p + half)
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from gaussian_ramsey.analytic import std_normal_cdf, std_normal_pdf
 
@@ -84,9 +83,12 @@ def sample_truncated(spec: TruncatedSpec, stream, size=None):
     """Exact one-sided truncated N(0, 1/d) draws via the inverse cdf.
 
     The conditioned uniform range is mapped through the standard normal
-    quantile function, so deep truncations cost the same as shallow ones
-    and every draw satisfies the side constraint by construction.
+    quantile function (scipy.special, imported on the first call), so deep
+    truncations cost the same as shallow ones and every draw satisfies the
+    side constraint by construction.
     """
+    from scipy.special import ndtr, ndtri
+
     gen = as_generator(stream)
     u = 1.0 - gen.random(size)  # in (0, 1], keeps the quantile finite
     if spec.side == "lower":

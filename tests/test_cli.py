@@ -13,7 +13,7 @@ import pytest
 
 import gaussian_ramsey
 from gaussian_ramsey import estimators
-from gaussian_ramsey.cli import ExperimentConfig, main, parse_config, render_csv, render_json, run
+from gaussian_ramsey.cli import ExperimentConfig, _value, main, parse_config, render_csv, render_json, run
 from gaussian_ramsey.cliques import ATTEMPT_BATCH, certificate_from_text, search_witness
 from gaussian_ramsey.graphs import MAX_WORDS, WORD_BITS, graph_from_text
 from gaussian_ramsey.sampling import RngStream
@@ -267,6 +267,52 @@ def test_cli_import_does_not_load_scipy_stats():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+_STARTUP = """
+import contextlib, io, json, sys
+import gaussian_ramsey, gaussian_ramsey.cli as cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return cli.main(argv), out.getvalue()
+
+cert = sys.argv[1]
+search = ["search", "--n", "5", "--ell", "3", "--k", "3", "--p", "0.5", "--max-attempts", "1000"]
+report = {"import": scipy_loaded()}
+for name, argv in [
+    ("search-geometric", search + ["--sampler", "geometric", "--d", "400", "--seed", "101", "--out", cert]),
+    ("verify", ["verify", "--in", cert]),
+    ("search-binomial", search + ["--sampler", "binomial", "--seed", "55"]),
+]:
+    report[name] = [run(argv)[0], scipy_loaded()]
+report["density"] = run("estimate --kind density --n 6 --d 32 --p 0.4 --trials 3000 --seed 4".split())
+report["special-after-density"] = "scipy.special" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_verify_and_half_probability_search_never_load_scipy(tmp_path):
+    # c_{1/2} = 0 needs no quantile, so only a special-function call imports scipy.special
+    src = os.path.dirname(os.path.dirname(gaussian_ramsey.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP, str(tmp_path / "cert.txt")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["import"] == []
+    assert report["search-geometric"] == report["verify"] == report["search-binomial"] == [0, []]
+    golden = (Path(__file__).parent / "golden" / "estimate-density.txt").read_text(encoding="utf-8")
+    assert report["density"] == [0, golden]
+    assert report["special-after-density"]
 
 
 def test_csv_format(capsys):
@@ -707,6 +753,32 @@ def test_infinite_float_is_a_usage_error(argv, key, capsys):
     code, out, err = run_main(argv, capsys)
     assert code == 2 and out == ""
     assert f"argument {key}: 'inf' is not finite" in err and "Traceback" not in err
+
+
+_HUGE = "1" + "0" * 400  # past a float's range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["bounds --C 2 --D 100 --ell " + _HUGE, "bounds --C 2 --D 1e308 --ell 5", "bounds --C 1e308 --D 100 --ell 5"],
+    ids=["ell", "D", "C"],
+)
+def test_bounds_inputs_that_overflow_are_refused_by_name(argv, capsys):
+    code, out, err = run_main(argv.split(), capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: C*ell and D^2*ell^2 must be finite, got C=")
+    assert all(f"{key}=" in err for key in ("C", "D", "ell"))
+
+
+def test_huge_int_flag_is_no_traceback(tmp_path, capsys):
+    # no int is NaN or infinite: the int tag returns the int without asking math.isnan
+    assert _value("int", _HUGE) == 10**400
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"C=2\nD=100\nell={_HUGE}\n")
+    scaling = ["scaling", "--r", "3", "--p", "0.4", "--dims", f"64,{_HUGE}", "--trials", "10", "--seed", "1"]
+    for argv in (["bounds", "--config", str(cfg)], scaling):
+        code, out, err = run_main(argv, capsys)
+        assert code in (1, 2) and out == "" and "Traceback" not in err
 
 
 def test_config_key_repeated_warns_last_wins(tmp_path, capsys):

@@ -498,3 +498,11 @@ def test_zero_successes_log_is_minus_inf():
     assert est.point == 0.0
     assert est.log_point == -math.inf
     assert est.ci_low == 0.0 and est.ci_high > 0.0
+
+
+def test_normal_interval_takes_the_two_sided_95_quantile_exactly():
+    # the normal branch's z is ndtri(0.975), taken when it runs; pinned with no tolerance
+    z = 1.959963984540054
+    assert estimators._binomial_interval(500, 1000, se=0.01) == (0.5 - z * 0.01, 0.5 + z * 0.01)
+    half = z * math.sqrt(0.5 * 0.5 / 1000)
+    assert estimators._binomial_interval(500, 1000) == (0.5 - half, 0.5 + half)
