@@ -16,8 +16,9 @@ Accuracy contract: the cdf is evaluated through the complementary error
 function (good to a few ulp over |t| <= 12); c_p is -ndtri(p) from
 scipy.special (imported on the first quantile asked for; c_{1/2} = 0 asks
 for none), within 4 ulp of the true quantile for p in (1e-6, 1/2) and to
-a relative 1e-15 for p down to 1e-300; the p_C solver drives its defining
-identity below 1e-12.  The exponential-correction bounds carry
+a relative 1e-15 for p down to 1e-300; p_C is defined for every finite
+C > 1 and found by bisection to adjacent doubles, within 1 ulp of the
+root of ln p - C ln(1-p).  The exponential-correction bounds carry
 unquantified error factors in their derivation; the evaluators compute the
 explicit main terms only and are labeled as such in their outputs.
 """
@@ -29,9 +30,6 @@ from dataclasses import dataclass
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
-
-#: |defining identity| tolerance for the p_C solver.
-SOLVER_TOL = 1e-12
 
 
 def std_normal_pdf(t: float) -> float:
@@ -54,7 +52,7 @@ def inv_std_normal_cdf(q: float) -> float:
 
 
 def solve_pC(C: float) -> float:
-    """The unique p in (0, 1/2) with C = log(p) / log(1-p).
+    """The unique p in (0, 1/2) with C = log(p) / log(1-p), for every finite C > 1.
 
     Equivalently (1-p)^C = p.  As C -> 1+ the solution approaches 1/2; the
     solution leaves (0, 1/2) for C <= 1, which is rejected.
@@ -62,30 +60,18 @@ def solve_pC(C: float) -> float:
     if not math.isfinite(C) or C <= 1.0:
         raise ValueError(f"clique ratio must exceed 1, got {C}")
 
-    # g(p) = ln p - C ln(1-p) is strictly increasing on (0, 1/2) with
-    # g(0+) = -inf and g(1/2) = (C-1) ln 2 > 0.
+    # g(p) = ln p - C ln(1-p) is strictly increasing on (0, 1/2] with
+    # g(5e-324) < 0 < g(1/2) = (C-1) ln 2: bisect until the ends are adjacent doubles.
     def g(p: float) -> float:
         return math.log(p) - C * math.log1p(-p)
 
-    lo, hi = 1e-300, 0.5
-    p = 0.3
-    for _ in range(200):
-        val = g(p)
-        if val > 0.0:
-            hi = p
+    lo, hi = 5e-324, 0.5
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if g(mid) > 0.0:
+            hi = mid
         else:
-            lo = p
-        deriv = 1.0 / p + C / (1.0 - p)
-        nxt = p - val / deriv
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - p) <= 1e-17 * max(p, 1e-30):
-            p = nxt
-            break
-        p = nxt
-    if abs(g(p)) > SOLVER_TOL:
-        raise ArithmeticError(f"threshold solver stalled at C={C}: residual {g(p):.3e}")
-    return p
+            lo = mid
+    return min(lo, hi, key=lambda p: abs(g(p)))
 
 
 def solve_cp(p: float) -> float:
@@ -278,13 +264,14 @@ def union_bound_report(C: float, ell: int, D: float, eps: float | None = None) -
     # Self-consistency of the first-order shift: the shifted density must
     # stay well inside (0, 1/2) around p_C, and the gain/loss ordering must
     # hold at the shifted density too (not only in the vanishing limit).
+    # Only inside the half-width window is the shifted density a probability
+    # below 1/2, so the ordering is evaluated there and nowhere else.
     half_width = 0.5 * min(bounds.p_C, 0.5 - bounds.p_C)
-    shift = bounds.p_shifted - bounds.p_C
-    a_shift = std_normal_pdf(solve_cp(bounds.p_shifted))
-    gain_at_shift, loss_at_shift = _gain_loss(a_shift, bounds.p_shifted, C)
-    margin_established = (
-        shift < half_width and gain_at_shift > loss_at_shift and red_base < 1.0 and blue_base < 1.0
-    )
+    margin_established = bounds.p_shifted - bounds.p_C < half_width and red_base < 1.0 and blue_base < 1.0
+    if margin_established:
+        a_shift = std_normal_pdf(solve_cp(bounds.p_shifted))
+        gain_at_shift, loss_at_shift = _gain_loss(a_shift, bounds.p_shifted, C)
+        margin_established = gain_at_shift > loss_at_shift
 
     improved_base = bounds.p_C**-0.5 + eps
     return {

@@ -37,6 +37,7 @@ import contextlib
 import itertools
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -204,8 +205,8 @@ def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
     It checks d and the sampler and sizes the batch (_batch_size, at most cap) before any draw;
     draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d) (geometry._edge_threshold).
     """
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
+    if not 1 <= d <= sys.float_info.max:  # geometry._edge_threshold takes sqrt(d) as a double
+        raise ValueError(f"dimension must be at least 1 and fit in a double, got d={d}")
     if sampler is None:
         sampler = "bartlett" if n <= d else "direct"
     if sampler not in ("direct", "bartlett") or (sampler == "bartlett" and n > d):

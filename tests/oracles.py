@@ -2,7 +2,8 @@
 
 These paths intentionally avoid the library's own implementations: the
 normal cdf comes from adaptive quadrature of the density (no erf), the
-solvers from plain interval bisection, and the deep-tail Mills ratio from
+solvers from plain interval bisection (p_C's ulp check at 50 digits, in
+log space), and the deep-tail Mills ratio from
 its asymptotic series with an explicit truncation error, and the graph
 bit layouts from per-pair loops over the rows.  Frozen constants
 in the tests were computed with these functions at 30 decimal digits.
@@ -12,6 +13,8 @@ from scipy.special alone.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -56,6 +59,24 @@ def solve_pC_bisect(C: float, dps: int = 40) -> float:
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def pC_ulp_error(C: float, p: float, dps: int = 50) -> float:
+    """|p - p_C| in units of ulp(p), with p_C the root of ln p - C ln(1-p) found at dps digits.
+
+    The root is bisected in u = ln p over [-800, ln 1/2], which holds p_C for every finite C > 1:
+    u - C log1p(-e^u) increases in u, and 120 halvings leave an interval far below an ulp.
+    """
+    with mp.workdps(dps):
+        Cm = mp.mpf(C)
+        lo, hi = mp.mpf(-800), mp.log(mp.mpf("0.5"))
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if mid - Cm * mp.log1p(-mp.exp(mid)) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return float(abs(mp.mpf(p) - mp.exp((lo + hi) / 2)) / mp.mpf(math.ulp(p)))
 
 
 def mills_asymptotic(t: float) -> tuple[float, float]:

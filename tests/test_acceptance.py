@@ -28,6 +28,7 @@ from gaussian_ramsey.cli import ExperimentConfig, run
 from gaussian_ramsey.cliques import search_witness, verify_witness
 from gaussian_ramsey.estimators import (
     _pair_batch,
+    _usable_cpus,
     correction_scaling,
     estimate_clique_prob,
     estimate_edge_density,
@@ -46,6 +47,7 @@ from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated,
 from gaussian_ramsey.validators import validate_bound
 
 C_GRID = [1.1, 1.5, 2.0, 3.0, 5.0, 10.0]
+THREADS = _usable_cpus()  # throughput only: the runner's results do not depend on the thread count
 
 
 def _report(num: int, name: str) -> None:
@@ -81,18 +83,18 @@ def test_criterion_03_edge_density():
     # 64-vertex clouds: at p = 1/2 the pair indicators are exactly pairwise
     # uncorrelated (sign symmetry), so the binomial error bar is valid
     clouds = 497  # 497 * C(64,2) = 1,001,952 pairs
-    est = estimate_edge_density(64, 1024, 0.5, clouds, RngStream(310))
+    est = estimate_edge_density(64, 1024, 0.5, clouds, RngStream(310), threads=THREADS)
     pairs = est.config["pairs"]
     assert pairs >= 10**6
     assert abs(est.point - 0.5) <= 4.0 * math.sqrt(0.25 / pairs)
 
     p = 0.381966
-    est = estimate_edge_density(64, 1024, p, clouds, RngStream(311))
+    est = estimate_edge_density(64, 1024, p, clouds, RngStream(311), threads=THREADS)
     assert abs(est.point - 0.618034) <= 0.01
 
     biases = []
     for i, d in enumerate((4, 64, 1024)):
-        est = estimate_edge_density(64, d, p, 4000, RngStream(300 + d))
+        est = estimate_edge_density(64, d, p, 4000, RngStream(300 + d), threads=THREADS)
         biases.append(abs(est.point - (1.0 - p)))
     assert biases[0] > biases[1] > biases[2]
     _report(3, f"edge density: half-line, limit value, bias ordering {[f'{b:.2e}' for b in biases]}")
@@ -117,10 +119,10 @@ def test_criterion_04_sampler_equivalence():
 
     for color in ("red", "blue"):
         direct = estimate_clique_prob(
-            3, 256, 0.38, color, trials=2 * 10**5, stream=RngStream(411, 0), sampler="direct"
+            3, 256, 0.38, color, trials=2 * 10**5, stream=RngStream(411, 0), sampler="direct", threads=THREADS
         )
         bart = estimate_clique_prob(
-            3, 256, 0.38, color, trials=2 * 10**5, stream=RngStream(411, 10**6), sampler="bartlett"
+            3, 256, 0.38, color, trials=2 * 10**5, stream=RngStream(411, 10**6), sampler="bartlett", threads=THREADS
         )
         se = math.sqrt(
             direct.point * (1 - direct.point) / direct.trials
@@ -132,8 +134,8 @@ def test_criterion_04_sampler_equivalence():
 
 def test_criterion_05_correlation_signs():
     trials = 10**6
-    red = estimate_clique_prob(3, 100, 0.4, "red", trials=trials, stream=RngStream(500))
-    blue = estimate_clique_prob(3, 100, 0.4, "blue", trials=trials, stream=RngStream(501))
+    red = estimate_clique_prob(3, 100, 0.4, "red", trials=trials, stream=RngStream(500), threads=THREADS)
+    blue = estimate_clique_prob(3, 100, 0.4, "blue", trials=trials, stream=RngStream(501), threads=THREADS)
     se_red = math.sqrt(red.point * (1 - red.point) / trials)
     se_blue = math.sqrt(blue.point * (1 - blue.point) / trials)
     assert red.point < 0.4**3 - 3.0 * se_red
@@ -146,7 +148,7 @@ def test_criterion_05_correlation_signs():
 
 
 def test_criterion_06_correction_scaling():
-    rep = correction_scaling(3, 0.4, [64, 256, 1024], 4 * 10**5, RngStream(600), sampler="direct")
+    rep = correction_scaling(3, 0.4, [64, 256, 1024], 4 * 10**5, RngStream(600), sampler="direct", threads=THREADS)
     fitted, predicted = rep["fitted_red"], rep["predicted_red"]
     assert predicted < 0.0 and fitted < 0.0
     ratio = fitted / predicted

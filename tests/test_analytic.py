@@ -5,6 +5,7 @@ Expected values marked "oracle" were computed with tests/oracles.py
 """
 
 import math
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from gaussian_ramsey.analytic import (
     union_bases,
     union_bound_report,
 )
-from oracles import cdf_quad, inv_cdf_bisect, inv_cdf_mp, mills_asymptotic, solve_pC_bisect
+from oracles import cdf_quad, inv_cdf_bisect, inv_cdf_mp, mills_asymptotic, pC_ulp_error, solve_pC_bisect
 
 C_GRID = [1.1, 1.5, 2.0, 3.0, 5.0, 10.0]
 
@@ -79,6 +80,20 @@ def test_solve_pC_closed_form_and_bisection():
     assert solve_pC(2.0) == pytest.approx(P_C_2, abs=1e-12)
     assert solve_pC(2.0) == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
     assert solve_pC(3.0) == pytest.approx(P_C_3, abs=1e-12)
+
+
+def test_solve_pC_golden_ratio_is_the_nearest_double():
+    # (3 - sqrt 5)/2 = 0.381966011250105151795...; the nearest double prints as below
+    assert solve_pC(2.0) == 0.38196601125010515
+
+
+#: C_GRID and 100 seeded ratios C = 1 + 10^u, u uniform in [-12, 300], so C lies in (1, 1e300]
+_ULP_GRID = C_GRID + [1.0 + 10.0 ** random.Random(26).uniform(-12.0, 300.0) for _ in range(100)]
+
+
+def test_solve_pC_within_one_ulp_of_the_root():
+    errors = {C: pC_ulp_error(C, solve_pC(C)) for C in _ULP_GRID}
+    assert max(errors.values()) <= 1.0, {C: e for C, e in errors.items() if e > 1.0}
 
 
 @pytest.mark.parametrize("C", C_GRID)

@@ -42,6 +42,13 @@ def test_solve_record(capsys):
     assert rec["version"] == "0.1.0"
 
 
+@pytest.mark.parametrize("C", ["1e50", "1e305", "1.7976931348623157e308"])
+def test_solve_takes_every_finite_ratio_above_one(C, capsys):
+    code, out, err = run_main(["solve", "--C", C], capsys)
+    assert code == 0 and err == ""
+    assert 0.0 < json.loads(out)["result"]["p_C"] < 0.5
+
+
 def test_estimate_r1_point_one(capsys):
     code, out, err = run_main(
         ["estimate", "--kind", "clique", "--r", "1", "--d", "16", "--p", "0.4",
@@ -231,6 +238,23 @@ def test_bounds_command(capsys):
     rec = json.loads(out)
     assert rec["result"]["bases_below_one"]
     assert rec["result"]["margin_established"]
+
+
+def test_bounds_gives_a_record_wherever_its_dimension_holds_the_blue_clique(capsys):
+    # the first-order shift can leave (0, 1/2); the margin is then not established, and no c_p is asked for
+    margins = set()
+    for C in ["1.0001", "1.01", "1.1", "1.5", "2", "3", "5", "10", "100"]:
+        for D in ["1", "1.5", "2", "5", "10", "100", "1000"]:
+            code, out, err = run_main(["bounds", "--C", C, "--D", D, "--ell", "5"], capsys)
+            assert "probability must lie in" not in err, (C, D)
+            if float(D) ** 2 * 25 < math.ceil(float(C) * 5):  # d = D^2 ell^2 below k = C ell: outside the domain
+                assert code == 1 and out == "" and err.startswith("error: dimension d="), (C, D)
+                continue
+            assert code in (0, 1) and err == "", (C, D)
+            rec = json.loads(out)
+            assert rec["passed"] == (code == 0) == rec["result"]["bases_below_one"], (C, D)
+            margins.add(rec["result"]["margin_established"])
+    assert margins == {True, False}
 
 
 def test_float_rendering_17_digits():
@@ -779,6 +803,28 @@ def test_huge_int_flag_is_no_traceback(tmp_path, capsys):
     for argv in (["bounds", "--config", str(cfg)], scaling):
         code, out, err = run_main(argv, capsys)
         assert code in (1, 2) and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [f"scaling --r 3 --p 0.4 --dims 64,{_HUGE} --trials 10 --seed 1", f"sample --n 4 --d {_HUGE} --p 0.4 --seed 1"],
+    ids=["scaling", "sample"],
+)
+def test_a_dimension_no_double_holds_is_refused_by_name(argv, capsys):
+    code, out, err = run_main(argv.split(), capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "d=" in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("p, color", [("1", "red"), ("0", "blue")])
+@pytest.mark.parametrize("n", ["3", "5"])
+def test_search_rejects_a_monochromatic_complete_graph(n, p, color, capsys):
+    # at p = 1 every edge is red, at p = 0 blue: K_n holds a clique of size ell = k = n in that color
+    argv = ["search", "--n", n, "--ell", n, "--k", n, "--sampler", "binomial", "--p", p, "--max-attempts", "3",
+            "--seed", "1"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 1 and err == ""
+    assert json.loads(out)["result"] == {"found": False, "max_attempts": 3}, color
 
 
 def test_config_key_repeated_warns_last_wins(tmp_path, capsys):

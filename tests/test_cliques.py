@@ -415,6 +415,18 @@ def test_verify_skips_the_blue_search_after_a_red_clique(monkeypatch):
         verify_witness(all_red, 4, 0)  # a bad size is still an error when red settles the answer
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_a_monochromatic_complete_graph_holds_a_clique_of_size_n(n):
+    # ell = n and k = n are the largest sizes the graph can hold, so neither search may be skipped
+    all_red, all_blue = from_blue_matrix(np.zeros((n, n), bool)), complete_blue(n)
+    assert not verify_witness(all_red, n, n).checked
+    assert not verify_witness(all_red, n, n + 1).checked
+    assert not verify_witness(all_blue, n, n).checked
+    assert not verify_witness(all_blue, n + 1, n).checked
+    assert verify_witness(all_red, n + 1, n).checked == (n > 1)  # one vertex is a K_1 of either color
+    assert verify_witness(all_blue, n, n + 1).checked == (n > 1)
+
+
 def _oracle_graphs():
     """Binomial and geometric colorings with n = 20-64, and Paley(q) for q <= 61."""
     gen = RngStream(57).generator()

@@ -56,8 +56,9 @@ def test_triangle_correction_signs():
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_samplers_agree(r, d, p, color):
     trials = 50000
-    a = estimate_clique_prob(r, d, p, color, trials=trials, stream=RngStream(5), sampler="direct")
-    b = estimate_clique_prob(r, d, p, color, trials=trials, stream=RngStream(6), sampler="bartlett")
+    threads = estimators._usable_cpus()  # throughput only: the results do not depend on the thread count
+    a = estimate_clique_prob(r, d, p, color, trials=trials, stream=RngStream(5), sampler="direct", threads=threads)
+    b = estimate_clique_prob(r, d, p, color, trials=trials, stream=RngStream(6), sampler="bartlett", threads=threads)
     se = math.sqrt(
         a.point * (1.0 - a.point) / trials + b.point * (1.0 - b.point) / trials
     )

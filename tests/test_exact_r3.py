@@ -12,11 +12,12 @@ import math
 
 import pytest
 
-from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob
+from gaussian_ramsey.estimators import _usable_cpus, correction_scaling, estimate_clique_prob
 from gaussian_ramsey.sampling import RngStream
 from oracles import clique3_prob
 
 P = 0.4
+THREADS = _usable_cpus()  # throughput only: the runner's results do not depend on the thread count
 
 
 def test_oracle_tends_to_the_main_term():
@@ -42,7 +43,8 @@ def test_oracle_nodes_converge():
 @pytest.mark.parametrize("color", ["red", "blue"])
 def test_clique_prob_matches_exact(sampler, d, trials, seed, color):
     exact = clique3_prob(d, P, color)
-    est = estimate_clique_prob(3, d, P, color, trials=trials, stream=RngStream(seed), sampler=sampler)
+    threads = THREADS if sampler == "direct" else 1
+    est = estimate_clique_prob(3, d, P, color, trials=trials, stream=RngStream(seed), sampler=sampler, threads=threads)
     se = math.sqrt(exact * (1.0 - exact) / trials)
     assert abs(est.point - exact) <= 4.0 * se
     reference = P**3 if color == "red" else (1.0 - P) ** 3

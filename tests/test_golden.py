@@ -1,4 +1,4 @@
-"""Byte-exact CLI records: search, verify, sample and the Monte-Carlo commands.
+"""Byte-exact CLI records: search, verify, sample, the Monte-Carlo commands, solve and bounds.
 
 Each case runs ``main`` in-process and compares stdout, byte for byte,
 with a file under ``tests/golden/``.  The files pin the bit layout of
@@ -7,9 +7,12 @@ index at which each sampler first verifies, and the certificate text, so
 any change to graph building or to the clique engine that alters a
 record fails here.  The estimate, validate and scaling cases pin the
 batch partition, the stream of each batch and the fold order of the
-Monte-Carlo runner; several of them span more than one batch.  Every
+Monte-Carlo runner; several of them span more than one batch.  The solve
+and bounds cases pin p_C and every quantity computed from it, at a bounds
+config that establishes its margin and one that does not.  Every JSON-lines
 record also replays: the argv rebuilt from the invocation it echoes gives
-the same bytes and exit status.
+the same bytes and exit status.  The CSV cases and the scaling plot file
+pin the other two renderings of a float.
 """
 
 import json
@@ -84,12 +87,21 @@ CASES = {
         "scaling --r 3 --p 0.4 --dims 64,256 --sampler bartlett --trials 20000 --seed 13", 0),
     "scaling-direct": (
         "scaling --r 3 --p 0.4 --dims 64,256 --sampler direct --threads 2 --trials 12000 --seed 14", 0),
+    "solve-C2": ("solve --C 2", 0),
+    "bounds-C2-D100-ell100": ("bounds --C 2 --D 100 --ell 100", 0),  # margin established
+    "bounds-C2-D1-ell5": ("bounds --C 2 --D 1 --ell 5", 0),  # margin not established
+}
+
+#: name -> (argv, exit status); CSV records, which do not replay from a JSON line
+CSV_CASES = {
+    "validate-conditional-edge-csv": (CASES["validate-conditional-edge"][0] + " --format csv", 0),
+    "scaling-bartlett-csv": (CASES["scaling-bartlett"][0] + " --format csv", 0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted({**CASES, **CSV_CASES}))
 def test_record_bytes(name, capsys):
-    argv, status = CASES[name]
+    argv, status = {**CASES, **CSV_CASES}[name]
     assert main(argv.split()) == status
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
@@ -122,5 +134,15 @@ def test_verify_record_bytes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / "verify-n12-44.txt").read_text(encoding="utf-8")
 
 
+def test_plot_file_bytes(tmp_path, monkeypatch, capsys):
+    # the plot file is an artifact, not part of the record: the record keeps the scaling-bartlett bytes
+    monkeypatch.chdir(tmp_path)
+    assert main(CASES["scaling-bartlett"][0].split() + ["--plot-out", "plot.txt"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "scaling-bartlett.txt").read_text(encoding="utf-8")
+    assert (tmp_path / "plot.txt").read_bytes() == (GOLDEN / "scaling-bartlett-plot.txt").read_bytes()
+
+
 def test_every_golden_is_read():
-    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted([*CASES, "verify-n12-44"])
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted(
+        [*CASES, *CSV_CASES, "verify-n12-44", "scaling-bartlett-plot"]
+    )

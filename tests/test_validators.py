@@ -8,7 +8,7 @@ import pytest
 from scipy.special import chdtr, chdtrc, gammaincc
 
 from gaussian_ramsey.sampling import RngStream
-from gaussian_ramsey.validators import CHECKS, validate_bound
+from gaussian_ramsey.validators import CHECKS, _within, validate_bound
 
 
 def test_unknown_check_rejected():
@@ -192,3 +192,10 @@ def test_chi_square_tail_resolvable():
 def test_params_must_be_exactly_the_keys_the_check_reads(params, named):
     with pytest.raises(ValueError, match="norm_concentration reads exactly d, delta: .*" + re.escape(named)):
         validate_bound("norm_concentration", params, 10, RngStream(1))
+
+
+def test_the_pass_rule_allows_three_standard_errors():
+    bound, se = 0.25, 0.0625  # exact in binary, so bound + m*se is the sum it reads
+    assert _within(bound + 3.0 * se, bound, se)
+    assert not _within(bound + 3.5 * se, bound, se)
+    assert _within(bound, bound, 0.0) and not _within(math.nextafter(bound, 1.0), bound, 0.0)
