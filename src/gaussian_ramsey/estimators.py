@@ -29,6 +29,10 @@ than _MAX_TRIAL_ELEMENTS doubles (512 MiB) is refused.  The estimators cap a
 batch at 8192 trials; the validators take none, since a cap would repartition
 their records; search_witness caps it at ATTEMPT_BATCH attempts, since it
 stops at its first witness and would discard the rest of a larger batch.
+The budget fixes the partition, and so the records.  A triangular batch holds
+about that many doubles; a direct batch draws, scales and multiplies its clouds
+one slab of _SLAB_ELEMENTS doubles (256 KiB) at a time, so it holds its Gram,
+its mask and one slab, not its clouds.
 """
 
 from __future__ import annotations
@@ -56,8 +60,10 @@ from gaussian_ramsey.geometry import (
 )
 from gaussian_ramsey.sampling import RngStream
 
-#: target elements per sampling batch (doubles); keeps batches ~32 MB.
+#: target elements per sampling batch (doubles): fixes the batch partition, and so the records.
 _BATCH_ELEMENTS = 1 << 22
+#: doubles of direct clouds drawn at once (256 KiB): a direct batch holds its Gram, its mask and one slab.
+_SLAB_ELEMENTS = 1 << 15
 _MAX_BATCH = 8192
 #: largest trial, in doubles, that any sampling path may draw (512 MiB).
 _MAX_TRIAL_ELEMENTS = 1 << 26
@@ -78,6 +84,13 @@ def _batch_size(elements_per_trial: int, cap: int | None = _MAX_BATCH) -> int:
         raise ValueError(f"one trial would hold {elements_per_trial} doubles, over the cap of {_MAX_TRIAL_ELEMENTS}")
     batch = _BATCH_ELEMENTS // max(1, elements_per_trial)
     return max(1, batch if cap is None else min(cap, batch))
+
+
+def _count(value: int, key: str, what: str) -> int:
+    """value, refused by name unless it is at least 1 and fits in a double: the package computes with it as one."""
+    if not 1 <= value <= sys.float_info.max:
+        raise ValueError(f"{what} must be at least 1 and fit in a double, got {key}={value}")
+    return value
 
 
 def _usable_cpus() -> int:
@@ -168,7 +181,8 @@ def _estimate(successes: int, total: int, trials: int, stream: RngStream, config
 
 
 def _trial_elements(n: int, d: int, sampler: str) -> int:
-    """Doubles one trial of _pair_batch holds: n * max(n, d) direct (its cloud or its Gram), n * n triangular."""
+    """Doubles one trial counts toward the batch budget: n * max(n, d) direct (its cloud or its Gram), n * n
+    triangular.  The count fixes the partition; a direct batch holds only its Gram and one slab of clouds."""
     return n * max(n, d) if sampler == "direct" else n * n
 
 
@@ -177,11 +191,17 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec):
 
     Row i's pairs j > i fill whole rows of the mask (np.triu_indices order), read off the direct
     clouds' BLAS Gram or computed alone from the batch-last triangular rows, G_ij = sum_{k<=i} L_jk L_ik.
-    The random draws do not depend on the spec, so runs sharing a stream are
-    coupled trial by trial.  A trial holds _trial_elements(n, d, sampler) doubles.
+    Direct clouds are drawn, scaled and multiplied into the batch's Gram one slab of at most
+    _SLAB_ELEMENTS doubles at a time, with the bits of one whole draw.  The random draws do not
+    depend on the spec, so runs sharing a stream are coupled trial by trial.
     """
     if sampler == "direct":
-        grams = gram_batch(sample_cloud_batch(count, n, d, gen))
+        step = max(1, _SLAB_ELEMENTS // (n * d))
+        slab = np.empty((min(step, count), n, d))
+        grams = np.empty((count, n, n))
+        for start in range(0, count, step):
+            k = min(step, count - start)
+            gram_batch(sample_cloud_batch(k, n, d, gen, out=slab[:k]), out=grams[start : start + k])
         rows = (grams[:, i, i + 1 :].T for i in range(n - 1))
         triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
     else:  # "bartlett": _pair_plan has checked the name and n <= d
@@ -205,8 +225,7 @@ def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
     It checks d and the sampler and sizes the batch (_batch_size, at most cap) before any draw;
     draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d) (geometry._edge_threshold).
     """
-    if not 1 <= d <= sys.float_info.max:  # geometry._edge_threshold takes sqrt(d) as a double
-        raise ValueError(f"dimension must be at least 1 and fit in a double, got d={d}")
+    _count(d, "d", "dimension")  # geometry._edge_threshold takes sqrt(d) as a double
     if sampler is None:
         sampler = "bartlett" if n <= d else "direct"
     if sampler not in ("direct", "bartlett") or (sampler == "bartlett" and n > d):
@@ -232,8 +251,7 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     if n < 2:
         raise ValueError(f"need at least two vertices, got n={n}")
     c_p, sampler, batch, draw = _pair_plan(n, d, p)
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
+    _count(trials, "trials", "trial count")
     pairs_per_cloud = n * (n - 1) // 2
 
     def worker(gen, count):
@@ -306,8 +324,7 @@ def estimate_clique_prob(
     c_p, (_, batch, _, worker) = _clique_plan(r, d, p, trials, stream, sampler, perfect_spec)
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
+    _count(trials, "trials", "trial count")
     reference, underpowered = _binomial_reference(r, p, color, trials)
     if underpowered:
         warnings.warn(
@@ -366,8 +383,7 @@ def correction_scaling(
         raise ValueError(f"dims must be at least two strictly ascending dimensions, got {list(dims)}")
     planned = [_clique_plan(r, d, p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None)
                for di, d in enumerate(dims)]
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
+    _count(trials, "trials", "trial count")
     a = std_normal_pdf(planned[0][0])  # every plan solves the same c_p
     rows = []
     fit_data = {"red": [], "blue": []}
@@ -406,7 +422,8 @@ def correction_scaling(
         "rows": rows,
         "fitted_red": fit_origin(fit_data["red"]),
         "fitted_blue": fit_origin(fit_data["blue"]),
-        "predicted_red": -(a**3 / p**3) * math.comb(r, 3),
+        # p**3 underflows to 0 below p ~ 1e-108, where a/p is still about c_p
+        "predicted_red": -(a**3 / p**3 if p**3 else (a / p) ** 3) * math.comb(r, 3),
         "predicted_blue": (a**3 / (1.0 - p) ** 3) * math.comb(r, 3),
         "terms": "main-term",
     }

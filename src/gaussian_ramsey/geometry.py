@@ -146,9 +146,16 @@ class PerfectSpec:
 # ---------------------------------------------------------------------------
 
 
-def sample_cloud_batch(batch: int, n: int, d: int, gen) -> np.ndarray:
-    """(batch, n, d) independent clouds with coordinate variance 1/d."""
-    return gen.standard_normal((batch, n, d)) / math.sqrt(d)
+def sample_cloud_batch(batch: int, n: int, d: int, gen, out: np.ndarray | None = None) -> np.ndarray:
+    """(batch, n, d) independent clouds with coordinate variance 1/d, drawn into out when given.
+
+    The normals are drawn in C order and scaled in place, so drawing a batch slab by slab into one
+    reused buffer consumes the generator exactly as one whole draw does, and gives the same bits.
+    The estimators' direct batches are drawn so: the element budget fixes the batch partition, while
+    a batch holds its Gram, its pair mask and one slab (estimators._pair_batch).
+    """
+    clouds = gen.standard_normal((batch, n, d), out=out)
+    return np.divide(clouds, math.sqrt(d), out=clouds)
 
 
 def _bartlett_rows(batch: int, r: int, d: int, gen) -> np.ndarray:
@@ -190,9 +197,12 @@ def sample_bartlett(r: int, d: int, stream) -> TriangularSample:
 # ---------------------------------------------------------------------------
 
 
-def gram_batch(clouds: np.ndarray) -> np.ndarray:
-    """Batched inner products; consumers read only the pairs i < j."""
-    return clouds @ np.swapaxes(clouds, -1, -2)
+def gram_batch(clouds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched inner products, written into out when given; consumers read only the pairs i < j.
+
+    Each cloud's Gram is its own product, so a batch's Grams do not depend on how it is split.
+    """
+    return np.matmul(clouds, np.swapaxes(clouds, -1, -2), out=out)
 
 
 def gram(cloud: PointCloud) -> np.ndarray:

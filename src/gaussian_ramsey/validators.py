@@ -97,9 +97,7 @@ def _one_sided(empirical: float, bound: float, se: float, vacuous: bool, **extra
 
 
 def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
-    d, delta = int(params["d"]), float(params["delta"])
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
+    d, delta = estimators._count(int(params["d"]), "d", "dimension"), float(params["delta"])
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     bound = 2.0 * math.exp(-delta * delta * d / 10.0)
@@ -113,15 +111,18 @@ def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
-    d, ell, s = int(params["d"]), int(params["ell"]), int(params["s"])
-    p, C = float(params["p"]), float(params["C"])
+    s, p, C = int(params["s"]), float(params["p"]), float(params["C"])
     if not C > 1.0:  # the clique ratio k/ell, as solve and bounds require
         raise ValueError(f"C must exceed 1, got C={C}")
+    d = estimators._count(int(params["d"]), "d", "dimension")
+    ell = estimators._count(int(params["ell"]), "ell", "ell")
     if not 1 <= s <= d:
         raise ValueError(f"subspace dimension must lie in [1, d], got s={s}")
     if s > C * ell:
         raise ValueError(f"requires s <= C*ell, got s={s} > {C * ell}")
     alpha = PerfectSpec.from_params(C, ell, d, p).alpha_proj
+    if math.isinf(alpha):  # 10/p overflows below p = 5.6e-308 (or C is huge): the threshold would be infinite
+        raise ValueError(f"alpha = 100 C ln(10/p) overflows, got C={C}, p={p}")
     threshold_sq = alpha * alpha * ell / d
     log_bound = 10.0 * C * ell * math.log(p / 10.0)
     bound = math.exp(log_bound) if log_bound > -700 else 0.0
@@ -150,9 +151,7 @@ def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
-    d, k, lam = int(params["d"]), int(params["k"]), float(params["lam"])
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
+    d, k, lam = estimators._count(int(params["d"]), "d", "dimension"), int(params["k"]), float(params["lam"])
     cutoffs = np.asarray(params["cutoffs"], dtype=float)
     if cutoffs.shape != (k,):
         raise ValueError(f"need exactly k={k} cutoffs, got shape {cutoffs.shape}")
@@ -177,9 +176,7 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
-    freedom, t = int(params["freedom"]), float(params["t"])
-    if freedom < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {freedom}")
+    freedom, t = estimators._count(int(params["freedom"]), "freedom", "degrees of freedom"), float(params["t"])
     if t < 0.0:
         raise ValueError(f"deviation parameter must be nonnegative, got {t}")
     bound = math.exp(-t)
@@ -205,12 +202,10 @@ def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _conditional_edge(params: dict, trials: int, stream: RngStream) -> dict:
-    p, d = float(params["p"]), int(params["d"])
+    p, d = float(params["p"]), estimators._count(int(params["d"]), "d", "dimension")
     inner, diag = float(params["inner"]), float(params["diag"])
     if diag <= 0.0:
         raise ValueError(f"diagonal entry must be positive, got {diag}")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got d={d}")
     c_p = solve_cp(p)
     a = std_normal_pdf(c_p)
     root_d = math.sqrt(d)
@@ -261,8 +256,7 @@ def validate_bound(name: str, params: dict, trials: int, stream: RngStream) -> d
     missing, unread = [key for key in reads if key not in params], [key for key in params if key not in reads]
     if missing or unread:
         raise ValueError(f"{name} reads exactly {', '.join(reads)}: missing {missing}, not read {unread}")
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
+    estimators._count(trials, "trials", "trial count")
     result = CHECKS[name][0](dict(params), trials, stream)
     result.update(
         {

@@ -574,7 +574,7 @@ def test_arithmetic_error_is_an_error_exit(monkeypatch, capsys):
 
 @pytest.mark.parametrize("message", ["Unable to allocate 2.98 GiB", ""], ids=["numpy", "bare"])
 def test_memory_error_is_an_error_exit(monkeypatch, capsys, message):
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
     # scaling at two threads raises inside a pool thread; the error still reaches the CLI
@@ -814,6 +814,59 @@ def test_a_dimension_no_double_holds_is_refused_by_name(argv, capsys):
     code, out, err = run_main(argv.split(), capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "d=" in err.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (f"validate --check norm_concentration --d {_HUGE} --delta 0.3 --trials 10", "d"),
+        (f"validate --check projection_tail --d {_HUGE} --ell 2 --s 2 --p 0.4 --C 2 --trials 10", "d"),
+        (f"validate --check projection_tail --d 400 --ell {_HUGE} --s 2 --p 0.4 --C 2 --trials 10", "ell"),
+        (f"validate --check quadratic_moment --d {_HUGE} --k 2 --lam 0.1 --cutoffs 0,0 --trials 10", "d"),
+        (f"validate --check conditional_edge --d {_HUGE} --p 0.4 --inner 0 --diag 1 --trials 10", "d"),
+        (f"validate --check chi_square_tail --freedom {_HUGE} --t 1 --trials 10", "freedom"),
+        (f"estimate --kind clique --r 3 --d 64 --p 0.4 --color red --trials {_HUGE}", "trials"),
+        (f"estimate --kind density --d 64 --p 0.4 --trials {_HUGE}", "trials"),
+        (f"scaling --r 3 --p 0.4 --dims 64,256 --trials {_HUGE}", "trials"),
+        (f"validate --check chi_square_tail --freedom 3 --t 1 --trials {_HUGE}", "trials"),
+    ],
+    ids=["norm_concentration-d", "projection_tail-d", "projection_tail-ell", "quadratic_moment-d",
+         "conditional_edge-d", "chi_square_tail-freedom", "clique-trials", "density-trials", "scaling-trials",
+         "validate-trials"],
+)
+def test_an_int_no_double_holds_is_refused_by_name(argv, key, monkeypatch, capsys):
+    def no_generator(self):
+        raise AssertionError("a generator was made for an int no double holds")
+
+    monkeypatch.setattr(RngStream, "generator", no_generator)
+    code, out, err = run_main(argv.split() + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"got {key}=1{'0' * 400}" in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("p", ["1e-300", "5e-324"])
+def test_scaling_gives_a_record_where_p_cubed_underflows(p, capsys):
+    # below p ~ 1e-108, p**3 is 0; the predicted red coefficient is read from a/p, which stays near c_p
+    code, out, err = run_main(["scaling", "--r", "3", "--p", p, "--dims", "64,256", "--trials", "10", "--seed", "1"],
+                              capsys)
+    assert code == 1 and err == ""  # every red row is underpowered, so the record does not pass
+    result = json.loads(out)["result"]
+    assert result["p"] ** 3 == 0.0
+    assert result["predicted_red"] == -((result["a"] / result["p"]) ** 3) < 0.0
+
+
+@pytest.mark.parametrize("p, refused", [("5e-324", True), ("1e-320", True), ("1e-300", False)])
+def test_projection_tail_refuses_a_p_at_which_alpha_overflows(p, refused, capsys):
+    # alpha = 100 C ln(10/p) is infinite once 10/p overflows (p below 5.6e-308 at C = 2)
+    argv = ["validate", "--check", "projection_tail", "--d", "400", "--ell", "2", "--s", "2", "--p", p, "--C", "2",
+            "--trials", "10", "--seed", "1"]
+    code, out, err = run_main(argv, capsys)
+    if refused:
+        assert code == 1 and out == ""
+        assert err.startswith("error: alpha = 100 C ln(10/p) overflows, got C=2.0, p=") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+        assert math.isfinite(json.loads(out)["result"]["alpha_proj"])
 
 
 @pytest.mark.parametrize("p, color", [("1", "red"), ("0", "blue")])

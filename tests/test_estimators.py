@@ -18,7 +18,14 @@ from gaussian_ramsey.estimators import (
     estimate_clique_prob,
     estimate_edge_density,
 )
-from gaussian_ramsey.geometry import PerfectSpec, _bartlett_rows, bartlett_prefix_norms, gram_batch, sample_bartlett
+from gaussian_ramsey.geometry import (
+    PerfectSpec,
+    _bartlett_rows,
+    _cholesky,
+    bartlett_prefix_norms,
+    gram_batch,
+    sample_bartlett,
+)
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import validate_bound
 
@@ -173,6 +180,53 @@ def test_direct_pair_batch_holds_about_the_doubles_it_counts():
     assert peak <= 1.25 * estimators._trial_elements(600, 16, "direct") * 8
 
 
+@pytest.mark.parametrize("restrict", [False, True], ids=["plain", "spec"])
+@pytest.mark.parametrize(
+    "n, d, count",
+    # slabs of 32768 // (n * d) clouds: 10, 10 and 5; one short slab; 409, 409 and 182; one cloud per slab
+    [(3, 1024, 25), (3, 1024, 7), (20, 4, 1000), (3, 16384, 3)],
+    ids=["n<d-short-last-slab", "n<d-one-short-slab", "n>d-short-last-slab", "n<d-cloud-over-a-slab"],
+)
+def test_direct_slabs_are_the_whole_batch_bit_for_bit(monkeypatch, n, d, count, restrict):
+    # the generator is consumed in the same C order and each trial's Gram is its own product, so
+    # drawing, scaling and multiplying one slab at a time gives the whole batch's Grams and masks
+    seed, threshold = 41, -estimators.solve_cp(0.4) / math.sqrt(d)
+    spec = PerfectSpec(alpha_proj=1.0, delta=1.0 / math.sqrt(d), ell=n, d=d) if restrict else None
+    grams = gram_batch(estimators.sample_cloud_batch(count, n, d, RngStream(seed).generator()))
+    iu = np.triu_indices(n, 1)
+    ref_perfect = True if spec is None else spec.admits(*bartlett_prefix_norms(_cholesky(grams))).all(axis=1)
+    slabs = []
+    multiply = estimators.gram_batch
+
+    def recording(clouds, out=None):
+        slabs.append(multiply(clouds, out=out).copy())
+        return slabs[-1]
+
+    monkeypatch.setattr(estimators, "gram_batch", recording)
+    blue, perfect = _pair_batch(RngStream(seed).generator(), count, n, d, threshold, "direct", spec)
+    step = max(1, estimators._SLAB_ELEMENTS // (n * d))
+    assert [len(slab) for slab in slabs] == [min(step, count - start) for start in range(0, count, step)]
+    assert np.array_equal(np.concatenate(slabs).view(np.uint64), grams.view(np.uint64))
+    assert np.array_equal(blue, (grams[:, iu[0], iu[1]] >= threshold).T)
+    assert np.array_equal(perfect, ref_perfect)
+    assert spec is None or 0 < perfect.sum() < count  # the spec admits some trials and refuses others
+
+
+def test_direct_batch_holds_one_slab_not_its_clouds():
+    # a (3, 1024) batch of 1365 trials is the 32 MiB of clouds _BATCH_ELEMENTS allows; drawn a
+    # 256 KiB slab at a time, it holds its Grams, its pair mask and one slab
+    _, _, batch, draw = estimators._pair_plan(3, 1024, 0.4, "direct")
+    assert batch == 1365
+    gen = RngStream(7).generator()
+    tracemalloc.start()
+    try:
+        draw(gen, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_perfect_restriction_coupled_estimates():
     spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100)
     kwargs = dict(trials=10**5, sampler="bartlett")
@@ -296,9 +350,9 @@ def test_scaling_counts_both_colors_in_one_draw(monkeypatch, sampler, threads):
     sizes = {"normals": [], "triangular": []}
     cloud, bartlett = estimators.sample_cloud_batch, estimators._bartlett_rows
 
-    def count_cloud(batch, n, d, gen):
+    def count_cloud(batch, n, d, gen, out=None):
         sizes["normals"].append(batch * n * d)
-        return cloud(batch, n, d, gen)
+        return cloud(batch, n, d, gen, out=out)
 
     def count_bartlett(batch, r, d, gen):
         sizes["triangular"].append(batch)
@@ -368,18 +422,22 @@ class _Drawn(Exception):
     ids=["density-n2000-d4", "density-n64-d4", "density-n9-d8", "clique-r64-d4"],
 )
 def test_direct_batch_counts_the_gram(monkeypatch, run, batch):
-    # n > d: the (n, n) Gram outweighs the cloud, so a direct trial counts n * n doubles
-    asked = []
+    # n > d: the (n, n) Gram outweighs the cloud, so a direct trial counts n * n doubles;
+    # the first batch is drawn a slab at a time, and its slabs together hold exactly its trials
+    drawn = []  # (generator, clouds) per slab; each batch draws from a generator of its own
+    cloud = estimators.sample_cloud_batch
 
-    def record(count, n, d, gen):
-        asked.append(count)
-        raise _Drawn  # before anything is allocated
+    def record(count, n, d, gen, out=None):
+        if drawn and gen is not drawn[0][0]:
+            raise _Drawn  # the second batch's first slab: the first batch is complete
+        drawn.append((gen, count))
+        return cloud(count, n, d, gen, out=out)
 
     monkeypatch.setattr(estimators, "sample_cloud_batch", record)
     with warnings.catch_warnings(), pytest.raises(_Drawn):
         warnings.simplefilter("ignore")  # r = 64 is far underpowered
         run(RngStream(1))
-    assert asked == [batch]
+    assert sum(count for _, count in drawn) == batch
 
 
 #: every caller that names no sampler, run at n vectors in R^d

@@ -71,7 +71,8 @@ def _record_draws(monkeypatch) -> list[int]:
 
     class Recording(np.random.Generator):
         def standard_normal(self, size=None, *args, **kwargs):
-            sizes.append(int(np.prod(size)))
+            out = kwargs.get("out")  # a draw into a buffer may give its size by the buffer alone
+            sizes.append(int(np.prod(size if out is None else out.shape)))
             return super().standard_normal(size, *args, **kwargs)
 
         def chisquare(self, df, size=None):
