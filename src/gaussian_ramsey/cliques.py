@@ -1,6 +1,14 @@
 """Exact monochromatic clique search and witness-coloring certificates.
 
-The search is a complete branch-and-bound over packed adjacency bitmasks,
+A clique search first dives greedily, as MCQ and BBMC start from a greedy
+clique: from each start vertex, lowest label first, it keeps adding the
+lowest common neighbor until it holds the requested size or runs out of
+candidates, at most n * size word operations.  A walk that reaches the
+size is the answer; when every walk dead-ends, the dive returns None and
+the complete search decides.  The dive runs at the root only, since every
+node of an absence proof would pay for it and find nothing.
+
+The complete search is a branch-and-bound over packed adjacency bitmasks,
 run directly on the graph's blue or red rows, with the k_min rule of BBMC
 (San Segundo, Rodriguez-Losada & Jimenez 2011).  At each node that still
 needs k vertices it greedily colors only the k - 1 lowest independent
@@ -48,6 +56,28 @@ ATTEMPT_BATCH = 256
 _Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # a search attempt: _pack_rows's rows, all the engine reads
 
 
+def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
+    """size pairwise-adjacent vertices of P from a greedy walk, or None if every walk dead-ends.
+
+    Each start vertex of P, lowest label first, begins a walk that keeps
+    adding the lowest vertex adjacent to all it holds.  Each step intersects
+    the candidates with the new vertex's row, so a returned walk is a
+    clique; None proves nothing.
+    """
+    starts = P
+    while starts:
+        u = (starts & -starts).bit_length() - 1
+        starts ^= 1 << u
+        walk, Q = [u], P & rows[u]
+        while Q and len(walk) < size:
+            u = (Q & -Q).bit_length() - 1
+            walk.append(u)
+            Q &= rows[u]
+        if len(walk) == size:
+            return walk
+    return None
+
+
 def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -> list[int] | None:
     """need vertices of P that are pairwise adjacent in adj, or None if P holds none.
 
@@ -89,10 +119,12 @@ def find_mono_clique(g: ColoredGraph | _Attempt, size: int, color: str) -> tuple
     """A monochromatic clique of the given size, as sorted vertices, or None if none exists.
 
     It reads g.n, g.blue_rows and g.red_rows only, which a search _Attempt
-    holds too.  Complete: a None return is a proof of absence.  Which
-    clique is returned when several exist is unspecified.  Graphs beyond the
-    word budget raise CapabilityError instead of silently taking
-    exponential time (and the recursion stays within Python's limit).
+    holds too.  A greedy dive (_dive) answers first; when every walk
+    dead-ends, the complete branch-and-bound (_search) decides, so a None
+    return is a proof of absence.  Which clique is returned when several
+    exist is unspecified.  Graphs beyond the word budget raise
+    CapabilityError instead of silently taking exponential time (and the
+    recursion stays within Python's limit).
     """
     capability_check(g.n)
     if not 1 <= size <= g.n:
@@ -100,7 +132,8 @@ def find_mono_clique(g: ColoredGraph | _Attempt, size: int, color: str) -> tuple
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
-    found = _search((1 << g.n) - 1, size, rows, other)
+    P = (1 << g.n) - 1
+    found = _dive(P, size, rows) or _search(P, size, rows, other)
     return None if found is None else tuple(sorted(found))
 
 

@@ -384,7 +384,8 @@ def correction_scaling(
     planned = [_clique_plan(r, d, p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None)
                for di, d in enumerate(dims)]
     _count(trials, "trials", "trial count")
-    a = std_normal_pdf(planned[0][0])  # every plan solves the same c_p
+    c_p = planned[0][0]  # every plan solves the same c_p
+    a = std_normal_pdf(c_p)
     rows = []
     fit_data = {"red": [], "blue": []}
     for d, parts in zip(dims, _map_plans([plan for _, plan in planned], threads)):
@@ -409,6 +410,12 @@ def correction_scaling(
         den = sum(x * x / s**2 for x, y, s in points)
         return num / den
 
+    if p**3 >= sys.float_info.min:
+        red = a**3 / p**3
+    elif a >= sys.float_info.min:  # p**3 is subnormal or 0 below p ~ 2.8e-103, where a/p is still about c_p
+        red = (a / p) ** 3
+    else:  # a is subnormal too: a/p from logs
+        red = math.exp(-0.5 * c_p * c_p - 0.5 * math.log(2.0 * math.pi) - math.log(p)) ** 3
     return {
         "op": "correction_scaling",
         "r": r,
@@ -422,8 +429,7 @@ def correction_scaling(
         "rows": rows,
         "fitted_red": fit_origin(fit_data["red"]),
         "fitted_blue": fit_origin(fit_data["blue"]),
-        # p**3 underflows to 0 below p ~ 1e-108, where a/p is still about c_p
-        "predicted_red": -(a**3 / p**3 if p**3 else (a / p) ** 3) * math.comb(r, 3),
+        "predicted_red": -red * math.comb(r, 3),
         "predicted_blue": (a**3 / (1.0 - p) ** 3) * math.comb(r, 3),
         "terms": "main-term",
     }

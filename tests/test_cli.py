@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import gaussian_ramsey
 from gaussian_ramsey import estimators
+from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.cli import ExperimentConfig, _value, main, parse_config, render_csv, render_json, run
 from gaussian_ramsey.cliques import ATTEMPT_BATCH, certificate_from_text, search_witness
 from gaussian_ramsey.graphs import MAX_WORDS, WORD_BITS, graph_from_text
@@ -844,15 +846,18 @@ def test_an_int_no_double_holds_is_refused_by_name(argv, key, monkeypatch, capsy
     assert err.startswith("error: ") and f"got {key}=1{'0' * 400}" in err.splitlines()[0]
 
 
-@pytest.mark.parametrize("p", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("p", ["1e-105", "1e-300", "1e-320", "5e-324"])
 def test_scaling_gives_a_record_where_p_cubed_underflows(p, capsys):
-    # below p ~ 1e-108, p**3 is 0; the predicted red coefficient is read from a/p, which stays near c_p
+    # p**3 is subnormal below p ~ 2.8e-103 and 0 below p ~ 1e-108, and a = phi(c_p) is subnormal too
+    # below p ~ 6e-310; the predicted red coefficient -C(3,3) (a/p)^3 keeps its digits throughout
     code, out, err = run_main(["scaling", "--r", "3", "--p", p, "--dims", "64,256", "--trials", "10", "--seed", "1"],
                               capsys)
     assert code == 1 and err == ""  # every red row is underpowered, so the record does not pass
     result = json.loads(out)["result"]
-    assert result["p"] ** 3 == 0.0
-    assert result["predicted_red"] == -((result["a"] / result["p"]) ** 3) < 0.0
+    assert result["p"] ** 3 < sys.float_info.min
+    with mp.workdps(50):  # at the solver's c_p, exactly as the record's a = phi(c_p)
+        expected = float(-(mp.npdf(solve_cp(result["p"])) / mp.mpf(result["p"])) ** 3)
+    assert result["predicted_red"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("p, refused", [("5e-324", True), ("1e-320", True), ("1e-300", False)])

@@ -7,6 +7,8 @@ import pytest
 
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
+    _dive,
+    _search,
     certificate_from_text,
     certificate_to_text,
     find_mono_clique,
@@ -25,6 +27,12 @@ def brute_has_clique(g: ColoredGraph, size: int, color: str) -> bool:
         all(rows[i] >> j & 1 for i, j in combinations(sub, 2))
         for sub in combinations(range(g.n), size)
     )
+
+
+def engine_search(g: ColoredGraph, size: int, color: str) -> list[int] | None:
+    """The complete branch-and-bound alone, over all vertices: no greedy dive answers first."""
+    rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
+    return _search((1 << g.n) - 1, size, rows, other)
 
 
 def complete_blue(n: int) -> ColoredGraph:
@@ -79,8 +87,20 @@ def test_search_matches_bruteforce_on_random_graphs():
         g = from_blue_matrix(blue | blue.T)
         for color in ("red", "blue"):
             for size in range(2, min(n, 5) + 1):
-                got = find_mono_clique(g, size, color) is not None
-                assert got == brute_has_clique(g, size, color), (n, size, color)
+                want = brute_has_clique(g, size, color)
+                assert (find_mono_clique(g, size, color) is not None) == want, (n, size, color)
+                assert (engine_search(g, size, color) is not None) == want, (n, size, color)
+
+
+def test_a_clique_every_greedy_walk_misses_is_found_by_the_complete_search():
+    # the triangle 3-4-5 with a pendant of lower label on each vertex (0-3, 1-4, 2-5): every
+    # walk, from a pendant or from the triangle, takes a pendant second and dead-ends there
+    blue = np.zeros((6, 6), bool)
+    for i, j in ((3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)):
+        blue[i, j] = blue[j, i] = True
+    g = from_blue_matrix(blue)
+    assert _dive((1 << g.n) - 1, 3, g.blue_rows) is None
+    assert find_mono_clique(g, 3, "blue") == (3, 4, 5)
 
 
 def test_size_one_and_domain():
@@ -444,7 +464,8 @@ def _oracle_graphs():
 @pytest.mark.parametrize("g", _oracle_graphs())
 def test_search_meets_the_networkx_clique_number(g):
     # omega from networkx's maximal-clique enumeration: the engine finds an
-    # omega-clique and proves that no (omega + 1)-clique exists, in each color
+    # omega-clique and proves that no (omega + 1)-clique exists, in each color;
+    # the branch-and-bound alone finds one too, where the greedy dive would answer first
     nx = pytest.importorskip("networkx")
     for color in ("red", "blue"):
         rows = g.blue_rows if color == "blue" else g.red_rows
@@ -452,8 +473,8 @@ def test_search_meets_the_networkx_clique_number(g):
         graph.add_nodes_from(range(g.n))
         graph.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n) if rows[i] >> j & 1)
         omega = max(len(c) for c in nx.find_cliques(graph))
-        found = find_mono_clique(g, omega, color)
-        assert found is not None and len(set(found)) == omega, (color, omega)
-        assert all(rows[i] >> j & 1 for i, j in combinations(found, 2))
+        for found in (find_mono_clique(g, omega, color), engine_search(g, omega, color)):
+            assert found is not None and len(set(found)) == omega, (color, omega)
+            assert all(rows[i] >> j & 1 for i, j in combinations(found, 2))
         if omega < g.n:
             assert find_mono_clique(g, omega + 1, color) is None, (color, omega)

@@ -1,5 +1,6 @@
 """Property tests: the clique engine against brute force and under relabeling,
-adjacency thresholding against a per-pair loop, and text round-trips.
+the greedy dive's walks, adjacency thresholding against a per-pair loop, and
+text round-trips.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
+    _dive,
     certificate_from_text,
     certificate_to_text,
     find_mono_clique,
@@ -88,6 +90,18 @@ def test_find_mono_clique_is_relabel_invariant(g, data):
             if found is not None:
                 mapped = [int(back[v]) for v in found]
                 assert all(rows[i] >> j & 1 for i, j in combinations(mapped, 2))
+
+
+@_SETTINGS
+@given(graphs(max_n=12), st.data())
+def test_dive_gives_none_or_a_clique_of_the_requested_size_in_its_candidates(g, data):
+    P = data.draw(st.integers(0, (1 << g.n) - 1))
+    for rows in (g.blue_rows, g.red_rows):
+        for size in range(1, g.n + 1):
+            walk = _dive(P, size, rows)
+            if walk is not None:
+                assert len(set(walk)) == len(walk) == size and all(P >> v & 1 for v in walk), size
+                assert all(rows[i] >> j & 1 for i, j in combinations(walk, 2)), size
 
 
 @st.composite
