@@ -19,6 +19,10 @@ batch-last (C(n,2), count), which the density sums per cloud; one draw
 counts red and blue cliques (correction_scaling samples once).  A triangular
 batch is drawn batch-last (geometry._bartlett_rows, the one consumption
 order) and the kernel computes only its pairs i < j from those rows.
+Each thread that draws a plan's batches holds one _Workspace for the plan:
+its first batch makes the float arrays of a batch, every later batch writes
+into them, and they grow only for a draw of more trials than they hold, so
+a batch allocates only its masks.
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -32,7 +36,8 @@ stops at its first witness and would discard the rest of a larger batch.
 The budget fixes the partition, and so the records.  A triangular batch holds
 about that many doubles; a direct batch draws, scales and multiplies its clouds
 one slab of _SLAB_ELEMENTS doubles (256 KiB) at a time, so it holds its Gram,
-its mask and one slab, not its clouds.
+its mask and one slab, not its clouds.  Those arrays live in the thread's
+workspace for the plan's duration, not for one batch.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -186,28 +192,54 @@ def _trial_elements(n: int, d: int, sampler: str) -> int:
     return n * max(n, d) if sampler == "direct" else n * n
 
 
-def _pair_batch(gen, count, n, d, threshold, sampler, spec):
+class _Workspace(threading.local):
+    """Float buffers reused batch after batch; each thread that uses one sees buffers of its own.
+
+    take(name, shape) is a C-contiguous view of the first prod(shape) doubles of buffer `name`, laid
+    out as a fresh array of that shape would be.  A buffer is made at its first take, and replaced by
+    a larger one only when a take asks for more than it holds.  A view holds whatever the last batch
+    left there, so every caller writes an entry before it reads it.
+    """
+
+    def __init__(self) -> None:
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
+def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
     """Blue mask of every pair i < j, batch-last (C(n,2), count), and the perfect mask (True without a spec).
 
     Row i's pairs j > i fill whole rows of the mask (np.triu_indices order), read off the direct
     clouds' BLAS Gram or computed alone from the batch-last triangular rows, G_ij = sum_{k<=i} L_jk L_ik.
     Direct clouds are drawn, scaled and multiplied into the batch's Gram one slab of at most
-    _SLAB_ELEMENTS doubles at a time, with the bits of one whole draw.  The random draws do not
-    depend on the spec, so runs sharing a stream are coupled trial by trial.
+    _SLAB_ELEMENTS doubles at a time, with the bits of one whole draw.  Every float array of the
+    batch (the slab and the Gram, or the triangular rows, their normals and one row of pairs, and
+    the norms and projections) is taken from the workspace ws, a fresh one when none is given; only
+    the masks are new.  The random draws do not depend on the spec, so runs sharing a stream are
+    coupled trial by trial.
     """
+    ws = _Workspace() if ws is None else ws
     if sampler == "direct":
         step = max(1, _SLAB_ELEMENTS // (n * d))
-        slab = np.empty((min(step, count), n, d))
-        grams = np.empty((count, n, n))
+        slab = ws.take("slab", (min(step, count), n, d))
+        grams = ws.take("grams", (count, n, n))
         for start in range(0, count, step):
             k = min(step, count - start)
             gram_batch(sample_cloud_batch(k, n, d, gen, out=slab[:k]), out=grams[start : start + k])
         rows = (grams[:, i, i + 1 :].T for i in range(n - 1))
-        triangular = _cholesky(grams) if spec is not None else None  # the clouds' triangular form
+        triangular = np.moveaxis(_cholesky(grams), 0, -1) if spec is not None else None  # clouds', batch-last
     else:  # "bartlett": _pair_plan has checked the name and n <= d
-        L = _bartlett_rows(count, n, d, gen)
-        rows = (np.einsum("jkb,kb->jb", L[i + 1 :, : i + 1], L[i, : i + 1]) for i in range(n - 1))
-        triangular = np.moveaxis(L, -1, 0)
+        out = ws.take("triangular", (n, n, count)), ws.take("normals", (count, n * (n - 1) // 2))
+        triangular = L = _bartlett_rows(count, n, d, gen, out=out)
+        products = ws.take("pairs", (n - 1, count))
+        rows = (np.einsum("jkb,kb->jb", L[i + 1 :, : i + 1], L[i, : i + 1], out=products[: n - 1 - i])
+                for i in range(n - 1))
     blue = np.empty((n * (n - 1) // 2, count), dtype=bool)
     start = 0
     for pairs in rows:
@@ -215,7 +247,9 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec):
         start += len(pairs)
     if spec is None:
         return blue, True
-    return blue, spec.admits(*bartlett_prefix_norms(triangular)).all(axis=1)
+    # the pairs are read: the squares and running sums overwrite the triangular rows
+    norms = bartlett_prefix_norms(triangular, out=ws.take("norms", (2, n, count)), squares=triangular)
+    return blue, spec.admits(*norms).all(axis=0)
 
 
 def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
@@ -224,6 +258,9 @@ def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
 
     It checks d and the sampler and sizes the batch (_batch_size, at most cap) before any draw;
     draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d) (geometry._edge_threshold).
+    Every draw of the plan on one thread writes into that thread's one workspace, which its first
+    draw sizes (to the plan's batch, unless that draw is the plan's short last batch) and which
+    grows only for a draw of more trials than it holds.
     """
     _count(d, "d", "dimension")  # geometry._edge_threshold takes sqrt(d) as a double
     if sampler is None:
@@ -233,9 +270,10 @@ def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
     c_p = solve_cp(p)
     threshold = _edge_threshold(c_p, d)
     batch = _batch_size(_trial_elements(n, d, sampler), cap)
+    workspace = _Workspace()
 
     def draw(gen, count):
-        return _pair_batch(gen, count, n, d, threshold, sampler, spec)
+        return _pair_batch(gen, count, n, d, threshold, sampler, spec, workspace)
 
     return c_p, sampler, batch, draw
 

@@ -10,7 +10,8 @@ The triangular form is the direct cloud re-expressed in the orthonormal
 basis aligned with the prefix spans, that is, the Cholesky factor of its
 Gram matrix, so the two samplers induce the same joint law of inner
 products (and hence the same random graph).  Triangular batches are drawn
-batch-last, (r, r, batch), in one consumption order (_bartlett_rows).  The graph itself connects
+batch-last, (r, r, batch), in one consumption order (_bartlett_rows), and
+bartlett_prefix_norms reads them where they lie.  The graph itself connects
 i ~ j (blue) precisely when <x_i, x_j> >= -c_p/sqrt(d), inclusive at
 equality.
 
@@ -158,21 +159,26 @@ def sample_cloud_batch(batch: int, n: int, d: int, gen, out: np.ndarray | None =
     return np.divide(clouds, math.sqrt(d), out=clouds)
 
 
-def _bartlett_rows(batch: int, r: int, d: int, gen) -> np.ndarray:
+def _bartlett_rows(batch: int, r: int, d: int, gen, out=None) -> np.ndarray:
     """(r, r, batch) independent triangular samples, batch-last: entry (i, j) is one length-batch vector.
 
     The package's one consumption order: one (batch, C(r,2)) draw of the strictly-lower
     Gaussian entries, row-major over the triangle, then the r diagonal chi entries.
+    out, when given, is (L, normals) of shapes (r, r, batch) and (batch, C(r,2)): the normals
+    are drawn into normals and the scaled lower triangle and diagonal written into L, which is
+    returned.  L's upper triangle is not written, so it holds whatever it held: the pair kernel
+    and bartlett_prefix_norms read the lower triangle only.  Without out, L is a fresh array
+    with a zero upper triangle.
     """
     if r > d:
         raise ValueError(f"row count {r} exceeds ambient dimension {d}")
-    L = np.zeros((r, r, batch))
+    L, normals = (np.zeros((r, r, batch)), None) if out is None else out
     if r > 1:
-        lower = gen.standard_normal((batch, r * (r - 1) // 2)).T
+        lower = gen.standard_normal((batch, r * (r - 1) // 2), out=normals).T
         for i in range(1, r):
             np.divide(lower[i * (i - 1) // 2 : i * (i + 1) // 2], math.sqrt(d), out=L[i, :i])
     for i in range(r):
-        L[i, i] = np.sqrt(gen.chisquare(d - i, size=batch) / d)
+        np.sqrt(np.divide(gen.chisquare(d - i, size=batch), d, out=L[i, i]), out=L[i, i])
     return L
 
 
@@ -278,8 +284,8 @@ def _cholesky(G: np.ndarray) -> np.ndarray:
     return L
 
 
-def bartlett_prefix_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and prefix projections of triangular rows, batched or single.
+def bartlett_prefix_norms(M: np.ndarray, out=None, squares=None) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and prefix projections of triangular rows M, shape (r, r, *batch) with the batch axes last.
 
     In triangular coordinates the prefix span of rows 0..i-1 is exactly the
     span of the first i coordinate axes (the diagonal entries are positive
@@ -287,13 +293,24 @@ def bartlett_prefix_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first i coordinates: no orthogonalization is needed.  It is read from
     the running sum of squares one column before the diagonal, not as
     sqrt(norm^2 - diag^2), which cancels for short projections.
+
+    Only the lower triangle of M is read.  Its squares and their running sums go to squares
+    (M's shape; M itself, to overwrite M), and the norms and projections to out = (norms, proj),
+    each of shape (r, *batch); both are fresh arrays when not given.  A single matrix, shape
+    (r, r), has no batch axes.
     """
-    sq = M * M
-    for k in range(1, M.shape[-1]):  # running sums, left to right: np.cumsum's bits at a tenth of its time
-        sq[..., k] += sq[..., k - 1]
-    norms = np.sqrt(np.diagonal(sq, 0, -2, -1))
-    proj = np.zeros(norms.shape)
-    proj[..., 1:] = np.sqrt(np.diagonal(sq, -1, -2, -1))
+    r = len(M)
+    sq = np.empty(M.shape) if squares is None else squares
+    norms, proj = np.empty((2, r, *M.shape[2:])) if out is None else out
+    for k in range(r):  # running sums, left to right, over the rows k.. whose lower triangle holds column k
+        np.multiply(M[k:, k], M[k:, k], out=sq[k:, k])
+        if k:
+            sq[k:, k] += sq[k:, k - 1]
+    proj[:1] = 0.0
+    for i in range(r):
+        np.sqrt(sq[i, i], out=norms[i, ...])
+        if i:
+            np.sqrt(sq[i, i - 1], out=proj[i, ...])
     return norms, proj
 
 

@@ -79,24 +79,25 @@ class TruncatedSpec:
             raise ValueError("conditioning event has probability zero")
 
 
-def sample_truncated(spec: TruncatedSpec, stream, size=None):
+def sample_truncated(spec: TruncatedSpec, stream, size=None, out=None):
     """Exact one-sided truncated N(0, 1/d) draws via the inverse cdf.
 
     The conditioned uniform range is mapped through the standard normal
     quantile function (scipy.special, imported on the first call), so deep
     truncations cost the same as shallow ones and every draw satisfies the
-    side constraint by construction.
+    side constraint by construction.  out, a C-contiguous array of shape
+    size, takes the draws and every step between, with the same bits.
     """
     from scipy.special import ndtr, ndtri
 
     gen = as_generator(stream)
-    u = 1.0 - gen.random(size)  # in (0, 1], keeps the quantile finite
+    u = np.subtract(1.0, gen.random(size, out=out), out=out)  # in (0, 1], keeps the quantile finite
     if spec.side == "lower":
-        z = -ndtri(u * ndtr(-spec.cutoff))
+        z = np.negative(ndtri(np.multiply(u, ndtr(-spec.cutoff), out=out), out=out), out=out)
     else:
-        z = ndtri(u * ndtr(spec.cutoff))
-    out = z / math.sqrt(spec.d)
-    return float(out) if size is None else out
+        z = ndtri(np.multiply(u, ndtr(spec.cutoff), out=out), out=out)
+    z = np.divide(z, math.sqrt(spec.d), out=out)
+    return float(z) if size is None else z
 
 
 def truncated_mean(spec: TruncatedSpec) -> float:

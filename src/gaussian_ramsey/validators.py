@@ -66,9 +66,9 @@ def _rate(hits: int, trials: int) -> tuple[float, float]:
 
 
 def _moments(vals) -> tuple[int, float, float]:
-    """One batch as (count, sum, squared deviations from the batch mean)."""
+    """One batch as (count, sum, squared deviations from the batch mean); the deviations overwrite vals."""
     total = float(vals.sum())
-    dev = vals - total / len(vals)
+    dev = np.subtract(vals, total / len(vals), out=vals)
     dev *= dev
     return len(vals), total, float(dev.sum())
 
@@ -141,10 +141,14 @@ def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
     if lam < 0.0 or lam >= 1.0 / (2.0 * sigma2):
         raise ValueError(f"requires 0 <= lambda < 1/(2 sigma^2) = {1.0 / (2.0 * sigma2)}, got {lam}")
     bound = 1.0 + 4.0 * lam * sigma2 / (1.0 - 2.0 * lam * sigma2)
+    ws = estimators._Workspace()
 
-    def draw(gen, count):
-        x = gen.standard_normal(count) * math.sqrt(sigma2)
-        return _moments(np.exp(lam * x * x))
+    def draw(gen, count):  # exp(lam * x * x) in two arrays of its own
+        x = gen.standard_normal(count, out=ws.take("x", (count,)))
+        x *= math.sqrt(sigma2)
+        vals = np.multiply(x, lam, out=ws.take("vals", (count,)))
+        vals *= x
+        return _moments(np.exp(vals, out=vals))
 
     empirical, se = _merged_mean(_batches(stream, trials, 1, draw))
     return _one_sided(empirical, bound, se, False)
@@ -164,12 +168,18 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
     mean_S = 0.5 * (means.sum() ** 2 - (means**2).sum())
     exponent = lam * mean_S + lam * lam * k * k / d * (means**2).sum() + 4.0 * abs(lam) * k / d
     bound = math.exp(exponent)
+    ws = estimators._Workspace()
 
-    def draw(gen, count):
-        X = np.stack([sample_truncated(spec, gen, size=count) for spec in specs], axis=1)
-        row_sum = X.sum(axis=1)
-        S = 0.5 * (row_sum * row_sum - (X * X).sum(axis=1))
-        return _moments(np.exp(lam * S))
+    def draw(gen, count):  # exp(lam * S) in three arrays of its own; X stays (count, k) for its row sums' bits
+        X, column = ws.take("X", (count, k)), ws.take("column", (count,))
+        for j, spec in enumerate(specs):
+            X[:, j] = sample_truncated(spec, gen, size=count, out=column)
+        S = X.sum(axis=1, out=ws.take("S", (count,)))
+        np.multiply(S, S, out=S)
+        S -= np.multiply(X, X, out=X).sum(axis=1, out=column)
+        S *= 0.5  # S = 0.5 * (row_sum^2 - sum of squares)
+        S *= lam
+        return _moments(np.exp(S, out=S))
 
     empirical, se = _merged_mean(_batches(stream, trials, k, draw))
     return _one_sided(empirical, bound, se, False, mean_S=float(mean_S))

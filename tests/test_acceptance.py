@@ -217,12 +217,12 @@ def test_criterion_08_perfectness_machinery():
     ):
         assert spec.diagonal_window_applies
         Ms = np.moveaxis(_bartlett_rows(10**4, 8, 1600, RngStream(seed).generator()), -1, 0)
-        norms, proj = bartlett_prefix_norms(Ms)
+        norms, proj = bartlett_prefix_norms(np.moveaxis(Ms, 0, -1))  # batch-last
         perfect = (
             (norms > 1.0 - spec.delta)
             & (norms < 1.0 + spec.delta)
             & (proj <= spec.projection_threshold)
-        ).all(axis=1)
+        ).all(axis=0)
         assert perfect.any()
         lo, hi = spec.diagonal_window
         diags = Ms[:, np.arange(8), np.arange(8)]

@@ -1,8 +1,10 @@
 """Monte-Carlo estimators: moments, coupling, determinism, reporting."""
 
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ def _gram_gather_reference(seed, count, r, d, threshold, spec):
     sq = np.cumsum(M * M, axis=-1)
     norms, proj = np.sqrt(np.diagonal(sq, 0, 1, 2)), np.zeros((count, r))
     proj[:, 1:] = np.sqrt(np.diagonal(sq, -1, 1, 2))
-    assert all(np.array_equal(a, b) for a, b in zip(bartlett_prefix_norms(M), (norms, proj)))
+    assert all(np.array_equal(a, b.T) for a, b in zip(bartlett_prefix_norms(np.moveaxis(M, 0, -1)), (norms, proj)))
     iu = np.triu_indices(r, 1)
     return gram_batch(M)[:, iu[0], iu[1]] >= threshold, spec.admits(norms, proj).all(axis=1)
 
@@ -194,7 +196,9 @@ def test_direct_slabs_are_the_whole_batch_bit_for_bit(monkeypatch, n, d, count, 
     spec = PerfectSpec(alpha_proj=1.0, delta=1.0 / math.sqrt(d), ell=n, d=d) if restrict else None
     grams = gram_batch(estimators.sample_cloud_batch(count, n, d, RngStream(seed).generator()))
     iu = np.triu_indices(n, 1)
-    ref_perfect = True if spec is None else spec.admits(*bartlett_prefix_norms(_cholesky(grams))).all(axis=1)
+    ref_perfect = True
+    if spec is not None:
+        ref_perfect = spec.admits(*bartlett_prefix_norms(np.moveaxis(_cholesky(grams), 0, -1))).all(axis=0)
     slabs = []
     multiply = estimators.gram_batch
 
@@ -225,6 +229,65 @@ def test_direct_batch_holds_one_slab_not_its_clouds():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_triangular_plan_allocates_no_rows_after_its_first_batch():
+    # the plan's first batch on a thread makes that thread's workspace and later batches write into it,
+    # so a second batch allocates its masks, its chi-square draws and the spec's comparisons, under
+    # the 1.6 MB of one (r, r, batch) array
+    r, d = 5, 256
+    spec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=r, d=d)
+    _, _, batch, draw = estimators._pair_plan(r, d, 0.38, "bartlett", spec)
+    assert batch == 8192
+    draw(RngStream(1).generator(), batch)
+    gen = RngStream(2).generator()
+    tracemalloc.start()
+    try:
+        draw(gen, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r * r * batch * 8
+
+
+@pytest.mark.parametrize("restrict", [False, True], ids=["plain", "spec"])
+@pytest.mark.parametrize("sampler", ["bartlett", "direct"])
+def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(sampler, restrict):
+    # a workspace holds whatever the last batch left: filled with NaN, then reused by a full batch and by
+    # a short last batch, it gives each batch's masks bit for bit as fresh buffers from the same state do
+    n, d, batch, short = 5, 64, 300, 77  # direct: slabs of 102 clouds, so both batches end on a short slab
+    threshold = -estimators.solve_cp(0.38) / math.sqrt(d)
+    spec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=n, d=d) if restrict else None
+    workspace = estimators._Workspace()
+    _pair_batch(RngStream(50).generator(), batch, n, d, threshold, sampler, spec, workspace)  # makes its buffers
+    for buffer in workspace._buffers.values():
+        buffer.fill(np.nan)
+    for seed, count in ((51, batch), (52, short)):
+        blue, perfect = _pair_batch(RngStream(seed).generator(), count, n, d, threshold, sampler, spec, workspace)
+        fresh_blue, fresh_perfect = _pair_batch(RngStream(seed).generator(), count, n, d, threshold, sampler, spec)
+        assert np.array_equal(blue, fresh_blue)
+        assert np.array_equal(perfect, fresh_perfect)
+        assert spec is None or 0 < fresh_perfect.sum() < count  # the spec admits some trials and refuses others
+
+
+def test_threads_drawing_one_plan_each_write_their_own_workspace():
+    # eight threads on fewer cores draw one plan's batches at once, switching often: every batch's masks
+    # are those of fresh buffers, which a workspace shared between threads would not give
+    r, d, count, seeds = 5, 64, 300, range(60, 92)
+    spec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=r, d=d)
+    c_p, _, _, draw = estimators._pair_plan(r, d, 0.38, "bartlett", spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            drawn = list(pool.map(lambda seed: draw(RngStream(seed).generator(), count), seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    threshold = -c_p / math.sqrt(d)
+    for seed, (blue, perfect) in zip(seeds, drawn):
+        fresh_blue, fresh_perfect = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, "bartlett", spec)
+        assert np.array_equal(blue, fresh_blue)
+        assert np.array_equal(perfect, fresh_perfect)
 
 
 def test_perfect_restriction_coupled_estimates():
@@ -354,9 +417,9 @@ def test_scaling_counts_both_colors_in_one_draw(monkeypatch, sampler, threads):
         sizes["normals"].append(batch * n * d)
         return cloud(batch, n, d, gen, out=out)
 
-    def count_bartlett(batch, r, d, gen):
+    def count_bartlett(batch, r, d, gen, out=None):
         sizes["triangular"].append(batch)
-        return bartlett(batch, r, d, gen)
+        return bartlett(batch, r, d, gen, out=out)
 
     monkeypatch.setattr(estimators, "sample_cloud_batch", count_cloud)
     monkeypatch.setattr(estimators, "_bartlett_rows", count_bartlett)

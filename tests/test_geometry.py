@@ -168,25 +168,25 @@ def test_gram_from_bartlett_two_rows():
 def test_prefix_norms_against_svd_oracle():
     gen = RngStream(12).generator()
     X = gen.standard_normal((10, 40)) / math.sqrt(40)
-    norms, proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None])))
-    assert np.allclose(norms[0], np.linalg.norm(X, axis=1), atol=1e-12)
-    assert np.allclose(proj[0], _svd_projection_norms(X), atol=1e-8)
+    norms, proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None]))[0])
+    assert np.allclose(norms, np.linalg.norm(X, axis=1), atol=1e-12)
+    assert np.allclose(proj, _svd_projection_norms(X), atol=1e-8)
 
 
 def test_bartlett_prefix_norms_match_cloud_path():
     # triangular rows are vectors too: coordinate shortcut == generic GS
     ts = sample_bartlett(8, 64, RngStream(13))
     norms_fast, proj_fast = bartlett_prefix_norms(ts.M)
-    norms_gen, proj_gen = bartlett_prefix_norms(_cholesky(gram_batch(ts.M[None])))
-    assert np.allclose(norms_fast, norms_gen[0], atol=1e-12)
-    assert np.allclose(proj_fast, proj_gen[0], atol=1e-10)
+    norms_gen, proj_gen = bartlett_prefix_norms(_cholesky(gram_batch(ts.M[None]))[0])
+    assert np.allclose(norms_fast, norms_gen, atol=1e-12)
+    assert np.allclose(proj_fast, proj_gen, atol=1e-10)
 
 
 def test_short_projection_does_not_cancel():
     # sqrt(norm^2 - diag^2) reads 0 here; the running sum before the diagonal reads 1e-9
     M = np.array([[1.0, 0.0], [1e-9, 1.0]])
-    batched = bartlett_prefix_norms(_cholesky(gram_batch(M[None])))
-    for norms, proj in (bartlett_prefix_norms(M), (a[0] for a in batched)):
+    batched = bartlett_prefix_norms(np.moveaxis(_cholesky(gram_batch(M[None])), 0, -1))  # batch-last
+    for norms, proj in (bartlett_prefix_norms(M), (a[:, 0] for a in batched)):
         assert proj[0] == 0.0
         assert proj[1] == pytest.approx(1e-9, rel=1e-15, abs=0.0)
         assert norms == pytest.approx([1.0, 1.0], rel=1e-15)
@@ -198,9 +198,9 @@ def test_repeated_row_is_dependent():
     X = np.array([a, b, a, c])
     spec = PerfectSpec(alpha_proj=3.0, delta=0.5, ell=1, d=64)
     check = is_perfect(PointCloud(X), spec)
-    _, batch_proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None])))
+    _, batch_proj = bartlett_prefix_norms(np.moveaxis(_cholesky(gram_batch(X[None])), 0, -1))  # batch-last
     assert check.proj_norms[2] == check.norms[2]  # the repeat adds no direction
-    assert np.allclose([check.proj_norms[3], batch_proj[0][3]], _svd_projection_norms(X)[3], atol=1e-8)
+    assert np.allclose([check.proj_norms[3], batch_proj[3, 0]], _svd_projection_norms(X)[3], atol=1e-8)
     ext = extract_perfect(PointCloud(X), spec)
     assert ext.indices == (0, 1, 3)
     assert ext.check.ok
@@ -263,7 +263,7 @@ def test_window_edges(monkeypatch):
     assert ext.check.ok and ext.check.proj_norms[1] == 0.5
 
     batch = np.stack([at_threshold, high, low])
-    monkeypatch.setattr(estimators, "_bartlett_rows", lambda *args: np.moveaxis(batch, 0, -1))  # batch-last
+    monkeypatch.setattr(estimators, "_bartlett_rows", lambda *args, **kwargs: np.moveaxis(batch, 0, -1))  # batch-last
     _, perfect = estimators._pair_batch(None, 3, 2, 16, 0.0, "bartlett", spec)
     assert perfect.tolist() == [True, False, False]
 
@@ -345,13 +345,13 @@ def test_projection_monotone_in_subspace():
     clouds = sample_cloud_batch(100, 10, 64, RngStream(17).generator())
     for t in range(100):
         X = clouds[t]
-        _, full_proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None])))
+        _, full_proj = bartlett_prefix_norms(_cholesky(gram_batch(X[None]))[0])
         ext = extract_perfect(PointCloud(X), spec)
         if len(ext.indices) == 10:
             continue
-        _, kept_proj = bartlett_prefix_norms(_cholesky(gram_batch(ext.subsequence.coords[None])))
+        _, kept_proj = bartlett_prefix_norms(_cholesky(gram_batch(ext.subsequence.coords[None]))[0])
         for pos, orig in enumerate(ext.indices):
-            assert kept_proj[0][pos] <= full_proj[0][orig] + 1e-9
+            assert kept_proj[pos] <= full_proj[orig] + 1e-9
 
 
 def test_extract_empty_input():
@@ -374,14 +374,12 @@ def test_canonical_spec_perfect_fraction_bound():
     # samples is at least 1 - 8 * (norm tail + projection tail); at this
     # scale the canonical window is degenerate, so the fraction is 1
     spec = PerfectSpec.from_params(2.0, 4, 1600, 0.38)
-    norms, proj = bartlett_prefix_norms(
-        np.moveaxis(_bartlett_rows(10**4, 8, 1600, RngStream(30).generator()), -1, 0)
-    )
+    norms, proj = bartlett_prefix_norms(_bartlett_rows(10**4, 8, 1600, RngStream(30).generator()))
     perfect = (
         (norms > 1.0 - spec.delta)
         & (norms < 1.0 + spec.delta)
         & (proj <= spec.projection_threshold)
-    ).all(axis=1)
+    ).all(axis=0)
     assert perfect.mean() >= 1.0 - 8.0 * _canonical_failure_bound(spec, 2.0, 0.38)
 
 

@@ -63,6 +63,10 @@ CASES = {
     "estimate-clique-bartlett-r1-perfect": (
         "estimate --kind clique --r 1 --d 64 --p 0.4 --color red --sampler bartlett --restrict-perfect "
         "--alpha-proj 1.2 --delta 0.12 --trials 20000 --seed 21", 0),
+    # a perfect mask over several batches on two threads, the last batch short: each thread's workspace is reused
+    "estimate-clique-bartlett-perfect-threads": (
+        "estimate --kind clique --r 5 --d 256 --p 0.38 --color blue --sampler bartlett --restrict-perfect "
+        "--alpha-proj 1.2 --delta 0.12 --trials 30000 --threads 2 --seed 29", 0),
     "estimate-density-triangular-square": (
         "estimate --kind density --n 32 --d 32 --p 0.4 --trials 5000 --threads 2 --seed 22", 0),
     "validate-norm-concentration": (
