@@ -3,16 +3,16 @@
 Subcommands: solve, bounds, sample, estimate, validate, scaling, search,
 verify.  _COMMANDS is the one description of the inputs.  Every option
 mirrors a config-file key one to one (flat key=value lines, # comments),
-and a flag argument and a config value go through the same strict value
-parser, so choices, numbers and lists are checked alike from either
-source; NaN is never a valid value and a list has no empty items.
-Explicit flags override file values, unknown keys are rejected, and a key
-repeated on the command line or in the file keeps its last occurrence
-with a warning.  estimate, search and validate take some keys per mode
-(per kind, sampler or check): a run must give every key its mode needs
-and no key its mode does not read.  A file that cannot be read or
-written (the config, a certificate, --out, --plot-out) is a usage error,
-like a bad flag.
+spelled exactly (a prefix is an unknown flag); a flag argument and a
+config value go through the same strict value parser, so choices, numbers
+and lists are checked alike from either source; NaN is never a valid
+value and a list has no empty items.  Explicit flags override file
+values, unknown keys are rejected, and a key repeated on the command line
+or in the file keeps its last occurrence with a warning.  estimate,
+search and validate take some keys per mode (per kind, sampler or check):
+a run must give every key its mode needs and no key its mode does not
+read.  A file that cannot be read or written (the config, a certificate,
+--out, --plot-out) is a usage error, like a bad flag.
 Each run emits one record (JSON-lines by default, CSV on request) carrying
 the library version and the full semantic parameter echo, with every float
 printed to 17 significant digits so records are byte-reproducible.  The
@@ -189,15 +189,6 @@ _COMMANDS: dict[str, dict] = {
 _NON_SEMANTIC = ("out", "format", "threads", "plot_out")
 
 
-class _LastWins(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        seen = namespace.__dict__.setdefault("_seen", set())
-        if self.dest in seen:
-            print(f"warning: {option_string} given more than once; last occurrence wins", file=sys.stderr)
-        seen.add(self.dest)
-        setattr(namespace, self.dest, True if self.nargs == 0 else values)
-
-
 def _value(tag: str, raw: str, finite: bool = True):
     """One flag argument or config-file value, parsed strictly by its type tag."""
     if tag == "path":
@@ -227,25 +218,29 @@ def _value(tag: str, raw: str, finite: bool = True):
     return _Infinity(value) if math.isinf(value) else value
 
 
-@functools.cache  # one parser per process, built on first use; _LastWins keeps its state on the namespace
+def _flag(key: str) -> str:
+    return "--in" if key == "infile" else "--" + key.replace("_", "-")
+
+
+@functools.cache  # one parser per process, built on first use; a parse keeps its state on its own namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussian-ramsey",
         description="Gaussian random geometric graphs for Ramsey lower bounds",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=gaussian_ramsey.__version__)
     subs = parser.add_subparsers(dest="command")
     for name, table in _COMMANDS.items():
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", default=None, help="flat key=value config file")
         for key, (tag, help_text) in {**table["keys"], **_COMMON_KEYS}.items():
-            flag = "--in" if key == "infile" else "--" + key.replace("_", "-")
-            if tag == "flag":
-                how = {"nargs": 0}
+            if tag == "flag":  # every occurrence is listed, so parse_config's one rule picks the last
+                how = {"action": "append_const", "const": True}
             else:  # a choice list is shown through metavar, and checked by _value like every other tag
                 metavar = "{" + tag.split(":", 1)[1] + "}" if tag.startswith("choice:") else None
-                how = {"type": functools.partial(_value, tag), "metavar": metavar}
-            sub.add_argument(flag, dest=key, action=_LastWins, default=None, help=help_text, **how)
+                how = {"action": "append", "type": functools.partial(_value, tag), "metavar": metavar}
+            sub.add_argument(_flag(key), dest=key, help=help_text, **how)
     return parser
 
 
@@ -265,7 +260,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     table = _COMMANDS[command]
     keys = {**table["keys"], **_COMMON_KEYS}
 
-    merged: dict = {}
+    flags = [(_flag(key), key, value) for key in keys for value in getattr(namespace, key) or ()]
+    lines = []  # (name, key, value) of each config line, in file order
     path = namespace.config
     if path is not None:
         for lineno, line in enumerate(_read_text(path).split("\n"), 1):
@@ -278,13 +274,18 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             if key not in keys:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r} for {command}")
-            if key in merged:
-                print(f"warning: {path}:{lineno}: {key} given more than once; last occurrence wins", file=sys.stderr)
             try:
-                merged[key] = _value(keys[key][0], raw.strip())
+                lines.append((f"{path}:{lineno}: {key}", key, _value(keys[key][0], raw.strip())))
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
-    merged.update({key: value for key in keys if (value := getattr(namespace, key)) is not None})
+    merged: dict = {}
+    for entries in (lines, flags):  # the one last-occurrence rule, source by source; a flag overrides the file
+        given: dict = {}
+        for name, key, value in entries:
+            if key in given:
+                print(f"warning: {name} given more than once; last occurrence wins", file=sys.stderr)
+            given[key] = value
+        merged.update(given)
 
     missing = [key for key in table["required"] if merged.get(key) is None]
     if missing:

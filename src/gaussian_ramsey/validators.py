@@ -141,12 +141,11 @@ def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
     if lam < 0.0 or lam >= 1.0 / (2.0 * sigma2):
         raise ValueError(f"requires 0 <= lambda < 1/(2 sigma^2) = {1.0 / (2.0 * sigma2)}, got {lam}")
     bound = 1.0 + 4.0 * lam * sigma2 / (1.0 - 2.0 * lam * sigma2)
-    ws = estimators._Workspace()
 
-    def draw(gen, count):  # exp(lam * x * x) in two arrays of its own
-        x = gen.standard_normal(count, out=ws.take("x", (count,)))
+    def draw(gen, count):  # exp(lam * x * x) in two fresh arrays: a run of up to 2^22 trials is one batch
+        x = gen.standard_normal(count)
         x *= math.sqrt(sigma2)
-        vals = np.multiply(x, lam, out=ws.take("vals", (count,)))
+        vals = x * lam
         vals *= x
         return _moments(np.exp(vals, out=vals))
 
@@ -168,14 +167,13 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
     mean_S = 0.5 * (means.sum() ** 2 - (means**2).sum())
     exponent = lam * mean_S + lam * lam * k * k / d * (means**2).sum() + 4.0 * abs(lam) * k / d
     bound = math.exp(exponent)
-    ws = estimators._Workspace()
 
-    def draw(gen, count):  # exp(lam * S) in three arrays of its own; X stays (count, k) for its row sums' bits
-        X, column = ws.take("X", (count, k)), ws.take("column", (count,))
+    def draw(gen, count):  # exp(lam * S) in three fresh arrays: a run of up to 2^22 / k trials is one batch
+        X, column = np.empty((count, k)), np.empty(count)
         for j, spec in enumerate(specs):
             X[:, j] = sample_truncated(spec, gen, size=count, out=column)
-        S = X.sum(axis=1, out=ws.take("S", (count,)))
-        np.multiply(S, S, out=S)
+        S = X.sum(axis=1)  # X stays (count, k) for its row sums' bits
+        S *= S
         S -= np.multiply(X, X, out=X).sum(axis=1, out=column)
         S *= 0.5  # S = 0.5 * (row_sum^2 - sum of squares)
         S *= lam

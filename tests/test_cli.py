@@ -15,7 +15,17 @@ import pytest
 import gaussian_ramsey
 from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp
-from gaussian_ramsey.cli import ExperimentConfig, _value, main, parse_config, render_csv, render_json, run
+from gaussian_ramsey.cli import (
+    _COMMANDS,
+    _COMMON_KEYS,
+    ExperimentConfig,
+    _value,
+    main,
+    parse_config,
+    render_csv,
+    render_json,
+    run,
+)
 from gaussian_ramsey.cliques import ATTEMPT_BATCH, certificate_from_text, search_witness
 from gaussian_ramsey.graphs import MAX_WORDS, WORD_BITS, graph_from_text
 from gaussian_ramsey.sampling import RngStream
@@ -63,12 +73,13 @@ def test_estimate_r1_point_one(capsys):
 
 def test_seed_repeated_warns_last_wins(capsys):
     code, out, err = run_main(
-        ["estimate", "--kind", "clique", "--r", "2", "--d", "16", "--p", "0.5",
-         "--color", "blue", "--trials", "200", "--seed", "4", "--seed", "5"],
+        ["estimate", "--kind", "clique", "--r", "2", "--d", "16", "--p", "0.5", "--color", "blue", "--trials", "200",
+         "--seed", "4", "--restrict-perfect", "--seed", "5", "--restrict-perfect"],
         capsys,
     )
-    assert "more than once" in err
-    assert json.loads(out)["invocation"]["seed"] == 5
+    assert err.count("--seed given more than once; last occurrence wins") == 1
+    assert err.count("--restrict-perfect given more than once; last occurrence wins") == 1
+    assert json.loads(out)["invocation"]["seed"] == 5 and json.loads(out)["invocation"]["restrict_perfect"] is True
 
 
 def test_config_file_flag_precedence(tmp_path, capsys):
@@ -890,8 +901,11 @@ def test_config_key_repeated_warns_last_wins(tmp_path, capsys):
     cfg.write_text("seed=4\nseed=5\n")
     code, out, err = run_main(_DENSITY + ["--config", str(cfg)], capsys)
     assert code == 0
-    assert "seed given more than once; last occurrence wins" in err
+    assert err == f"warning: {cfg}:2: seed given more than once; last occurrence wins\n"
     assert json.loads(out)["invocation"]["seed"] == 5
+    code, out, err = run_main(_DENSITY + ["--config", str(cfg), "--seed", "6"], capsys)  # a flag overrides silently
+    assert err == f"warning: {cfg}:2: seed given more than once; last occurrence wins\n"
+    assert json.loads(out)["invocation"]["seed"] == 6
 
 
 def test_scaling_rejects_repeated_dimensions(capsys):
@@ -921,3 +935,76 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
         code, out, err = run_main(_DENSITY + ["--seed", "4", "--seed", "5"], capsys)
         assert code == 0 and json.loads(out)["invocation"]["seed"] == 5
         assert err.count("--seed given more than once; last occurrence wins") == 1
+
+
+def test_a_flag_is_spelled_exactly(capsys):
+    # a prefix of a flag is an unknown argument, as an unknown key is in a config file
+    assert run_main(["--versio"], capsys)[0] == 2
+    for command, table in _COMMANDS.items():
+        keys = {**table["keys"], **_COMMON_KEYS}
+        flags = {"--in" if key == "infile" else "--" + key.replace("_", "-"): tag for key, (tag, _) in keys.items()}
+        flags["--config"] = "path"
+        for flag, tag in flags.items():
+            prefix = flag[:-1]
+            if len(flag) <= 3 or prefix in flags:
+                continue
+            argv = [command, prefix] if tag == "flag" else [command, prefix, "1"]
+            code, out, err = run_main(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["estimate", "--kind", "clique", "--r", "3", "--d", "64", "--p", "0.01", "--color", "red", "--trials", "10",
+             "--seed", "1", "--format", "csv"],
+            "command,version,invocation.kind,invocation.r,invocation.d,invocation.p,invocation.color,"
+            "invocation.trials,invocation.seed,result.point,result.log_point,result.trials,result.successes,"
+            "result.ci_low,result.ci_high,result.seed,result.status,result.config.op,result.config.r,"
+            "result.config.d,result.config.p,result.config.c_p,result.config.color,result.config.sampler,"
+            "result.config.restrict_perfect,result.config.trials,result.config.stream_id,result.config.batch,passed\n"
+            "estimate,0.1.0,clique,3,64,0.01,red,10,1,0,-Infinity,10,0,0,0.30849710781876072,1,underpowered,"
+            "clique_prob,3,64,0.01,2.3263478740408408,red,direct,false,10,0,8192,false\n",
+        ),
+        (
+            ["validate", "--check", "quadratic_moment", "--d", "400", "--k", "2", "--lam", "0.1", "--cutoffs=-inf,0",
+             "--trials", "100", "--seed", "1", "--format", "csv"],
+            "command,version,invocation.check,invocation.trials,invocation.d,invocation.lam,invocation.k,"
+            "invocation.cutoffs,invocation.seed,result.empirical,result.bound,result.mean_S,result.mc_stderr,"
+            "result.passed,result.vacuous,result.check,result.params.d,result.params.k,result.params.lam,"
+            "result.params.cutoffs,result.trials,result.seed,result.stream_id,passed\n"
+            'validate,0.1.0,quadratic_moment,100,400,0.10000000000000001,2,"[""-inf"",0]",1,1.0000106067369061,'
+            '1.0020021608075844,0,2.1430570986222357e-05,true,false,quadratic_moment,400,2,0.10000000000000001,'
+            '"[""-inf"",0]",100,1,0,true\n',
+        ),
+        (
+            ["scaling", "--r", "3", "--p", "0.01", "--dims", "64,256", "--trials", "10", "--seed", "1",
+             "--format", "csv"],
+            "command,version,d,x,log_ratio_red,se_red,underpowered_red,log_ratio_blue,se_blue,underpowered_blue\n"
+            "scaling,0.1.0,64,0.125,,,true,0.030151007560504324,0,true\n"
+            "scaling,0.1.0,256,0.0625,,,true,0.030151007560504324,0,true\n",
+        ),
+    ],
+    ids=["minus-infinity-cell", "list-cell", "empty-cells"],
+)
+@pytest.mark.filterwarnings("ignore:binomial reference")  # the clique estimate is underpowered on purpose
+def test_csv_cells_of_infinity_lists_and_nulls(argv, expected, capsys):
+    code, out, _ = run_main(argv, capsys)
+    assert out == expected and code == (0 if argv[0] == "validate" else 1)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("restrict_perfect=maybe", "restrict_perfect: invalid flag value 'maybe' (use true or false)"),
+        ("junk line", "expected key=value, got 'junk line'"),
+    ],
+)
+def test_a_bad_config_line_is_a_usage_error(line, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kind=clique\nr=2\n{line}\n")
+    code, out, err = run_main(["estimate", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {cfg}:3: {message}\n"

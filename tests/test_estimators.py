@@ -628,3 +628,24 @@ def test_normal_interval_takes_the_two_sided_95_quantile_exactly():
     assert estimators._binomial_interval(500, 1000, se=0.01) == (0.5 - z * 0.01, 0.5 + z * 0.01)
     half = z * math.sqrt(0.5 * 0.5 / 1000)
     assert estimators._binomial_interval(500, 1000) == (0.5 - half, 0.5 + half)
+
+
+def test_interval_is_exact_below_30_successes_or_failures():
+    # Clopper-Pearson up to 29 on either side, the normal form from 30 on
+    from scipy.special import betaincinv
+
+    for successes in (27, 973):
+        lo, hi = betaincinv(successes, 1001 - successes, 0.025), betaincinv(successes + 1, 1000 - successes, 0.975)
+        assert estimators._binomial_interval(successes, 1000) == (float(lo), float(hi))
+    half = 1.959963984540054 * math.sqrt(0.03 * 0.97 / 1000)
+    assert estimators._binomial_interval(30, 1000) == (0.03 - half, 0.03 + half)
+
+
+def test_underpowered_rule_is_under_100_expected_successes():
+    # a blue pair at p = 1/2 expects trials / 2 successes: 95 is underpowered, 100 is not
+    with pytest.warns(UserWarning, match="predicts ~95.0 successes"):
+        est = estimate_clique_prob(2, 64, 0.5, "blue", trials=190, stream=RngStream(12))
+    assert est.status == "underpowered"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_clique_prob(2, 64, 0.5, "blue", trials=200, stream=RngStream(12)).status == "ok"

@@ -45,6 +45,13 @@ def test_norm_concentration_example():
     assert rec["empirical"] <= rec["bound"] + 3.0 * rec["mc_stderr"]
 
 
+def test_norm_concentration_is_vacuous_below_one_hit():
+    # bound = 2 exp(-3.6) = 0.0546 lies between 0.5/12 and 1/12: under one expected hit in 12 trials
+    rec = validate_bound("norm_concentration", {"d": 400, "delta": 0.3}, 12, RngStream(2))
+    assert 0.5 / 12 < rec["bound"] < 1.0 / 12
+    assert rec["vacuous"]
+
+
 def test_norm_concentration_resolvable_regime():
     # small d, wide window: deviations actually occur and stay under the bound
     rec = validate_bound("norm_concentration", {"d": 9, "delta": 0.6}, 10**5, RngStream(3))
