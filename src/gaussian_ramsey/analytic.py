@@ -123,9 +123,9 @@ class RamseyParams:
         if self.C <= 1.0:
             raise ValueError(f"clique ratio must exceed 1, got {self.C}")
         if self.ell < 1:
-            raise ValueError(f"clique size must be positive, got {self.ell}")
+            raise ValueError(f"clique size must be positive, got ell={self.ell}")
         if self.D < 1.0:
-            raise ValueError(f"dimension multiplier must be >= 1, got {self.D}")
+            raise ValueError(f"dimension multiplier must be >= 1, got D={self.D}")
         try:
             finite = math.isfinite(self.C * self.ell) and math.isfinite(self.D * self.D * self.ell * self.ell)
         except OverflowError:  # an int ell too large for a float
@@ -180,7 +180,7 @@ def _gain_loss(a: float, p: float, C: float) -> tuple[float, float]:
 def compute_analytic_bounds(C: float, D: float) -> AnalyticBounds:
     """Solve for p_C, c_p, a = phi(c_p) and fill in the shift bookkeeping."""
     if D < 1.0:
-        raise ValueError(f"dimension multiplier must be >= 1, got {D}")
+        raise ValueError(f"dimension multiplier must be >= 1, got D={D}")
     p_C = solve_pC(C)
     c_p = solve_cp(p_C)
     a = std_normal_pdf(c_p)
@@ -209,7 +209,7 @@ def clique_log_bound(r: int, d: int, p: float, color: str) -> float:
     correction; they are *not* included here (main term only).
     """
     if r < 1:
-        raise ValueError(f"clique size must be positive, got {r}")
+        raise ValueError(f"clique size must be positive, got r={r}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if not 0.0 < p < 0.5:

@@ -7,8 +7,8 @@ spelled exactly (a prefix is an unknown flag); a flag argument and a
 config value go through the same strict value parser, so choices, numbers
 and lists are checked alike from either source; NaN is never a valid
 value and a list has no empty items.  Explicit flags override file
-values, unknown keys are rejected, and a key repeated on the command line
-or in the file keeps its last occurrence with a warning.  estimate,
+values, unknown keys are rejected, and a key (or --config) repeated on the
+command line or in the file keeps its last occurrence with a warning.  estimate,
 search and validate take some keys per mode (per kind, sampler or check):
 a run must give every key its mode needs and no key its mode does not
 read.  A file that cannot be read or written (the config, a certificate,
@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
     for name, table in _COMMANDS.items():
         sub = subs.add_parser(name, allow_abbrev=False)
-        sub.add_argument("--config", default=None, help="flat key=value config file")
+        sub.add_argument("--config", action="append", help="flat key=value config file")
         for key, (tag, help_text) in {**table["keys"], **_COMMON_KEYS}.items():
             if tag == "flag":  # every occurrence is listed, so parse_config's one rule picks the last
                 how = {"action": "append_const", "const": True}
@@ -262,7 +262,10 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
     flags = [(_flag(key), key, value) for key in keys for value in getattr(namespace, key) or ()]
     lines = []  # (name, key, value) of each config line, in file order
-    path = namespace.config
+    configs = namespace.config or [None]
+    for _ in configs[1:]:  # the one last-occurrence rule, as for any flag
+        print("warning: --config given more than once; last occurrence wins", file=sys.stderr)
+    path = configs[-1]
     if path is not None:
         for lineno, line in enumerate(_read_text(path).split("\n"), 1):
             line = line.strip()
@@ -469,7 +472,7 @@ def _run_estimate(params: dict):
             params["color"],
             trials=params["trials"],
             stream=stream,
-            sampler=params.get("sampler", "direct"),
+            sampler=params.get("sampler"),
             perfect_spec=spec,
             threads=threads,
         )
@@ -490,7 +493,7 @@ def _run_scaling(params: dict):
         params["dims"],
         params["trials"],
         stream,
-        sampler=params.get("sampler", "direct"),
+        sampler=params.get("sampler"),
         threads=params.get("threads", 1),
     )
     passed = not any(row["underpowered_red"] or row["underpowered_blue"] for row in report["rows"])

@@ -11,9 +11,9 @@ at a time, and keeps one small result per batch; correction_scaling hands it
 one plan per dimension, so all its dimensions share the pool.
 One pair plan, _pair_plan, checks d and the sampler, solves c_p, takes the
 edge threshold (geometry._edge_threshold) and sizes the batch before any
-draw.  It alone picks the sampler of a caller that names none (the density,
-search_witness and the CLI's sample): triangular when n <= d, since edges
-read inner products only and a triangular Gram has a cloud's law, else direct.
+draw.  It alone picks the sampler of a caller that names none (every estimate,
+search_witness and the CLI's sample): triangular when n <= d, since edges read
+inner products only and a triangular Gram has a cloud's law, else direct.
 Its draw is the one pair kernel, _pair_batch: a batch's blue pair mask,
 batch-last (C(n,2), count), which the density sums per cloud; one draw
 counts red and blue cliques (correction_scaling samples once).  A triangular
@@ -33,11 +33,13 @@ than _MAX_TRIAL_ELEMENTS doubles (512 MiB) is refused.  The estimators cap a
 batch at 8192 trials; the validators take none, since a cap would repartition
 their records; search_witness caps it at ATTEMPT_BATCH attempts, since it
 stops at its first witness and would discard the rest of a larger batch.
-The budget fixes the partition, and so the records.  A triangular batch holds
-about that many doubles; a direct batch draws, scales and multiplies its clouds
-one slab of _SLAB_ELEMENTS doubles (256 KiB) at a time, so it holds its Gram,
-its mask and one slab, not its clouds.  Those arrays live in the thread's
-workspace for the plan's duration, not for one batch.
+The budget fixes the partition, and so the records.  It counts r * r doubles
+a triangular trial, which holds r * r + C(r,2) + r - 1 (3r - 1 under a perfect
+spec) and a mask byte per pair, so a triangular batch holds up to about 1.7
+times the budget; a direct batch draws, scales and multiplies its clouds one
+slab of _SLAB_ELEMENTS doubles (256 KiB) at a time, so it holds its Gram, its
+mask and one slab, not its clouds.  Those arrays live in the thread's workspace
+for the plan's duration (correction_scaling's plans share one), not for one batch.
 """
 
 from __future__ import annotations
@@ -252,15 +254,15 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
     return blue, spec.admits(*norms).all(axis=0)
 
 
-def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
+def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH, workspace=None):
     """(c_p, sampler, batch, draw) for n vectors in R^d at red probability p: the one place a
     sampler is chosen (if none is named, "bartlett" when n <= d, else "direct").
 
     It checks d and the sampler and sizes the batch (_batch_size, at most cap) before any draw;
     draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d) (geometry._edge_threshold).
-    Every draw of the plan on one thread writes into that thread's one workspace, which its first
-    draw sizes (to the plan's batch, unless that draw is the plan's short last batch) and which
-    grows only for a draw of more trials than it holds.
+    Every draw of the plan on one thread writes into that thread's one workspace (a fresh one unless
+    the caller hands its plans one), which its first draw sizes (to the plan's batch, unless that
+    draw is the plan's short last batch) and which grows only for a draw of more trials than it holds.
     """
     _count(d, "d", "dimension")  # geometry._edge_threshold takes sqrt(d) as a double
     if sampler is None:
@@ -270,7 +272,7 @@ def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
     c_p = solve_cp(p)
     threshold = _edge_threshold(c_p, d)
     batch = _batch_size(_trial_elements(n, d, sampler), cap)
-    workspace = _Workspace()
+    workspace = _Workspace() if workspace is None else workspace
 
     def draw(gen, count):
         return _pair_batch(gen, count, n, d, threshold, sampler, spec, workspace)
@@ -319,16 +321,16 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     return _estimate(edges_total, total_pairs, trials, stream, config, se)
 
 
-def _clique_plan(r, d, p, trials, stream, sampler, spec):
-    """c_p, and the plan (trials, batch, stream, worker) whose batches count (red, blue) cliques of
-    r vectors; with a spec, perfect draws only."""
-    c_p, _, batch, draw = _pair_plan(r, d, p, sampler, spec)
+def _clique_plan(r, d, p, trials, stream, sampler, spec, workspace=None):
+    """c_p, the pair plan's sampler, and the plan (trials, batch, stream, worker) whose batches count
+    (red, blue) cliques of r vectors; with a spec, perfect draws only."""
+    c_p, sampler, batch, draw = _pair_plan(r, d, p, sampler, spec, workspace=workspace)
 
     def worker(gen, count):
         blue, perfect = draw(gen, count)
         return int((~blue.any(axis=0) & perfect).sum()), int((blue.all(axis=0) & perfect).sum())
 
-    return c_p, (trials, batch, stream, worker)
+    return c_p, sampler, (trials, batch, stream, worker)
 
 
 def _binomial_reference(r: int, p: float, color: str, trials: int) -> tuple[float, bool]:
@@ -345,21 +347,21 @@ def estimate_clique_prob(
     *,
     trials: int,
     stream: RngStream,
-    sampler: str = "direct",
+    sampler: str | None = None,
     perfect_spec: PerfectSpec | None = None,
     threads: int = 1,
 ) -> EstimateResult:
     """P[all C(r,2) pairs are `color`], also requiring perfectness under perfect_spec when one is given.
 
-    `sampler` chooses between the direct cloud and the triangular sampler
-    (same distribution, very different cost profiles).  The canonical
-    restriction is PerfectSpec.from_params(2.0, r, d, p).  An estimate whose
-    binomial reference predicts fewer than 100 successes is flagged
-    "underpowered" rather than silently returning noise.
+    `sampler` chooses the direct cloud or the triangular sampler (one law,
+    very different costs; None takes the pair plan's, which config["sampler"]
+    names).  The canonical restriction is PerfectSpec.from_params(2.0, r, d, p).
+    An estimate whose binomial reference predicts fewer than 100 successes is
+    flagged "underpowered" rather than silently returning noise.
     """
     if r < 1:
-        raise ValueError(f"clique size must be positive, got {r}")
-    c_p, (_, batch, _, worker) = _clique_plan(r, d, p, trials, stream, sampler, perfect_spec)
+        raise ValueError(f"clique size must be positive, got r={r}")
+    c_p, sampler, (_, batch, _, worker) = _clique_plan(r, d, p, trials, stream, sampler, perfect_spec)
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     _count(trials, "trials", "trial count")
@@ -397,7 +399,7 @@ def correction_scaling(
     dims: list[int],
     trials: int,
     stream: RngStream,
-    sampler: str = "direct",
+    sampler: str | None = None,
     threads: int = 1,
 ) -> dict:
     """Log-ratio of clique probabilities to their binomial references vs d.
@@ -409,24 +411,25 @@ def correction_scaling(
     +a^3/(1-p)^3 * C(r,3) (blue); the derivation carries unquantified
     error factors, so agreement is diagnostic rather than certified.
 
-    One draw per dimension (stream slot 2*di*STREAM_STRIDE; the odd slots go
-    unused) serves both colors, so red and blue are coupled.  Each fit and its
-    standard errors use one color's counts only, so the coupling leaves them
-    unaffected; no red-blue difference is reported.  The batches of every
-    dimension run on one pool.
+    One draw per dimension (stream slot 2*di*STREAM_STRIDE; the odd slots go unused) serves both
+    colors, so red and blue are coupled.  Each fit and its standard errors use one color's counts
+    only, so the coupling leaves them unaffected; no red-blue difference is reported.  The batches
+    of every dimension run on one pool and draw into one workspace, with the sampler that the
+    first (smallest) dimension's plan picks when none is named.
     """
     if r not in (3, 4):
         raise ValueError(f"scaling diagnostic supports r in {{3, 4}}, got {r}")
     if len(dims) < 2 or any(a >= b for a, b in zip(dims, dims[1:])):
         raise ValueError(f"dims must be at least two strictly ascending dimensions, got {list(dims)}")
-    planned = [_clique_plan(r, d, p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None)
-               for di, d in enumerate(dims)]
+    ws, plans = _Workspace(), []
+    for di, d in enumerate(dims):  # every plan solves the same c_p, and later plans take the first one's sampler
+        c_p, sampler, plan = _clique_plan(r, d, p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None, ws)
+        plans.append(plan)
     _count(trials, "trials", "trial count")
-    c_p = planned[0][0]  # every plan solves the same c_p
     a = std_normal_pdf(c_p)
     rows = []
     fit_data = {"red": [], "blue": []}
-    for d, parts in zip(dims, _map_plans([plan for _, plan in planned], threads)):
+    for d, parts in zip(dims, _map_plans(plans, threads)):
         red, blue = map(sum, zip(*parts))
         row = {"d": d, "x": d**-0.5}
         for color, successes in zip(("red", "blue"), (red, blue)):

@@ -100,9 +100,9 @@ class PerfectSpec:
 
     def __post_init__(self) -> None:
         if self.alpha_proj <= 0.0:
-            raise ValueError(f"projection constant must be positive, got {self.alpha_proj}")
+            raise ValueError(f"projection constant must be positive, got alpha_proj={self.alpha_proj}")
         if self.delta <= 0.0:
-            raise ValueError(f"norm half-width must be positive, got {self.delta}")
+            raise ValueError(f"norm half-width must be positive, got delta={self.delta}")
         if self.ell < 1 or self.d < 1:
             raise ValueError(f"ell and d must be positive, got ell={self.ell}, d={self.d}")
 

@@ -137,7 +137,7 @@ def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
 def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
     sigma2, lam = float(params["sigma2"]), float(params["lam"])
     if sigma2 <= 0.0:
-        raise ValueError(f"variance proxy must be positive, got {sigma2}")
+        raise ValueError(f"variance proxy must be positive, got sigma2={sigma2}")
     if lam < 0.0 or lam >= 1.0 / (2.0 * sigma2):
         raise ValueError(f"requires 0 <= lambda < 1/(2 sigma^2) = {1.0 / (2.0 * sigma2)}, got {lam}")
     bound = 1.0 + 4.0 * lam * sigma2 / (1.0 - 2.0 * lam * sigma2)
@@ -186,7 +186,7 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
 def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
     freedom, t = estimators._count(int(params["freedom"]), "freedom", "degrees of freedom"), float(params["t"])
     if t < 0.0:
-        raise ValueError(f"deviation parameter must be nonnegative, got {t}")
+        raise ValueError(f"deviation parameter must be nonnegative, got t={t}")
     bound = math.exp(-t)
     upper_cut = freedom + 2.0 * math.sqrt(freedom * t) + 2.0 * t
     lower_cut = freedom - 2.0 * math.sqrt(freedom * t)

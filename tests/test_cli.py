@@ -444,6 +444,49 @@ def test_zero_is_read_as_given_not_as_the_default(argv, message, capsys):
     assert f"error: {message}" in err
 
 
+#: id -> (argv, error message): each guard a flag reaches past the parser; every message names its key
+_GUARDS = {
+    "max_attempts": ("search --n 5 --ell 3 --k 3 --sampler binomial --p 0.5 --max-attempts 0",
+                     "max_attempts must be positive, got 0"),
+    "r": ("estimate --kind clique --r 0 --d 64 --p 0.4 --color red --trials 10",
+          "clique size must be positive, got r=0"),
+    "delta": ("validate --check norm_concentration --d 400 --delta 1.5 --trials 10",
+              "delta must lie in (0, 1), got 1.5"),
+    "s": ("validate --check projection_tail --d 64 --ell 4 --s 65 --p 0.38 --C 2 --trials 10",
+          "subspace dimension must lie in [1, d], got s=65"),
+    "t": ("validate --check chi_square_tail --freedom 3 --t -1 --trials 10",
+          "deviation parameter must be nonnegative, got t=-1.0"),
+    "sigma2": ("validate --check exp_square_moment --sigma2 0 --lam 0.2 --trials 10",
+               "variance proxy must be positive, got sigma2=0.0"),
+    "D": ("bounds --C 2 --D 0.5 --ell 5", "dimension multiplier must be >= 1, got D=0.5"),
+    "alpha_proj": ("estimate --kind clique --r 3 --d 64 --p 0.4 --color red --trials 10 --restrict-perfect "
+                   "--alpha-proj -1 --delta 0.1", "projection constant must be positive, got alpha_proj=-1.0"),
+    "delta-spec": ("estimate --kind clique --r 3 --d 64 --p 0.4 --color red --trials 10 --restrict-perfect "
+                   "--alpha-proj 1.2 --delta 0", "norm half-width must be positive, got delta=0.0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _GUARDS.values(), ids=_GUARDS)
+def test_a_guarded_value_is_an_error_exit_naming_its_key(argv, message, capsys):
+    seed = [] if argv.startswith("bounds") else ["--seed", "1"]  # bounds draws nothing and rejects a seed
+    code, out, err = run_main(argv.split() + seed, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_config_repeated_warns_last_wins(tmp_path, capsys):
+    full, seed_only = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    full.write_text("kind=density\nd=16\np=0.4\ntrials=10\nseed=1\n")
+    seed_only.write_text("seed=2\n")
+    warning = "warning: --config given more than once; last occurrence wins\n"
+    code, out, err = run_main(["estimate", "--config", str(full), "--config", str(seed_only)], capsys)
+    assert code == 2 and out == ""
+    assert err == warning + "usage error: estimate: missing required key(s): kind, d, p, trials\n"
+    code, out, err = run_main(["estimate", "--config", str(seed_only), "--config", str(full)], capsys)
+    assert code == 0 and err == warning
+    assert json.loads(out)["invocation"]["seed"] == 1
+
+
 def test_verify_record_escapes_control_characters(tmp_path, capsys):
     cert = tmp_path / "cert.txt"
     run_main(
@@ -502,7 +545,7 @@ _OVERSIZED = {
     "density": "estimate --kind density --n 20000 --d 64 --p 0.4 --trials 1",
     "clique": "estimate --kind clique --r 20000 --d 30000 --sampler bartlett --p 0.4 --color red --trials 1",
     # the oversized dimension second: every plan is sized before the first one draws
-    "scaling": "scaling --r 3 --p 0.4 --dims 64,2000000000 --trials 1",
+    "scaling": "scaling --r 3 --p 0.4 --dims 64,2000000000 --sampler direct --trials 1",
 }
 
 
@@ -592,7 +635,7 @@ def test_memory_error_is_an_error_exit(monkeypatch, capsys, message):
 
     # scaling at two threads raises inside a pool thread; the error still reaches the CLI
     monkeypatch.setattr("gaussian_ramsey.estimators.sample_cloud_batch", exhausted)
-    code, out, err = run_main(_SCALING + ["--seed", "1", "--threads", "2"], capsys)
+    code, out, err = run_main(_SCALING + ["--sampler", "direct", "--seed", "1", "--threads", "2"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
@@ -966,7 +1009,7 @@ def test_a_flag_is_spelled_exactly(capsys):
             "result.config.d,result.config.p,result.config.c_p,result.config.color,result.config.sampler,"
             "result.config.restrict_perfect,result.config.trials,result.config.stream_id,result.config.batch,passed\n"
             "estimate,0.1.0,clique,3,64,0.01,red,10,1,0,-Infinity,10,0,0,0.30849710781876072,1,underpowered,"
-            "clique_prob,3,64,0.01,2.3263478740408408,red,direct,false,10,0,8192,false\n",
+            "clique_prob,3,64,0.01,2.3263478740408408,red,bartlett,false,10,0,8192,false\n",
         ),
         (
             ["validate", "--check", "quadratic_moment", "--d", "400", "--k", "2", "--lam", "0.1", "--cutoffs=-inf,0",
@@ -980,8 +1023,8 @@ def test_a_flag_is_spelled_exactly(capsys):
             '"[""-inf"",0]",100,1,0,true\n',
         ),
         (
-            ["scaling", "--r", "3", "--p", "0.01", "--dims", "64,256", "--trials", "10", "--seed", "1",
-             "--format", "csv"],
+            ["scaling", "--r", "3", "--p", "0.01", "--dims", "64,256", "--sampler", "direct", "--trials", "10",
+             "--seed", "1", "--format", "csv"],
             "command,version,d,x,log_ratio_red,se_red,underpowered_red,log_ratio_blue,se_blue,underpowered_blue\n"
             "scaling,0.1.0,64,0.125,,,true,0.030151007560504324,0,true\n"
             "scaling,0.1.0,256,0.0625,,,true,0.030151007560504324,0,true\n",

@@ -1,5 +1,6 @@
 """Monte-Carlo estimators: moments, coupling, determinism, reporting."""
 
+import json
 import math
 import sys
 import tracemalloc
@@ -250,6 +251,24 @@ def test_a_triangular_plan_allocates_no_rows_after_its_first_batch():
     assert peak < r * r * batch * 8
 
 
+def test_scaling_memory_is_flat_in_the_number_of_dimensions(capsys):
+    # every dimension's plan draws into one workspace, so 40 dimensions hold what 2 do
+    def peak(count):
+        argv = ["scaling", "--r", "4", "--p", "0.4", "--sampler", "bartlett", "--trials", "8192", "--seed", "1",
+                "--dims", ",".join(str(64 * (i + 1)) for i in range(count))]
+        tracemalloc.start()
+        try:
+            main(argv)  # exit 1: the red counts are underpowered at r = 4
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(capsys.readouterr().out)["result"]["rows"]) == count
+        return top
+
+    peak(2)  # imports and caches first
+    assert peak(40) <= peak(2) + (1 << 20)
+
+
 @pytest.mark.parametrize("restrict", [False, True], ids=["plain", "spec"])
 @pytest.mark.parametrize("sampler", ["bartlett", "direct"])
 def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(sampler, restrict):
@@ -303,7 +322,7 @@ def test_perfect_restriction_coupled_estimates():
 
 def test_thread_count_never_changes_results():
     for kwargs in (
-        dict(r=3, d=100, p=0.4, color="red", trials=30000),
+        dict(r=3, d=100, p=0.4, color="red", trials=30000, sampler="direct"),
         dict(r=4, d=64, p=0.45, color="blue", trials=30000, sampler="bartlett"),
     ):
         runs = [
@@ -468,6 +487,21 @@ def test_scaling_zero_success_row_is_left_out_of_the_fit():
     num = sum(row["x"] * row["log_ratio_red"] / row["se_red"] ** 2 for row in rest)
     den = sum(row["x"] ** 2 / row["se_red"] ** 2 for row in rest)
     assert rep["fitted_red"] == pytest.approx(num / den, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:binomial reference")
+def test_a_default_sampler_is_the_pair_plans_choice():
+    # triangular iff r <= d, and the record names the sampler drawn
+    for r, d, sampler in ((3, 3, "bartlett"), (4, 3, "direct")):
+        assert estimate_clique_prob(r, d, 0.4, "blue", trials=100, stream=RngStream(1)).config["sampler"] == sampler
+    # scaling takes its first (smallest) dimension's choice for every dimension
+    stream = RngStream(2)
+    for dims, sampler in (([3, 64], "bartlett"), ([1, 64, 256], "direct")):
+        rep = correction_scaling(3, 0.4, dims, 2000, stream)
+        assert rep["sampler"] == sampler
+        last = stream.offset(2 * (len(dims) - 1) * STREAM_STRIDE)
+        est = estimate_clique_prob(3, dims[-1], 0.4, "blue", trials=2000, stream=last, sampler=sampler)
+        assert rep["rows"][-1]["log_ratio_blue"] == est.log_point - _log_ref(3, 0.4, "blue")
 
 
 class _Drawn(Exception):

@@ -49,8 +49,12 @@ CASES = {
         "estimate --kind density --n 200 --d 16 --p 0.4 --trials 300 --threads 2 --seed 16", 0),
     "estimate-density-triangular-batched": (
         "estimate --kind density --n 64 --d 1024 --p 0.5 --trials 2500 --threads 2 --seed 19", 0),
-    "estimate-clique-direct": (
+    # no sampler named: the pair plan's choice, triangular at r <= d
+    "estimate-clique-default": (
         "estimate --kind clique --r 3 --d 64 --p 0.4 --color blue --trials 20000 --threads 2 --seed 5", 0),
+    "estimate-clique-direct": (
+        "estimate --kind clique --r 3 --d 64 --p 0.4 --color blue --sampler direct --trials 20000 --threads 2 "
+        "--seed 5", 0),
     "estimate-clique-direct-perfect": (
         "estimate --kind clique --r 5 --d 256 --p 0.38 --color blue --sampler direct --restrict-perfect "
         "--alpha-proj 1.2 --delta 0.12 --trials 20000 --seed 17", 0),

@@ -91,7 +91,7 @@ def _record_draws(monkeypatch) -> list[int]:
 _RUNS = {
     "density": lambda s: estimate_edge_density(4, 8, 0.4, 5000, s, threads=2),
     "clique-direct": lambda s: estimate_clique_prob(
-        3, 8, 0.4, "blue", trials=5000, stream=s, perfect_spec=PerfectSpec.from_params(2.0, 3, 8, 0.4)
+        3, 8, 0.4, "blue", trials=5000, stream=s, sampler="direct", perfect_spec=PerfectSpec.from_params(2.0, 3, 8, 0.4)
     ),
     "clique-bartlett": lambda s: estimate_clique_prob(4, 8, 0.4, "blue", trials=5000, stream=s, sampler="bartlett"),
     "scaling": lambda s: correction_scaling(3, 0.4, [8, 16], 5000, s, sampler="bartlett"),
@@ -264,7 +264,7 @@ def test_scaling_runs_every_dimension_on_one_pool(pools, monkeypatch):
     monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 512)
 
     def scaling(threads):
-        return correction_scaling(3, 0.4, [8, 16, 32], 200, RngStream(7), threads=threads)
+        return correction_scaling(3, 0.4, [8, 16, 32], 200, RngStream(7), sampler="direct", threads=threads)
 
     serial = scaling(1)
     assert pools == []
