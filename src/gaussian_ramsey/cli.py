@@ -21,7 +21,8 @@ take a seed, and it is never implicit: if absent it is drawn once from the
 OS and echoed.  The other three draw nothing and reject a seed.
 Execution knobs (--threads, --out, --format) are not part of the echo and
 never affect record bytes.  Exit status is 0 iff every assertion the
-command makes passed, 2 for a usage error.
+command makes passed, 2 for a usage error.  An underpowered clique
+estimate prints its warning as one "warning:" line on stderr, every call.
 
 The GAUSSIAN_RAMSEY_OUT environment variable, when set, anchors relative
 output paths.
@@ -36,6 +37,7 @@ import math
 import os
 import secrets
 import sys
+import warnings
 from dataclasses import dataclass
 
 import gaussian_ramsey
@@ -465,17 +467,21 @@ def _run_estimate(params: dict):
             spec = PerfectSpec(params["alpha_proj"], params["delta"], params.get("spec_ell", params["r"]), params["d"])
         elif params.get("restrict_perfect"):
             spec = PerfectSpec.from_params(2.0, params["r"], params["d"], params["p"])
-        est = estimate_clique_prob(
-            params["r"],
-            params["d"],
-            params["p"],
-            params["color"],
-            trials=params["trials"],
-            stream=stream,
-            sampler=params.get("sampler"),
-            perfect_spec=spec,
-            threads=threads,
-        )
+        with warnings.catch_warnings(record=True) as caught:  # every call warns, in the CLI's one-line form
+            warnings.simplefilter("always")
+            est = estimate_clique_prob(
+                params["r"],
+                params["d"],
+                params["p"],
+                params["color"],
+                trials=params["trials"],
+                stream=stream,
+                sampler=params.get("sampler"),
+                perfect_spec=spec,
+                threads=threads,
+            )
+        for caught_warning in caught:
+            print(f"warning: {caught_warning.message}", file=sys.stderr)
     return est.as_record(), est.status == "ok", None
 
 

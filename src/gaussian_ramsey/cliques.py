@@ -27,9 +27,13 @@ The witness search walks the estimators' one batch partition
 batch at a time as batch-last pair masks (C(n,2), count), the geometric
 ones through the pair plan (estimators._pair_plan; at n <= d the triangular
 draw is batch-last too, so an attempt's coloring depends on its batch).  It
-packs each batch's blue and red rows at once; each attempt, only its rows
-(_Attempt), is decided in order by _verdict, the witness rule verify_witness
-uses too, and only the lowest verifying one, which a seed determines, gets a
+packs each batch's blue and red rows at once as uint64 words.  One greedy
+dive over the whole batch (_dive_batch: the walks of _dive, stepped in
+lockstep on the words) settles every attempt in which a walk finds a red
+K_ell, since such an attempt cannot verify.  Only its misses become Python-int
+rows (_Attempt) and are decided in order by _verdict, the witness rule
+verify_witness uses too, so the lowest verifying attempt, which a seed
+determines, is the same as without the batch dive; only it gets a
 provenance dict and a validated graph.
 """
 
@@ -38,10 +42,14 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
+import numpy as np
+
 from gaussian_ramsey import estimators
 from gaussian_ramsey.graphs import (
+    WORD_BITS,
     ColoredGraph,
-    _pack_rows,
+    _pack_words,
+    _row_tuples,
     capability_check,
     graph_from_text,
     graph_to_text,
@@ -53,7 +61,7 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 #: attempts sampled per derived stream in search_witness, at most; fewer when
 #: a batch would exceed the estimators' per-batch element budget.
 ATTEMPT_BATCH = 256
-_Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # a search attempt: _pack_rows's rows, all the engine reads
+_Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # an attempt the batch dive left open: all the engine reads
 
 
 def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
@@ -76,6 +84,31 @@ def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
         if len(walk) == size:
             return walk
     return None
+
+
+def _dive_batch(words: np.ndarray, size: int) -> np.ndarray:
+    """For each matrix of row words (count, n, words), whether a walk of _dive(all vertices, size, rows) reaches size.
+
+    Every start vertex of every matrix walks in lockstep, its candidates
+    first its own row.  Each step takes the lowest candidate (the lowest set
+    bit of the first nonzero word) and ANDs its row into the candidates; a
+    walk with no candidates left ANDs in a row of no consequence and stays
+    empty.  A walk that still holds candidates after size - 2 steps takes
+    one more vertex, and so holds size vertices.
+    """
+    count, n, width = words.shape
+    if size == 1:
+        return np.ones(count, bool)
+    rows = words.reshape(count * n, width)  # walk s of matrix t starts at row t*n + s
+    base = np.repeat(np.arange(0, count * n, n), n)
+    cand = rows.copy()
+    for _ in range(size - 2):
+        low = np.zeros(count * n, np.intp)
+        for j in reversed(range(width)):  # the lowest nonzero word is written last
+            c = cand[:, j]
+            low = np.where(c != 0, j * WORD_BITS + np.bitwise_count((c & -c) - 1).astype(np.intp), low)
+        cand &= np.take(rows, base + low, axis=0)
+    return cand.any(axis=1).reshape(count, n).any(axis=1)
 
 
 def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -> list[int] | None:
@@ -208,10 +241,11 @@ def search_witness(
             return (gen.random((count, n * (n - 1) // 2)) >= p).T, True  # blue with probability 1 - p, drawn in order
 
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
-        blue, red = _pack_rows(n, draw(sub.generator(), count)[0])  # both colors at once; rows need no validation
-        for t in range(count):
-            if _verdict(_Attempt(n, blue[t], red[t]), ell, k):
-                g = ColoredGraph(n, blue[t], dict(base_provenance, attempt=bi * batch + t))
+        blue, red = _pack_words(n, draw(sub.generator(), count)[0])  # both colors at once; rows need no validation
+        misses = np.arange(count) if ell > n else np.flatnonzero(~_dive_batch(red, ell))  # a red K_ell settles
+        for t, blue_rows, red_rows in zip(misses.tolist(), _row_tuples(blue[misses], n), _row_tuples(red[misses], n)):
+            if _verdict(_Attempt(n, blue_rows, red_rows), ell, k):
+                g = ColoredGraph(n, blue_rows, dict(base_provenance, attempt=bi * batch + t))
                 return WitnessCertificate(n, ell, k, g, checked=True)  # rebuilt: validated, recomputes red rows
     return None
 

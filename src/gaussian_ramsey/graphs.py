@@ -103,13 +103,12 @@ def _unpack(rows, n: int) -> np.ndarray:
     return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
 
 
-def _pack_rows(n: int, pairs: np.ndarray) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Blue and red rows of batch-last pair masks, (C(n,2), count) over i < j: one tuple of n ints per mask.
+def _pack_words(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blue and red rows of batch-last pair masks, (C(n,2), count) over i < j, as uint64 words (count, n, words).
 
     Each mask is scattered to both triangles of rows padded to whole 64-bit
     words and packed in one pass; red is the complement off the diagonal,
-    taken on the same words.  A row of one word is its int as is; wider
-    rows join their words, lowest first.
+    taken on the same words.  Word j of a row holds vertices 64j to 64j + 63.
     """
     width = _words_for(n) * WORD_BITS
     iu = np.triu_indices(n, 1)
@@ -119,11 +118,20 @@ def _pack_rows(n: int, pairs: np.ndarray) -> tuple[list[tuple[int, ...]], list[t
     blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
     full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
     diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
-    return _row_tuples(blue, n), _row_tuples((~blue & full) ^ diag, n)
+    return blue, (~blue & full) ^ diag
+
+
+def _pack_rows(n: int, pairs: np.ndarray) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """_pack_words's blue and red rows of each pair mask as one tuple of n ints."""
+    blue, red = _pack_words(n, pairs)
+    return _row_tuples(blue, n), _row_tuples(red, n)
 
 
 def _row_tuples(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """One tuple of n row ints per matrix of words, (count, n, words per row)."""
+    """One tuple of n row ints per matrix of words, (count, n, words per row).
+
+    A row of one word is its int as is; wider rows join their words, lowest first.
+    """
     flat = words.reshape(-1, words.shape[-1])
     rows = flat[:, 0].tolist()
     for j in range(1, flat.shape[1]):

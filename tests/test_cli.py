@@ -281,14 +281,26 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+_UNDERPOWERED = "estimate --kind clique --r 6 --d 64 --p 0.1 --color red --trials 10 --seed 1"
+
+
 def test_zero_success_record_is_strict_json(capsys):
-    argv = "estimate --kind clique --r 6 --d 64 --p 0.1 --color red --trials 10 --seed 1"
-    with pytest.warns(UserWarning, match="noise-dominated"):
-        code, out, _ = run_main(argv.split(), capsys)
-    assert code == 1  # underpowered
+    code, out, err = run_main(_UNDERPOWERED.split(), capsys)
+    assert code == 1 and "noise-dominated" in err  # underpowered
     rec = json.loads(out, parse_constant=_reject_constant)["result"]
     assert rec["successes"] == 0 and rec["log_point"] is None
     assert render_json([math.nan, math.inf, -math.inf]) == "[null,null,null]"
+
+
+@pytest.mark.filterwarnings("error")  # no Python warning escapes main
+def test_an_underpowered_estimate_warns_in_one_line_on_every_call(capsys):
+    warning = (
+        "warning: binomial reference 1.000e-15 predicts ~0.0 successes in 10 trials (< 100); "
+        "estimate will be noise-dominated\n"
+    )
+    for _ in range(2):  # the same warning from the same line still prints the second time
+        code, _, err = run_main(_UNDERPOWERED.split(), capsys)
+        assert (code, err) == (1, warning)
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -8,6 +8,7 @@ import pytest
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
     _dive,
+    _dive_batch,
     _search,
     certificate_from_text,
     certificate_to_text,
@@ -17,7 +18,7 @@ from gaussian_ramsey.cliques import (
 )
 from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import _bartlett_rows, adjacency, gram, gram_batch, sample_cloud, sample_cloud_batch
-from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_rows, from_blue_matrix
+from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_words, _row_tuples, from_blue_matrix
 from gaussian_ramsey.sampling import RngStream
 
 
@@ -33,6 +34,11 @@ def engine_search(g: ColoredGraph, size: int, color: str) -> list[int] | None:
     """The complete branch-and-bound alone, over all vertices: no greedy dive answers first."""
     rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
     return _search((1 << g.n) - 1, size, rows, other)
+
+
+def settle_none(words, size):
+    """A batch dive that settles no attempt, so every one reaches the per-attempt engine."""
+    return np.zeros(len(words), bool)
 
 
 def complete_blue(n: int) -> ColoredGraph:
@@ -122,6 +128,19 @@ def test_capability_error():
         verify_witness(big, 3, 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 18, 64, 65, 130, 512])  # rows of one, two, three and eight words
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_batch_dive_settles_exactly_the_attempts_a_dive_walk_completes(n, density):
+    gen = RngStream(62).generator()
+    count = 24 if n < 100 else 4
+    pairs = gen.random((n * (n - 1) // 2, count)) < density
+    for words in _pack_words(n, pairs):  # blue, then red
+        rows = _row_tuples(words, n)
+        for size in sorted({*range(1, min(n, 8) + 1), n}):
+            want = [_dive((1 << n) - 1, size, rows[t]) is not None for t in range(count)]
+            assert _dive_batch(words, size).tolist() == want, (size, want)
+
+
 def test_deepest_search_at_the_word_cap():
     # a clique as large as the capability limit allows recurses 512 deep,
     # which stays inside Python's default recursion limit
@@ -205,7 +224,8 @@ def test_search_rejects_clique_sizes_below_one_before_sampling(sampler, monkeypa
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     # every attempt's rows, packed once per batch without validation, equal
-    # from_blue_matrix's on that attempt's matrix, red rows included; the returned
+    # from_blue_matrix's on that attempt's matrix, red rows included, when the batch
+    # dive settles none of them and each reaches the engine; the returned
     # certificate is a validated graph that recomputes its red rows and records its attempt
     import gaussian_ramsey.cliques as cliques
 
@@ -222,6 +242,7 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
         post_init(g)
         validated.append(g)
 
+    monkeypatch.setattr(cliques, "_dive_batch", settle_none)  # every attempt reaches the engine
     monkeypatch.setattr(cliques, "find_mono_clique", recording)
     monkeypatch.setattr(ColoredGraph, "__post_init__", validating)
     stream = RngStream(59)
@@ -250,12 +271,13 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
 
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_blind_engine_makes_the_search_claim_a_witness(sampler, monkeypatch):
-    # every attempt's verdict goes through find_mono_clique: a blind engine
-    # certifies the first attempt even where no witness exists (R(4, 4) = 18)
+    # every attempt's verdict goes through the batch dive and then find_mono_clique:
+    # blinding both certifies the first attempt even where no witness exists (R(4, 4) = 18)
     import gaussian_ramsey.cliques as cliques
 
     params = {"d": 64, "p": 0.5}
     assert search_witness(18, 4, 4, sampler, params, 3, RngStream(61)) is None
+    monkeypatch.setattr(cliques, "_dive_batch", settle_none)
     monkeypatch.setattr(cliques, "find_mono_clique", lambda g, size, color: None)
     cert = search_witness(18, 4, 4, sampler, params, 3, RngStream(61))
     assert cert.checked and cert.graph.provenance["attempt"] == 0
@@ -269,14 +291,19 @@ def test_clique_sizes_above_n_decide_as_verify_witness_does(sampler, ell, k, mon
     import gaussian_ramsey.cliques as cliques
 
     n, attempts = 5, 40
-    packed = []
+    packed, dived = [], []
 
     def recording(n, pairs):
-        blue, red = _pack_rows(n, pairs)
-        packed.extend(blue)
+        blue, red = _pack_words(n, pairs)
+        packed.extend(_row_tuples(blue, n))
         return blue, red
 
-    monkeypatch.setattr(cliques, "_pack_rows", recording)
+    def dive_recording(words, size):
+        dived.append(size)
+        return _dive_batch(words, size)
+
+    monkeypatch.setattr(cliques, "_pack_words", recording)
+    monkeypatch.setattr(cliques, "_dive_batch", dive_recording)
     firsts = set()
     for seed in range(6):
         packed.clear()
@@ -288,6 +315,7 @@ def test_clique_sizes_above_n_decide_as_verify_witness_does(sampler, ell, k, mon
             assert cert.checked and cert.graph.blue_rows == packed[first]
         firsts.add(first)
     assert (firsts == {0}) if min(ell, k) > n else (len(firsts) > 1)  # each seed verifies at once only if both are
+    assert dived == ([] if ell > n else [ell] * 6)  # one batch a seed, and no batch dive for a red K_6
 
 
 def test_search_first_hit_wins_deterministically():

@@ -18,6 +18,7 @@ pin the other two renderings of a float.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussian_ramsey.cli import main
@@ -38,6 +39,13 @@ CASES = {
         "search --n 18 --ell 4 --k 4 --sampler binomial --p 0.5 --max-attempts 300 --seed 1", 1),
     "search-geometric-n18-44": (
         "search --n 18 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 300 --seed 1", 1),
+    # two-word rows: every attempt holds a red K_5; a witness at attempt 0; a witness after 20 rejected attempts
+    "search-geometric-n70-5-12": (
+        "search --n 70 --ell 5 --k 12 --sampler geometric --d 64 --p 0.5 --max-attempts 300 --seed 3", 1),
+    "search-binomial-n70-11-11": (
+        "search --n 70 --ell 11 --k 11 --sampler binomial --p 0.5 --max-attempts 10 --seed 5", 0),
+    "search-binomial-n70-5-25": (
+        "search --n 70 --ell 5 --k 25 --sampler binomial --p 0.22 --max-attempts 200 --seed 1", 0),
     "sample-n1": ("sample --n 1 --d 5 --p 0.4 --seed 2", 0),
     "sample-n20": ("sample --n 20 --d 64 --p 0.4 --seed 3", 0),
     "sample-n65": ("sample --n 65 --d 64 --p 0.4 --seed 4", 0),
@@ -112,6 +120,27 @@ def test_record_bytes(name, capsys):
     argv, status = {**CASES, **CSV_CASES}[name]
     assert main(argv.split()) == status
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_search_records_keep_their_bytes_when_the_batch_dive_settles_nothing(monkeypatch, capsys):
+    # the batch dive skips only attempts the per-attempt verdict rejects, so the
+    # per-attempt fallback alone gives every search record, byte for byte
+    import gaussian_ramsey.cliques as cliques
+
+    real, settled = cliques._dive_batch, []
+
+    def counting(words, size):
+        reached = real(words, size)
+        settled.append(int(reached.sum()))
+        return reached
+
+    for dive in (counting, lambda words, size: np.zeros(len(words), bool)):
+        monkeypatch.setattr(cliques, "_dive_batch", dive)
+        for name in (name for name in CASES if name.startswith("search-")):
+            argv, status = CASES[name]
+            assert main(argv.split()) == status, name
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+    assert sum(settled) > 1000  # the real dive settles most of the rejected attempts
 
 
 def _replayed_argv(record: dict) -> list[str]:
