@@ -51,7 +51,7 @@ from gaussian_ramsey.cliques import (
 )
 from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob, estimate_edge_density
 from gaussian_ramsey.geometry import PerfectSpec
-from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_rows, graph_to_text
+from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_words, _row_tuples, graph_to_text
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import CHECKS, validate_bound
 
@@ -439,7 +439,7 @@ def _run_sample(params: dict):
         raise ValueError(f"vertex count must be positive, got n={n}")
     c_p, _, _, draw = estimators._pair_plan(n, d, p)  # refuses a bad d or an oversized trial before the draw
     blue = draw(RngStream(seed).generator(), 1)[0]
-    graph = ColoredGraph(n, _pack_rows(n, blue)[0][0], {"d": d, "p": p, "c_p": c_p, "seed": seed})
+    graph = ColoredGraph(n, _row_tuples(_pack_words(n, blue)[0], n)[0], {"d": d, "p": p, "c_p": c_p, "seed": seed})
     result = {
         "n": n,
         "d": d,
@@ -467,8 +467,8 @@ def _run_estimate(params: dict):
             spec = PerfectSpec(params["alpha_proj"], params["delta"], params.get("spec_ell", params["r"]), params["d"])
         elif params.get("restrict_perfect"):
             spec = PerfectSpec.from_params(2.0, params["r"], params["d"], params["p"])
-        with warnings.catch_warnings(record=True) as caught:  # every call warns, in the CLI's one-line form
-            warnings.simplefilter("always")
+        with warnings.catch_warnings(record=True) as caught:  # the library's warnings, every call
+            warnings.simplefilter("always", UserWarning)
             est = estimate_clique_prob(
                 params["r"],
                 params["d"],
@@ -480,8 +480,11 @@ def _run_estimate(params: dict):
                 perfect_spec=spec,
                 threads=threads,
             )
-        for caught_warning in caught:
-            print(f"warning: {caught_warning.message}", file=sys.stderr)
+        for w in caught:  # in the CLI's one-line form; any other category goes out as it came
+            if issubclass(w.category, UserWarning):
+                print(f"warning: {w.message}", file=sys.stderr)
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return est.as_record(), est.status == "ok", None
 
 

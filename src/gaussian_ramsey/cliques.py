@@ -106,7 +106,8 @@ def _dive_batch(words: np.ndarray, size: int) -> np.ndarray:
         low = np.zeros(count * n, np.intp)
         for j in reversed(range(width)):  # the lowest nonzero word is written last
             c = cand[:, j]
-            low = np.where(c != 0, j * WORD_BITS + np.bitwise_count((c & -c) - 1).astype(np.intp), low)
+            bit = np.frexp((c & -c).astype(np.float64))[1] - 1  # exact: c & -c is a power of two
+            low = np.where(c != 0, j * WORD_BITS + bit, low)
         cand &= np.take(rows, base + low, axis=0)
     return cand.any(axis=1).reshape(count, n).any(axis=1)
 

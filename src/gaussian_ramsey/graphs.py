@@ -97,7 +97,7 @@ class ColoredGraph:
 
 
 def _unpack(rows, n: int) -> np.ndarray:
-    """Boolean matrix of rows in [0, 2**n); the inverse of _pack_rows's blue rows for one matrix."""
+    """Boolean matrix of rows in [0, 2**n); the inverse of _row_tuples over _pack_words's blue rows for one matrix."""
     width = (n + 7) // 8
     data = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
     return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
@@ -121,12 +121,6 @@ def _pack_words(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return blue, (~blue & full) ^ diag
 
 
-def _pack_rows(n: int, pairs: np.ndarray) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """_pack_words's blue and red rows of each pair mask as one tuple of n ints."""
-    blue, red = _pack_words(n, pairs)
-    return _row_tuples(blue, n), _row_tuples(red, n)
-
-
 def _row_tuples(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
     """One tuple of n row ints per matrix of words, (count, n, words per row).
 
@@ -144,8 +138,8 @@ def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
     blue = np.asarray(blue, dtype=bool)
     if blue.ndim != 2 or blue.shape[0] != blue.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {blue.shape}")
-    rows, _ = _pack_rows(len(blue), blue[np.triu_indices(len(blue), 1)][:, None])
-    return ColoredGraph(len(blue), rows[0], provenance or {})
+    n = len(blue)
+    return ColoredGraph(n, _row_tuples(_pack_words(n, blue[np.triu_indices(n, 1)][:, None])[0], n)[0], provenance or {})
 
 
 def _format_value(value) -> str:

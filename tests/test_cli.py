@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -301,6 +302,19 @@ def test_an_underpowered_estimate_warns_in_one_line_on_every_call(capsys):
     for _ in range(2):  # the same warning from the same line still prints the second time
         code, _, err = run_main(_UNDERPOWERED.split(), capsys)
         assert (code, err) == (1, warning)
+
+
+def test_only_user_warnings_take_the_one_line_form(capsys, monkeypatch):
+    real = estimators.estimate_clique_prob
+
+    def noisy(*args, **kwargs):
+        warnings.warn("overflow in a draw", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("gaussian_ramsey.cli.estimate_clique_prob", noisy)
+    with pytest.warns(RuntimeWarning, match="overflow in a draw"):
+        code, _, err = run_main(_UNDERPOWERED.split(), capsys)
+    assert code == 1 and err.startswith("warning: binomial reference") and "overflow" not in err
 
 
 def test_cli_import_does_not_load_scipy_stats():

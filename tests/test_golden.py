@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gaussian_ramsey import cliques
 from gaussian_ramsey.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,22 +126,19 @@ def test_record_bytes(name, capsys):
 def test_search_records_keep_their_bytes_when_the_batch_dive_settles_nothing(monkeypatch, capsys):
     # the batch dive skips only attempts the per-attempt verdict rejects, so the
     # per-attempt fallback alone gives every search record, byte for byte
-    import gaussian_ramsey.cliques as cliques
+    monkeypatch.setattr(cliques, "_dive_batch", lambda words, size: np.zeros(len(words), bool))
+    for name in (name for name in CASES if name.startswith("search-")):
+        argv, status = CASES[name]
+        assert main(argv.split()) == status, name
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
 
-    real, settled = cliques._dive_batch, []
 
-    def counting(words, size):
-        reached = real(words, size)
-        settled.append(int(reached.sum()))
-        return reached
-
-    for dive in (counting, lambda words, size: np.zeros(len(words), bool)):
-        monkeypatch.setattr(cliques, "_dive_batch", dive)
-        for name in (name for name in CASES if name.startswith("search-")):
-            argv, status = CASES[name]
-            assert main(argv.split()) == status, name
-            assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
-    assert sum(settled) > 1000  # the real dive settles most of the rejected attempts
+def test_the_batch_dive_settles_every_attempt_of_a_two_word_search(monkeypatch, capsys):
+    # each of the 300 attempts holds a red K_5 that a greedy walk finds, so none reaches the verdict
+    monkeypatch.setattr(cliques, "_verdict", lambda g, ell, k: pytest.fail("an attempt reached the verdict"))
+    argv, status = CASES["search-geometric-n70-5-12"]
+    assert main(argv.split()) == status
+    assert capsys.readouterr().out == (GOLDEN / "search-geometric-n70-5-12.txt").read_text(encoding="utf-8")
 
 
 def _replayed_argv(record: dict) -> list[str]:
