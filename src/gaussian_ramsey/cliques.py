@@ -34,7 +34,12 @@ K_ell, since such an attempt cannot verify.  Only its misses become Python-int
 rows (_Attempt) and are decided in order by _verdict, the witness rule
 verify_witness uses too, so the lowest verifying attempt, which a seed
 determines, is the same as without the batch dive; only it gets a
-provenance dict and a validated graph.
+provenance dict and a validated graph.  Its float and bool arrays live in
+one per-thread workspace (_WORKSPACE) kept for the thread's life, not one
+call: the pair plan draws into it, a binomial batch draws its uniforms into
+its "square" buffer, and the packing's bool scratch is carved from that
+buffer, dead once the pair mask exists.  So a thread that searches again
+maps no fresh pages, and after a call holds at most one batch's arrays.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from gaussian_ramsey.graphs import (
     ColoredGraph,
     _pack_words,
     _row_tuples,
+    _words_for,
     capability_check,
     graph_from_text,
     graph_to_text,
@@ -62,6 +68,8 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 #: a batch would exceed the estimators' per-batch element budget.
 ATTEMPT_BATCH = 256
 _Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # an attempt the batch dive left open: all the engine reads
+#: the search's buffers: each thread's own (threading.local), kept for the thread's life, not one call.
+_WORKSPACE = estimators._Workspace()
 
 
 def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
@@ -233,16 +241,19 @@ def search_witness(
     base_provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
     if sampler == "geometric":
         d = int(params["d"])
-        c_p, _, batch, draw = estimators._pair_plan(n, d, p, cap=ATTEMPT_BATCH)
+        c_p, _, batch, draw = estimators._pair_plan(n, d, p, cap=ATTEMPT_BATCH, workspace=_WORKSPACE)
         base_provenance.update(d=d, c_p=c_p)
     else:
         batch = estimators._batch_size(n * n, ATTEMPT_BATCH)
 
-        def draw(gen, count):
-            return (gen.random((count, n * (n - 1) // 2)) >= p).T, True  # blue with probability 1 - p, drawn in order
+        def draw(gen, count):  # blue with probability 1 - p, drawn in order
+            return (gen.random(out=_WORKSPACE.take("square", (count, n * (n - 1) // 2))) >= p).T, True
 
+    width = _words_for(n) * WORD_BITS
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
-        blue, red = _pack_words(n, draw(sub.generator(), count)[0])  # both colors at once; rows need no validation
+        pairs = draw(sub.generator(), count)[0]
+        bits = _WORKSPACE.take("square", (count, n, width), bool)  # the draw's floats are dead once its mask exists
+        blue, red = _pack_words(n, pairs, bits)  # both colors at once; rows need no validation
         misses = np.arange(count) if ell > n else np.flatnonzero(~_dive_batch(red, ell))  # a red K_ell settles
         for t, blue_rows, red_rows in zip(misses.tolist(), _row_tuples(blue[misses], n), _row_tuples(red[misses], n)):
             if _verdict(_Attempt(n, blue_rows, red_rows), ell, k):

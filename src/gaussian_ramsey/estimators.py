@@ -22,7 +22,10 @@ order) and the kernel computes only its pairs i < j from those rows.
 Each thread that draws a plan's batches holds one _Workspace for the plan:
 its first batch makes the float arrays of a batch, every later batch writes
 into them, and they grow only for a draw of more trials than they hold, so
-a batch allocates only its masks.
+a batch allocates only its masks.  An estimator's workspace goes with its
+plan, since one kept for the process would hold the largest plan's arrays
+under every later call's own temporaries (the validators'); search_witness,
+whose calls allocate little else, keeps one for its thread's life.
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -39,7 +42,8 @@ spec) and a mask byte per pair, so a triangular batch holds up to about 1.7
 times the budget; a direct batch draws, scales and multiplies its clouds one
 slab of _SLAB_ELEMENTS doubles (256 KiB) at a time, so it holds its Gram, its
 mask and one slab, not its clouds.  Those arrays live in the thread's workspace
-for the plan's duration (correction_scaling's plans share one), not for one batch.
+for the plan's duration (correction_scaling's plans share one; the search's lives
+as long as its thread), not for one batch.
 """
 
 from __future__ import annotations
@@ -197,21 +201,21 @@ def _trial_elements(n: int, d: int, sampler: str) -> int:
 class _Workspace(threading.local):
     """Float buffers reused batch after batch; each thread that uses one sees buffers of its own.
 
-    take(name, shape) is a C-contiguous view of the first prod(shape) doubles of buffer `name`, laid
-    out as a fresh array of that shape would be.  A buffer is made at its first take, and replaced by
-    a larger one only when a take asks for more than it holds.  A view holds whatever the last batch
-    left there, so every caller writes an entry before it reads it.
+    take(name, shape, dtype) is a C-contiguous view of the first bytes of buffer `name` as an array of
+    that shape and dtype (doubles by default), laid out as a fresh array would be.  A buffer is made at
+    its first take, and replaced by a larger one only when a take asks for more bytes than it holds.
+    A view holds whatever the last batch left there, so every caller writes an entry before it reads it.
     """
 
     def __init__(self) -> None:
         self._buffers = {}
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         buffer = self._buffers.get(name)
-        if buffer is None or buffer.size < size:
-            buffer = self._buffers[name] = np.empty(size)
-        return buffer[:size].reshape(shape)
+        if buffer is None or buffer.nbytes < nbytes:
+            buffer = self._buffers[name] = np.empty(-(-nbytes // 8))
+        return buffer.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
 def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
@@ -223,21 +227,22 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
     _SLAB_ELEMENTS doubles at a time, with the bits of one whole draw.  Every float array of the
     batch (the slab and the Gram, or the triangular rows, their normals and one row of pairs, and
     the norms and projections) is taken from the workspace ws, a fresh one when none is given; only
-    the masks are new.  The random draws do not depend on the spec, so runs sharing a stream are
-    coupled trial by trial.
+    the masks are new.  The Gram and the triangular rows, n * n doubles a trial either way, take one
+    buffer, "square", which the search reuses once the mask is drawn.  The random draws do not depend
+    on the spec, so runs sharing a stream are coupled trial by trial.
     """
     ws = _Workspace() if ws is None else ws
     if sampler == "direct":
         step = max(1, _SLAB_ELEMENTS // (n * d))
         slab = ws.take("slab", (min(step, count), n, d))
-        grams = ws.take("grams", (count, n, n))
+        grams = ws.take("square", (count, n, n))
         for start in range(0, count, step):
             k = min(step, count - start)
             gram_batch(sample_cloud_batch(k, n, d, gen, out=slab[:k]), out=grams[start : start + k])
         rows = (grams[:, i, i + 1 :].T for i in range(n - 1))
         triangular = np.moveaxis(_cholesky(grams), 0, -1) if spec is not None else None  # clouds', batch-last
     else:  # "bartlett": _pair_plan has checked the name and n <= d
-        out = ws.take("triangular", (n, n, count)), ws.take("normals", (count, n * (n - 1) // 2))
+        out = ws.take("square", (n, n, count)), ws.take("normals", (count, n * (n - 1) // 2))
         triangular = L = _bartlett_rows(count, n, d, gen, out=out)
         products = ws.take("pairs", (n - 1, count))
         rows = (np.einsum("jkb,kb->jb", L[i + 1 :, : i + 1], L[i, : i + 1], out=products[: n - 1 - i])

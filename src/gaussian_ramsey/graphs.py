@@ -103,16 +103,21 @@ def _unpack(rows, n: int) -> np.ndarray:
     return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
 
 
-def _pack_words(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pack_words(n: int, pairs: np.ndarray, bits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Blue and red rows of batch-last pair masks, (C(n,2), count) over i < j, as uint64 words (count, n, words).
 
     Each mask is scattered to both triangles of rows padded to whole 64-bit
     words and packed in one pass; red is the complement off the diagonal,
     taken on the same words.  Word j of a row holds vertices 64j to 64j + 63.
+    The rows are spread in bits, a bool scratch (count, n, 64 * words), fresh
+    when none is given; whatever it holds, the diagonal and the padding
+    columns, which the scatter never writes, are cleared.
     """
     width = _words_for(n) * WORD_BITS
     iu = np.triu_indices(n, 1)
-    bits = np.zeros((pairs.shape[1], n, width), bool)
+    bits = np.empty((pairs.shape[1], n, width), bool) if bits is None else bits
+    bits[:, :, n:] = False
+    bits[:, range(n), range(n)] = False
     bits[:, iu[0], iu[1]] = pairs.T
     bits[:, iu[1], iu[0]] = pairs.T
     blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")

@@ -1,10 +1,15 @@
 """Exact clique search, witness verification, and the sampling search."""
 
+import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from gaussian_ramsey import cliques
+from gaussian_ramsey.cli import parse_config, run
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
     _dive,
@@ -293,8 +298,8 @@ def test_clique_sizes_above_n_decide_as_verify_witness_does(sampler, ell, k, mon
     n, attempts = 5, 40
     packed, dived = [], []
 
-    def recording(n, pairs):
-        blue, red = _pack_words(n, pairs)
+    def recording(n, pairs, bits=None):
+        blue, red = _pack_words(n, pairs, bits)
         packed.extend(_row_tuples(blue, n))
         return blue, red
 
@@ -316,6 +321,63 @@ def test_clique_sizes_above_n_decide_as_verify_witness_does(sampler, ell, k, mon
         firsts.add(first)
     assert (firsts == {0}) if min(ell, k) > n else (len(firsts) > 1)  # each seed verifies at once only if both are
     assert dived == ([] if ell > n else [ell] * 6)  # one batch a seed, and no batch dive for a red K_6
+
+
+def _on_a_new_thread(call):
+    """call() on a thread of its own, whose search workspace starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(call).result(timeout=120)
+
+
+def _search_argv(n, sampler, attempts):
+    """No attempt verifies at n = 18 = R(4, 4) or n = 25 < R(4, 5): every attempt is drawn, 256 a batch."""
+    sampler = "geometric --d 64" if sampler == "geometric" else sampler
+    return f"search --n {n} --ell 4 --k {4 if n == 18 else 5} --sampler {sampler} --p 0.5 --max-attempts {attempts}"
+
+
+def _traced(argv):
+    """The search's exit status, and the traced bytes it held at its peak and after it returned."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        status = run(parse_config((argv + " --seed 3").split()))[0]
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return status, peak - before, now - before
+
+
+@pytest.mark.parametrize("sampler", ["geometric", "binomial"])
+def test_search_memory_is_flat_in_the_attempt_count(sampler):
+    # a batch draws into the buffers the last one left, so 100 batches peak where one does
+    _on_a_new_thread(lambda: _traced(_search_argv(18, sampler, 256)))  # imports and caches first
+    status, one, _ = _on_a_new_thread(lambda: _traced(_search_argv(18, sampler, 256)))
+    status_many, many, _ = _on_a_new_thread(lambda: _traced(_search_argv(18, sampler, 25_600)))
+    assert status == status_many == 1
+    assert many <= one + (1 << 18)
+
+
+def test_a_search_thread_keeps_one_batch_and_no_more():
+    # after a call the thread holds its last batch's arrays (triangular at n <= d: its rows, their normals
+    # and one row of pairs, 256 attempts of n * n + C(n,2) + n - 1 doubles), and a later call at a smaller
+    # n, of either sampler, takes the same buffers
+    n, count = 25, cliques.ATTEMPT_BATCH
+    bound = 8 * count * (n * n + math.comb(n, 2) + n - 1)
+
+    def calls():
+        status, _, kept = _traced(_search_argv(n, "geometric", 300))
+        buffers = dict(cliques._WORKSPACE._buffers)
+        for smaller, sampler in ((25, "binomial"), (18, "geometric"), (18, "binomial")):
+            assert _traced(_search_argv(smaller, sampler, 300))[0] == 1
+            assert cliques._WORKSPACE._buffers.keys() == buffers.keys()
+            assert all(cliques._WORKSPACE._buffers[name] is buffer for name, buffer in buffers.items())
+        return status, kept, sum(buffer.nbytes for buffer in buffers.values())
+
+    _on_a_new_thread(lambda: _traced(_search_argv(n, "geometric", 300)))  # imports and caches first
+    status, kept, held = _on_a_new_thread(calls)
+    assert status == 1
+    assert held <= bound
+    assert kept <= bound + (1 << 16)
 
 
 def test_search_first_hit_wins_deterministically():

@@ -16,13 +16,15 @@ pin the other two renderings of a float.
 """
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaussian_ramsey import cliques
-from gaussian_ramsey.cli import main
+from gaussian_ramsey.cli import main, parse_config, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +42,9 @@ CASES = {
         "search --n 18 --ell 4 --k 4 --sampler binomial --p 0.5 --max-attempts 300 --seed 1", 1),
     "search-geometric-n18-44": (
         "search --n 18 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 300 --seed 1", 1),
+    # n > d: the direct sampler; a witness in the second batch
+    "search-geometric-direct-n10-44": (
+        "search --n 10 --ell 4 --k 4 --sampler geometric --d 6 --p 0.5 --max-attempts 1000 --seed 3", 0),
     # two-word rows: every attempt holds a red K_5; a witness at attempt 0; a witness after 20 rejected attempts
     "search-geometric-n70-5-12": (
         "search --n 70 --ell 5 --k 12 --sampler geometric --d 64 --p 0.5 --max-attempts 300 --seed 3", 1),
@@ -139,6 +144,46 @@ def test_the_batch_dive_settles_every_attempt_of_a_two_word_search(monkeypatch, 
     argv, status = CASES["search-geometric-n70-5-12"]
     assert main(argv.split()) == status
     assert capsys.readouterr().out == (GOLDEN / "search-geometric-n70-5-12.txt").read_text(encoding="utf-8")
+
+
+def test_stale_search_buffers_leave_every_search_record_as_it_was(capsys):
+    # the search keeps its buffers for the thread's life: every batch writes what it reads, and the
+    # pack clears the diagonal and padding its scatter never writes, so buffers left full of 0xFF
+    # bytes (NaN as doubles, a nonzero byte as bools) give every search record, one- and two-word rows
+    assert main(CASES["search-geometric-n70-5-12"][0].split()) == 1  # the widest rows: later packs carve from it
+    capsys.readouterr()
+    for name in (name for name in CASES if name.startswith("search-")):
+        for buffer in cliques._WORKSPACE._buffers.values():
+            buffer.view(np.uint8).fill(0xFF)
+        argv, status = CASES[name]
+        assert main(argv.split()) == status, name
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+
+
+def test_searches_on_threads_each_write_their_own_buffers():
+    # four searches at once, switching often, ten times each: every record is its serial bytes, which
+    # one workspace shared between the threads would not give.  The threads are daemons joined with a
+    # deadline, since an attempt packed from clobbered rows can send the engine into an endless loop.
+    names = ["search-binomial-n11-44", "search-geometric-direct-n10-44", "search-geometric-n12-44",
+             "search-binomial-n5-33"]
+    records = {}
+
+    def search(name):
+        records[name] = [run(parse_config(CASES[name][0].split())) for _ in range(10)]
+
+    threads = [threading.Thread(target=search, args=(name,), daemon=True) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for name in names:
+        assert records.get(name) == [(CASES[name][1], (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))] * 10, name
 
 
 def _replayed_argv(record: dict) -> list[str]:

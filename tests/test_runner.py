@@ -80,7 +80,8 @@ def _record_draws(monkeypatch) -> list[int]:
             return super().chisquare(df, size)
 
         def random(self, size=None, *args, **kwargs):
-            sizes.append(int(np.prod(size)))
+            out = kwargs.get("out")
+            sizes.append(int(np.prod(size if out is None else out.shape)))
             return super().random(size, *args, **kwargs)
 
     plain = RngStream.generator
