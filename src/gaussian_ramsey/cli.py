@@ -316,8 +316,6 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
 
 def _render_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(x, ".17g")
@@ -341,11 +339,7 @@ def render_json(obj) -> str:
     if isinstance(obj, dict):
         inner = ",".join(f"{render_json(str(k))}:{render_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in obj) + "]"
-    if hasattr(obj, "item"):  # numpy scalar
-        return render_json(obj.item())
-    raise TypeError(f"cannot render {type(obj)!r}")
+    return "[" + ",".join(render_json(v) for v in obj) + "]"  # a list or tuple: a record holds nothing else
 
 
 def _flatten(obj, prefix: str = "") -> dict:

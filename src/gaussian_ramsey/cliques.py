@@ -32,14 +32,16 @@ dive over the whole batch (_dive_batch: the walks of _dive, stepped in
 lockstep on the words) settles every attempt in which a walk finds a red
 K_ell, since such an attempt cannot verify.  Only its misses become Python-int
 rows (_Attempt) and are decided in order by _verdict, the witness rule
-verify_witness uses too, so the lowest verifying attempt, which a seed
-determines, is the same as without the batch dive; only it gets a
-provenance dict and a validated graph.  Its float and bool arrays live in
-one per-thread workspace (_WORKSPACE) kept for the thread's life, not one
-call: the pair plan draws into it, a binomial batch draws its uniforms into
-its "square" buffer, and the packing's bool scratch is carved from that
-buffer, dead once the pair mask exists.  So a thread that searches again
-maps no fresh pages, and after a call holds at most one batch's arrays.
+verify_witness uses too; a miss's red check goes straight to the complete
+search, since the batch dive has walked _dive's walks already.  So the
+lowest verifying attempt, which a seed determines, is the same as without
+the batch dive; only it gets a provenance dict and a validated graph.  Its
+float and bool arrays live in one per-thread workspace (_WORKSPACE) kept
+for the thread's life, not one call: the pair plan draws into it, a
+binomial batch draws its uniforms into its "square" buffer, and the
+packing's bool scratch is carved from that buffer, dead once the pair mask
+exists.  So a thread that searches again maps no fresh pages, and after a
+call holds at most one batch's arrays.
 """
 
 from __future__ import annotations
@@ -199,10 +201,17 @@ def _check_clique_sizes(ell: int, k: int) -> None:
         raise ValueError(f"clique sizes must be at least 1, got ell={ell}, k={k}")
 
 
-def _verdict(g: ColoredGraph | _Attempt, ell: int, k: int) -> bool:
-    """The witness rule: no red K_ell and no blue K_k; a clique larger than the graph cannot occur."""
-    red_free = ell > g.n or find_mono_clique(g, ell, "red") is None
-    return red_free and (k > g.n or find_mono_clique(g, k, "blue") is None)  # a red clique settles it
+def _verdict(g: ColoredGraph | _Attempt, ell: int, k: int, dived: bool = False) -> bool:
+    """The witness rule: no red K_ell and no blue K_k; a clique larger than the graph cannot occur.
+
+    dived says that every greedy walk for a red K_ell has dead-ended already (the search's batch
+    dive walks exactly _dive's walks), so the complete search alone decides red.
+    """
+    if ell <= g.n:
+        red = _search((1 << g.n) - 1, ell, g.red_rows, g.blue_rows) if dived else find_mono_clique(g, ell, "red")
+        if red is not None:  # a red clique settles it
+            return False
+    return k > g.n or find_mono_clique(g, k, "blue") is None
 
 
 def verify_witness(g: ColoredGraph, ell: int, k: int) -> WitnessCertificate:
@@ -256,7 +265,7 @@ def search_witness(
         blue, red = _pack_words(n, pairs, bits)  # both colors at once; rows need no validation
         misses = np.arange(count) if ell > n else np.flatnonzero(~_dive_batch(red, ell))  # a red K_ell settles
         for t, blue_rows, red_rows in zip(misses.tolist(), _row_tuples(blue[misses], n), _row_tuples(red[misses], n)):
-            if _verdict(_Attempt(n, blue_rows, red_rows), ell, k):
+            if _verdict(_Attempt(n, blue_rows, red_rows), ell, k, dived=True):
                 g = ColoredGraph(n, blue_rows, dict(base_provenance, attempt=bi * batch + t))
                 return WitnessCertificate(n, ell, k, g, checked=True)  # rebuilt: validated, recomputes red rows
     return None

@@ -37,7 +37,7 @@ batch at 8192 trials; the validators take none, since a cap would repartition
 their records; search_witness caps it at ATTEMPT_BATCH attempts, since it
 stops at its first witness and would discard the rest of a larger batch.
 The budget fixes the partition, and so the records.  It counts r * r doubles
-a triangular trial, which holds r * r + C(r,2) + r - 1 (3r - 1 under a perfect
+a triangular trial, which holds r * r + C(r,2) (2r more under a perfect
 spec) and a mask byte per pair, so a triangular batch holds up to about 1.7
 times the budget; a direct batch draws, scales and multiplies its clouds one
 slab of _SLAB_ELEMENTS doubles (256 KiB) at a time, so it holds its Gram, its
@@ -222,16 +222,19 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
     """Blue mask of every pair i < j, batch-last (C(n,2), count), and the perfect mask (True without a spec).
 
     Row i's pairs j > i fill whole rows of the mask (np.triu_indices order), read off the direct
-    clouds' BLAS Gram or computed alone from the batch-last triangular rows, G_ij = sum_{k<=i} L_jk L_ik.
-    Direct clouds are drawn, scaled and multiplied into the batch's Gram one slab of at most
-    _SLAB_ELEMENTS doubles at a time, with the bits of one whole draw.  Every float array of the
-    batch (the slab and the Gram, or the triangular rows, their normals and one row of pairs, and
-    the norms and projections) is taken from the workspace ws, a fresh one when none is given; only
-    the masks are new.  The Gram and the triangular rows, n * n doubles a trial either way, take one
+    clouds' BLAS Gram, one row of pairs at a time, or computed alone from the batch-last triangular
+    rows, G_ij = sum_{k<=i} L_jk L_ik, into one (C(n,2), count) array of products that one compare
+    thresholds.  Direct clouds are drawn, scaled and multiplied into the batch's Gram one slab of at
+    most _SLAB_ELEMENTS doubles at a time, with the bits of one whole draw.  Every float array of the
+    batch (the slab and the Gram, or the triangular rows and their normals, and the norms and
+    projections) is taken from the workspace ws, a fresh one when none is given; only the masks are
+    new.  The products go to the normals' buffer, "normals", which is dead once the rows hold the
+    scaled normals.  The Gram and the triangular rows, n * n doubles a trial either way, take one
     buffer, "square", which the search reuses once the mask is drawn.  The random draws do not depend
     on the spec, so runs sharing a stream are coupled trial by trial.
     """
     ws = _Workspace() if ws is None else ws
+    pairs = n * (n - 1) // 2
     if sampler == "direct":
         step = max(1, _SLAB_ELEMENTS // (n * d))
         slab = ws.take("slab", (min(step, count), n, d))
@@ -239,19 +242,21 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
         for start in range(0, count, step):
             k = min(step, count - start)
             gram_batch(sample_cloud_batch(k, n, d, gen, out=slab[:k]), out=grams[start : start + k])
-        rows = (grams[:, i, i + 1 :].T for i in range(n - 1))
+        blue = np.empty((pairs, count), dtype=bool)
+        start = 0
+        for i in range(n - 1):
+            np.greater_equal(grams[:, i, i + 1 :].T, threshold, out=blue[start : start + n - 1 - i])
+            start += n - 1 - i
         triangular = np.moveaxis(_cholesky(grams), 0, -1) if spec is not None else None  # clouds', batch-last
     else:  # "bartlett": _pair_plan has checked the name and n <= d
-        out = ws.take("square", (n, n, count)), ws.take("normals", (count, n * (n - 1) // 2))
+        out = ws.take("square", (n, n, count)), ws.take("normals", (count, pairs))
         triangular = L = _bartlett_rows(count, n, d, gen, out=out)
-        products = ws.take("pairs", (n - 1, count))
-        rows = (np.einsum("jkb,kb->jb", L[i + 1 :, : i + 1], L[i, : i + 1], out=products[: n - 1 - i])
-                for i in range(n - 1))
-    blue = np.empty((n * (n - 1) // 2, count), dtype=bool)
-    start = 0
-    for pairs in rows:
-        np.greater_equal(pairs, threshold, out=blue[start : start + len(pairs)])
-        start += len(pairs)
+        products = ws.take("normals", (pairs, count))
+        start = 0
+        for i in range(n - 1):
+            np.einsum("jkb,kb->jb", L[i + 1 :, : i + 1], L[i, : i + 1], out=products[start : start + n - 1 - i])
+            start += n - 1 - i
+        blue = np.greater_equal(products, threshold)
     if spec is None:
         return blue, True
     # the pairs are read: the squares and running sums overwrite the triangular rows

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gaussian_ramsey.graphs import ColoredGraph, from_blue_matrix
+from gaussian_ramsey.graphs import ColoredGraph, _size_table, from_blue_matrix
 from gaussian_ramsey.sampling import as_generator
 
 #: Relative Cholesky pivot at or below which a vector counts as dependent
@@ -165,21 +165,31 @@ def _bartlett_rows(batch: int, r: int, d: int, gen, out=None) -> np.ndarray:
     The package's one consumption order: one (batch, C(r,2)) draw of the strictly-lower
     Gaussian entries, row-major over the triangle, then the r diagonal chi entries.
     out, when given, is (L, normals) of shapes (r, r, batch) and (batch, C(r,2)): the normals
-    are drawn into normals and the scaled lower triangle and diagonal written into L, which is
-    returned.  L's upper triangle is not written, so it holds whatever it held: the pair kernel
+    are drawn and scaled in normals, then moved into L's lower triangle by one row scatter, and
+    the chi-square draws go to L's diagonal, which one divide and one sqrt finish; L is returned.
+    L's upper triangle is not written, so it holds whatever it held: the pair kernel
     and bartlett_prefix_norms read the lower triangle only.  Without out, L is a fresh array
     with a zero upper triangle.
     """
     if r > d:
         raise ValueError(f"row count {r} exceeds ambient dimension {d}")
     L, normals = (np.zeros((r, r, batch)), None) if out is None else out
+    flat = L.reshape(r * r, batch)  # a view: L is C-contiguous
     if r > 1:
-        lower = gen.standard_normal((batch, r * (r - 1) // 2), out=normals).T
-        for i in range(1, r):
-            np.divide(lower[i * (i - 1) // 2 : i * (i + 1) // 2], math.sqrt(d), out=L[i, :i])
+        lower = gen.standard_normal((batch, r * (r - 1) // 2), out=normals)
+        flat[_strict_lower(r)] = np.divide(lower, math.sqrt(d), out=lower).T
+    diagonal = flat[:: r + 1]
     for i in range(r):
-        np.sqrt(np.divide(gen.chisquare(d - i, size=batch), d, out=L[i, i]), out=L[i, i])
+        diagonal[i] = gen.chisquare(d - i, size=batch)
+    np.sqrt(np.divide(diagonal, d, out=diagonal), out=diagonal)
     return L
+
+
+@_size_table
+def _strict_lower(r: int) -> np.ndarray:
+    """Flat indices i * r + j of the entries j < i of an r x r matrix, row-major (np.tril_indices order)."""
+    i, j = np.tril_indices(r, -1)
+    return i * r + j
 
 
 def sample_cloud(n: int, d: int, stream) -> PointCloud:
@@ -224,7 +234,7 @@ def gram_from_bartlett(ts: TriangularSample) -> np.ndarray:
 def _edge_threshold(c_p: float, d: int) -> float:
     """-c_p/sqrt(d), the least inner product of a blue edge: the one place the edge rule is written."""
     if c_p < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {c_p}")
+        raise ValueError(f"c_p must be nonnegative, got c_p={c_p}")
     return -c_p / math.sqrt(d)
 
 

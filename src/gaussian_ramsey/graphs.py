@@ -103,6 +103,32 @@ def _unpack(rows, n: int) -> np.ndarray:
     return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
 
 
+def _size_table(build):
+    """build(n), kept for the last 8 sizes n within the exact engine's capability (MAX_WORDS * WORD_BITS
+    vertices) and built afresh beyond it, so the kept tables hold at most 8 of about 2 MB each.
+
+    A kept table is read-only, since every caller shares it.
+    """
+
+    @functools.lru_cache(maxsize=8)
+    def kept(n):
+        table = build(n)
+        for array in table if isinstance(table, tuple) else (table,):
+            array.flags.writeable = False
+        return table
+
+    return lambda n: kept(n) if n <= MAX_WORDS * WORD_BITS else build(n)
+
+
+@_size_table
+def _pack_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), and the words of the full row and of each row's diagonal bit."""
+    width = _words_for(n) * WORD_BITS
+    full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
+    diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
+    return *np.triu_indices(n, 1), full, diag
+
+
 def _pack_words(n: int, pairs: np.ndarray, bits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Blue and red rows of batch-last pair masks, (C(n,2), count) over i < j, as uint64 words (count, n, words).
 
@@ -110,19 +136,17 @@ def _pack_words(n: int, pairs: np.ndarray, bits: np.ndarray | None = None) -> tu
     words and packed in one pass; red is the complement off the diagonal,
     taken on the same words.  Word j of a row holds vertices 64j to 64j + 63.
     The rows are spread in bits, a bool scratch (count, n, 64 * words), fresh
-    when none is given; whatever it holds, the diagonal and the padding
-    columns, which the scatter never writes, are cleared.
+    when none is given and cleared by one fill whatever it holds, so the
+    diagonal and the padding columns, which the scatter never writes, are 0.
+    The indices and words that depend on n alone come from a kept table
+    (_pack_table).
     """
-    width = _words_for(n) * WORD_BITS
-    iu = np.triu_indices(n, 1)
-    bits = np.empty((pairs.shape[1], n, width), bool) if bits is None else bits
-    bits[:, :, n:] = False
-    bits[:, range(n), range(n)] = False
-    bits[:, iu[0], iu[1]] = pairs.T
-    bits[:, iu[1], iu[0]] = pairs.T
+    i, j, full, diag = _pack_table(n)
+    bits = np.empty((pairs.shape[1], n, _words_for(n) * WORD_BITS), bool) if bits is None else bits
+    bits.fill(False)
+    bits[:, i, j] = pairs.T
+    bits[:, j, i] = pairs.T
     blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-    full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
-    diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
     return blue, (~blue & full) ^ diag
 
 

@@ -237,18 +237,17 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     attempts, d, p = 4, 8, 0.3
     seen, validated = [], []
 
-    def recording(g, size, color):
-        if color == "red":  # each attempt's first engine call
-            seen.append(g)
-        find_mono_clique(g, size, color)
-        return None if len(seen) == attempts else (0, 1)  # the last attempt "verifies"
+    def recording(g, ell, k, dived=False, verdict=cliques._verdict):
+        seen.append(g)  # each attempt's one verdict
+        verdict(g, ell, k, dived)
+        return len(seen) == attempts  # the last attempt "verifies"
 
     def validating(g, post_init=ColoredGraph.__post_init__):
         post_init(g)
         validated.append(g)
 
     monkeypatch.setattr(cliques, "_dive_batch", settle_none)  # every attempt reaches the engine
-    monkeypatch.setattr(cliques, "find_mono_clique", recording)
+    monkeypatch.setattr(cliques, "_verdict", recording)
     monkeypatch.setattr(ColoredGraph, "__post_init__", validating)
     stream = RngStream(59)
     cert = search_witness(n, 2, 2, sampler, {"d": d, "p": p}, attempts, stream)
@@ -276,16 +275,37 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
 
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_blind_engine_makes_the_search_claim_a_witness(sampler, monkeypatch):
-    # every attempt's verdict goes through the batch dive and then find_mono_clique:
-    # blinding both certifies the first attempt even where no witness exists (R(4, 4) = 18)
+    # every attempt's verdict goes through the batch dive, then the complete search (red, the batch dive's
+    # misses) and find_mono_clique (blue): blinding them certifies the first attempt even where no witness
+    # exists (R(4, 4) = 18)
     import gaussian_ramsey.cliques as cliques
 
     params = {"d": 64, "p": 0.5}
     assert search_witness(18, 4, 4, sampler, params, 3, RngStream(61)) is None
     monkeypatch.setattr(cliques, "_dive_batch", settle_none)
+    monkeypatch.setattr(cliques, "_search", lambda P, need, adj, non_adj: None)
     monkeypatch.setattr(cliques, "find_mono_clique", lambda g, size, color: None)
     cert = search_witness(18, 4, 4, sampler, params, 3, RngStream(61))
     assert cert.checked and cert.graph.provenance["attempt"] == 0
+
+
+def test_a_miss_checks_red_by_the_complete_search_alone(monkeypatch):
+    # the batch dive has walked every greedy walk for a red K_ell, so the search's misses run _dive for
+    # blue only; verify_witness, which has no batch dive, still dives for red first
+    import gaussian_ramsey.cliques as cliques
+
+    dived = []
+
+    def recording(P, size, rows, dive=cliques._dive):
+        dived.append(size)
+        return dive(P, size, rows)
+
+    monkeypatch.setattr(cliques, "_dive", recording)
+    search_witness(10, 5, 3, "binomial", {"p": 0.5}, 40, RngStream(62))
+    assert dived and set(dived) == {3}
+    dived.clear()
+    assert not verify_witness(ColoredGraph(10, (0,) * 10), 5, 3).checked  # all red: the dive finds a K_5
+    assert dived == [5]
 
 
 @pytest.mark.parametrize("ell, k", [(6, 3), (3, 6), (6, 6)])  # a clique size above n = 5
@@ -358,11 +378,11 @@ def test_search_memory_is_flat_in_the_attempt_count(sampler):
 
 
 def test_a_search_thread_keeps_one_batch_and_no_more():
-    # after a call the thread holds its last batch's arrays (triangular at n <= d: its rows, their normals
-    # and one row of pairs, 256 attempts of n * n + C(n,2) + n - 1 doubles), and a later call at a smaller
+    # after a call the thread holds its last batch's arrays (triangular at n <= d: its rows and their normals,
+    # which then hold the pair products, 256 attempts of n * n + C(n,2) doubles), and a later call at a smaller
     # n, of either sampler, takes the same buffers
     n, count = 25, cliques.ATTEMPT_BATCH
-    bound = 8 * count * (n * n + math.comb(n, 2) + n - 1)
+    bound = 8 * count * (n * n + math.comb(n, 2))
 
     def calls():
         status, _, kept = _traced(_search_argv(n, "geometric", 300))

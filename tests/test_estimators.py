@@ -163,10 +163,10 @@ def test_pair_mask_is_batch_last_and_bit_identical(r, sampler, monkeypatch):
         return
     L = _bartlett_rows(count, r, d, RngStream(seed).generator())
     batch_first = [np.einsum("jkb,kb->bj", L[i + 1 :, : i + 1], L[i, : i + 1]) for i in range(r - 1)]
-    assert len(thresholded) == len(batch_first)
-    for values, reference in zip(thresholded, batch_first):
-        assert np.array_equal(values.T.view(np.uint64), reference.view(np.uint64))
-    assert np.array_equal(blue, np.concatenate([np.empty((count, 0)), *batch_first], axis=1).T >= threshold)
+    reference = np.concatenate([np.empty((count, 0)), *batch_first], axis=1)
+    values = np.concatenate([np.empty((0, count)), *thresholded])  # every value compared, in the order compared
+    assert np.array_equal(values.T.view(np.uint64), reference.view(np.uint64))
+    assert np.array_equal(blue, reference.T >= threshold)
 
 
 def test_direct_pair_batch_holds_about_the_doubles_it_counts():

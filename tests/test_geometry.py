@@ -150,6 +150,39 @@ def test_bartlett_offdiag_variance():
     assert vals.var() == pytest.approx(1.0 / d, rel=0.05)
 
 
+def _bartlett_rows_by_row(batch, r, d, gen):
+    """The triangular draw row by row: a divide per row of normals, a chi-square, divide and sqrt per diagonal entry."""
+    L = np.zeros((r, r, batch))
+    if r > 1:
+        lower = gen.standard_normal((batch, r * (r - 1) // 2)).T
+        for i in range(1, r):
+            np.divide(lower[i * (i - 1) // 2 : i * (i + 1) // 2], math.sqrt(d), out=L[i, :i])
+    for i in range(r):
+        np.sqrt(np.divide(gen.chisquare(d - i, size=batch), d, out=L[i, i]), out=L[i, i])
+    return L
+
+
+@pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
+@pytest.mark.parametrize("r", [1, 2, 3, 18, 25, 64])
+def test_bartlett_rows_are_the_row_by_row_draw_bit_for_bit(r, workspace):
+    # one scatter of the scaled normals and one divide and sqrt over the diagonal consume the generator
+    # as the row-by-row draw does and write its bits; into a workspace, the upper triangle keeps what it held
+    batch, d, seed = 37, 64, 12
+    ref_gen, gen = RngStream(seed).generator(), RngStream(seed).generator()
+    reference = _bartlett_rows_by_row(batch, r, d, ref_gen)
+    if workspace:
+        out = np.full((r, r, batch), np.nan), np.full((batch, r * (r - 1) // 2), np.nan)
+        L = _bartlett_rows(batch, r, d, gen, out=out)
+        assert L is out[0]
+        upper = np.triu(np.ones((r, r), bool), 1)
+        assert np.isnan(L[upper]).all()
+        L[upper] = 0.0
+    else:
+        L = _bartlett_rows(batch, r, d, gen)
+    assert np.array_equal(L.view(np.uint64), reference.view(np.uint64))
+    assert gen.random() == ref_gen.random()  # the same draws, no more
+
+
 def test_bartlett_strict_upper_zero_and_domain():
     ts = sample_bartlett(6, 32, RngStream(11))
     assert (np.triu(ts.M, 1) == 0.0).all()

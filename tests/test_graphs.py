@@ -7,8 +7,12 @@ import pytest
 
 from gaussian_ramsey.geometry import adjacency, gram, sample_cloud
 from gaussian_ramsey.graphs import (
+    MAX_WORDS,
+    WORD_BITS,
     CapabilityError,
     ColoredGraph,
+    _pack_table,
+    _pack_words,
     capability_check,
     from_blue_matrix,
     graph_from_text,
@@ -45,6 +49,37 @@ def test_from_blue_matrix_matches_loop_packer():
         g = from_blue_matrix(blue)
         assert g.blue_rows == pack_blue_rows(blue), n
         assert g.blue_rows == from_blue_matrix(blue.tolist()).blue_rows
+
+
+def _pack_words_uncached(n, pairs):
+    """_pack_words's blue and red words, every table rebuilt and a zeroed scratch."""
+    width = max(1, -(-n // 64)) * 64
+    iu = np.triu_indices(n, 1)
+    bits = np.zeros((pairs.shape[1], n, width), bool)
+    bits[:, iu[0], iu[1]] = pairs.T
+    bits[:, iu[1], iu[0]] = pairs.T
+    blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
+    diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
+    return blue, (~blue & full) ^ diag
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130, 513])  # one-, two-, three- and nine-word rows
+def test_pack_words_matches_an_uncached_pack_over_a_dirty_scratch(n):
+    # the kept table and the one fill of the scratch give the words of a pack that builds everything afresh,
+    # whatever the scratch held (bytes of 0xFF), on a first and a later call; beyond the capability the
+    # table is built afresh, and a kept one is shared, so it is read-only
+    count = 7
+    pairs = RngStream(n).generator().random((n * (n - 1) // 2, count)) < 0.4
+    reference = _pack_words_uncached(n, pairs)
+    for _ in range(2):
+        scratch = np.full((count, n, max(1, -(-n // 64)) * 64), 0xFF, np.uint8).view(bool)
+        for bits in (scratch, None):
+            for words, expected in zip(_pack_words(n, pairs, bits), reference):
+                assert words.shape == (count, n, max(1, -(-n // 64))) and np.array_equal(words, expected)
+    table = _pack_table(n)
+    assert (table is _pack_table(n)) == (n <= MAX_WORDS * WORD_BITS)
+    assert all(array.flags.writeable == (n > MAX_WORDS * WORD_BITS) for array in table)
 
 
 def test_from_blue_matrix_rejects_non_square():

@@ -13,7 +13,14 @@ import pytest
 from gaussian_ramsey.analytic import RamseyParams, clique_log_bound, compute_analytic_bounds, inv_std_normal_cdf
 from gaussian_ramsey.cliques import search_witness
 from gaussian_ramsey.estimators import estimate_clique_prob
-from gaussian_ramsey.geometry import PerfectSpec, PointCloud, TriangularSample, sample_bartlett, sample_cloud
+from gaussian_ramsey.geometry import (
+    PerfectSpec,
+    PointCloud,
+    TriangularSample,
+    adjacency,
+    sample_bartlett,
+    sample_cloud,
+)
 from gaussian_ramsey.graphs import ColoredGraph, graph_from_text
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec
 
@@ -32,6 +39,7 @@ _GUARDS = {
                        "sampler must be 'geometric' or 'binomial', got 'uniform'"),
     "estimate-color": (lambda: estimate_clique_prob(3, 8, 0.4, "green", trials=10, stream=RngStream(1)),
                        "color must be 'red' or 'blue', got 'green'"),
+    "adjacency-c_p": (lambda: adjacency(np.eye(3), -1.0, 4), "c_p must be nonnegative, got c_p=-1.0"),
     "cloud-shape": (lambda: PointCloud(np.zeros(3)), "coords must be a 2-d array, got shape (3,)"),
     "triangular-shape": (lambda: TriangularSample(np.zeros((2, 3)), d=4), "M must be square, got shape (2, 3)"),
     "triangular-rows": (lambda: TriangularSample(np.eye(3), d=2), "row count 3 exceeds ambient dimension 2"),
