@@ -1,14 +1,6 @@
 """Exact monochromatic clique search and witness-coloring certificates.
 
-A clique search first dives greedily, as MCQ and BBMC start from a greedy
-clique: from each start vertex, lowest label first, it keeps adding the
-lowest common neighbor until it holds the requested size or runs out of
-candidates, at most n * size word operations.  A walk that reaches the
-size is the answer; when every walk dead-ends, the dive returns None and
-the complete search decides.  The dive runs at the root only, since every
-node of an absence proof would pay for it and find nothing.
-
-The complete search is a branch-and-bound over packed adjacency bitmasks,
+The clique search is a branch-and-bound over packed adjacency bitmasks,
 run directly on the graph's blue or red rows, with the k_min rule of BBMC
 (San Segundo, Rodriguez-Losada & Jimenez 2011).  At each node that still
 needs k vertices it greedily colors only the k - 1 lowest independent
@@ -28,20 +20,18 @@ batch at a time as batch-last pair masks (C(n,2), count), the geometric
 ones through the pair plan (estimators._pair_plan; at n <= d the triangular
 draw is batch-last too, so an attempt's coloring depends on its batch).  It
 packs each batch's blue and red rows at once as uint64 words.  One greedy
-dive over the whole batch (_dive_batch: the walks of _dive, stepped in
-lockstep on the words) settles every attempt in which a walk finds a red
-K_ell, since such an attempt cannot verify.  Only its misses become Python-int
-rows (_Attempt) and are decided in order by _verdict, the witness rule
-verify_witness uses too; a miss's red check goes straight to the complete
-search, since the batch dive has walked _dive's walks already.  So the
-lowest verifying attempt, which a seed determines, is the same as without
-the batch dive; only it gets a provenance dict and a validated graph.  Its
-float and bool arrays live in one per-thread workspace (_WORKSPACE) kept
-for the thread's life, not one call: the pair plan draws into it, a
-binomial batch draws its uniforms into its "square" buffer, and the
-packing's bool scratch is carved from that buffer, dead once the pair mask
-exists.  So a thread that searches again maps no fresh pages, and after a
-call holds at most one batch's arrays.
+dive over the whole batch (_dive_batch, as MCQ and BBMC start from a greedy
+clique) settles every attempt in which a walk finds a red K_ell, since such
+an attempt cannot verify.  Only its misses become Python-int rows
+(_Attempt) and are decided in order by _verdict, the witness rule
+verify_witness uses too.  So the lowest verifying attempt, which a seed
+determines, is the same as without the batch dive; only it gets a
+provenance dict and a validated graph.  Its float and bool arrays live in
+one per-thread workspace (_WORKSPACE) kept for the thread's life, not one
+call: the pair plan draws into it, a binomial batch draws its uniforms into
+its "square" buffer, and the packing's bool scratch is carved from that
+buffer, dead once the pair mask exists.  So a thread that searches again
+maps no fresh pages, and after a call holds at most one batch's arrays.
 """
 
 from __future__ import annotations
@@ -74,37 +64,18 @@ _Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # an attempt the batc
 _WORKSPACE = estimators._Workspace()
 
 
-def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
-    """size pairwise-adjacent vertices of P from a greedy walk, or None if every walk dead-ends.
-
-    Each start vertex of P, lowest label first, begins a walk that keeps
-    adding the lowest vertex adjacent to all it holds.  Each step intersects
-    the candidates with the new vertex's row, so a returned walk is a
-    clique; None proves nothing.
-    """
-    starts = P
-    while starts:
-        u = (starts & -starts).bit_length() - 1
-        starts ^= 1 << u
-        walk, Q = [u], P & rows[u]
-        while Q and len(walk) < size:
-            u = (Q & -Q).bit_length() - 1
-            walk.append(u)
-            Q &= rows[u]
-        if len(walk) == size:
-            return walk
-    return None
-
-
 def _dive_batch(words: np.ndarray, size: int) -> np.ndarray:
-    """For each matrix of row words (count, n, words), whether a walk of _dive(all vertices, size, rows) reaches size.
+    """For each matrix of row words (count, n, words), whether a greedy walk finds a clique of size vertices.
 
-    Every start vertex of every matrix walks in lockstep, its candidates
-    first its own row.  Each step takes the lowest candidate (the lowest set
-    bit of the first nonzero word) and ANDs its row into the candidates; a
-    walk with no candidates left ANDs in a row of no consequence and stays
-    empty.  A walk that still holds candidates after size - 2 steps takes
-    one more vertex, and so holds size vertices.
+    Each start vertex of a matrix begins a walk that keeps adding the lowest
+    vertex adjacent to all it holds, until it holds size vertices or runs
+    out of candidates.  Every walk of every matrix steps in lockstep, its
+    candidates first its start's row.  Each step takes the lowest candidate
+    (the lowest set bit of the first nonzero word) and ANDs its row into the
+    candidates, so a walk holds a clique; a walk with no candidates left
+    ANDs in a row of no consequence and stays empty.  A walk that still
+    holds candidates after size - 2 steps takes one more vertex, and so
+    holds size vertices.  False proves nothing.
     """
     count, n, width = words.shape
     if size == 1:
@@ -163,8 +134,7 @@ def find_mono_clique(g: ColoredGraph | _Attempt, size: int, color: str) -> tuple
     """A monochromatic clique of the given size, as sorted vertices, or None if none exists.
 
     It reads g.n, g.blue_rows and g.red_rows only, which a search _Attempt
-    holds too.  A greedy dive (_dive) answers first; when every walk
-    dead-ends, the complete branch-and-bound (_search) decides, so a None
+    holds too.  The complete branch-and-bound (_search) decides, so a None
     return is a proof of absence.  Which clique is returned when several
     exist is unspecified.  Graphs beyond the word budget raise
     CapabilityError instead of silently taking exponential time (and the
@@ -176,8 +146,7 @@ def find_mono_clique(g: ColoredGraph | _Attempt, size: int, color: str) -> tuple
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
-    P = (1 << g.n) - 1
-    found = _dive(P, size, rows) or _search(P, size, rows, other)
+    found = _search((1 << g.n) - 1, size, rows, other)
     return None if found is None else tuple(sorted(found))
 
 
@@ -201,16 +170,10 @@ def _check_clique_sizes(ell: int, k: int) -> None:
         raise ValueError(f"clique sizes must be at least 1, got ell={ell}, k={k}")
 
 
-def _verdict(g: ColoredGraph | _Attempt, ell: int, k: int, dived: bool = False) -> bool:
-    """The witness rule: no red K_ell and no blue K_k; a clique larger than the graph cannot occur.
-
-    dived says that every greedy walk for a red K_ell has dead-ended already (the search's batch
-    dive walks exactly _dive's walks), so the complete search alone decides red.
-    """
-    if ell <= g.n:
-        red = _search((1 << g.n) - 1, ell, g.red_rows, g.blue_rows) if dived else find_mono_clique(g, ell, "red")
-        if red is not None:  # a red clique settles it
-            return False
+def _verdict(g: ColoredGraph | _Attempt, ell: int, k: int) -> bool:
+    """The witness rule: no red K_ell and no blue K_k; a clique larger than the graph cannot occur."""
+    if ell <= g.n and find_mono_clique(g, ell, "red") is not None:  # a red clique settles it
+        return False
     return k > g.n or find_mono_clique(g, k, "blue") is None
 
 
@@ -265,7 +228,7 @@ def search_witness(
         blue, red = _pack_words(n, pairs, bits)  # both colors at once; rows need no validation
         misses = np.arange(count) if ell > n else np.flatnonzero(~_dive_batch(red, ell))  # a red K_ell settles
         for t, blue_rows, red_rows in zip(misses.tolist(), _row_tuples(blue[misses], n), _row_tuples(red[misses], n)):
-            if _verdict(_Attempt(n, blue_rows, red_rows), ell, k, dived=True):
+            if _verdict(_Attempt(n, blue_rows, red_rows), ell, k):
                 g = ColoredGraph(n, blue_rows, dict(base_provenance, attempt=bi * batch + t))
                 return WitnessCertificate(n, ell, k, g, checked=True)  # rebuilt: validated, recomputes red rows
     return None

@@ -5,8 +5,10 @@ normal cdf comes from adaptive quadrature of the density (no erf), the
 solvers from plain interval bisection (p_C's ulp check at 50 digits, in
 log space), and the deep-tail Mills ratio from
 its asymptotic series with an explicit truncation error, and the graph
-bit layouts from per-pair loops over the rows.  Frozen constants
-in the tests were computed with these functions at 30 decimal digits.
+bit layouts from per-pair loops over the rows, and the greedy walks of
+the search's batch dive one attempt at a time on Python-int rows.  Frozen
+constants in the tests were computed with these functions at 30 decimal
+digits.
 The r = 3 clique probabilities come from a quadrature over the triangular
 (Bartlett) variables with the bivariate normal cdf from Owen's T, built
 from scipy.special alone.
@@ -113,6 +115,28 @@ def pack_blue_rows(blue) -> tuple[int, ...]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return tuple(rows)
+
+
+def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
+    """size pairwise-adjacent vertices of P from a greedy walk, or None if every walk dead-ends.
+
+    Each start vertex of P, lowest label first, begins a walk that keeps
+    adding the lowest vertex adjacent to all it holds.  Each step intersects
+    the candidates with the new vertex's row, so a returned walk is a
+    clique; None proves nothing.
+    """
+    starts = P
+    while starts:
+        u = (starts & -starts).bit_length() - 1
+        starts ^= 1 << u
+        walk, Q = [u], P & rows[u]
+        while Q and len(walk) < size:
+            u = (Q & -Q).bit_length() - 1
+            walk.append(u)
+            Q &= rows[u]
+        if len(walk) == size:
+            return walk
+    return None
 
 
 def first_asymmetric_pair(rows) -> tuple[int, int] | None:

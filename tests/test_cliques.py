@@ -12,9 +12,7 @@ from gaussian_ramsey import cliques
 from gaussian_ramsey.cli import parse_config, run
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
-    _dive,
     _dive_batch,
-    _search,
     certificate_from_text,
     certificate_to_text,
     find_mono_clique,
@@ -25,6 +23,7 @@ from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import _bartlett_rows, adjacency, gram, gram_batch, sample_cloud, sample_cloud_batch
 from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_words, _row_tuples, from_blue_matrix
 from gaussian_ramsey.sampling import RngStream
+from oracles import _dive
 
 
 def brute_has_clique(g: ColoredGraph, size: int, color: str) -> bool:
@@ -33,12 +32,6 @@ def brute_has_clique(g: ColoredGraph, size: int, color: str) -> bool:
         all(rows[i] >> j & 1 for i, j in combinations(sub, 2))
         for sub in combinations(range(g.n), size)
     )
-
-
-def engine_search(g: ColoredGraph, size: int, color: str) -> list[int] | None:
-    """The complete branch-and-bound alone, over all vertices: no greedy dive answers first."""
-    rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
-    return _search((1 << g.n) - 1, size, rows, other)
 
 
 def settle_none(words, size):
@@ -100,17 +93,16 @@ def test_search_matches_bruteforce_on_random_graphs():
             for size in range(2, min(n, 5) + 1):
                 want = brute_has_clique(g, size, color)
                 assert (find_mono_clique(g, size, color) is not None) == want, (n, size, color)
-                assert (engine_search(g, size, color) is not None) == want, (n, size, color)
 
 
 def test_a_clique_every_greedy_walk_misses_is_found_by_the_complete_search():
     # the triangle 3-4-5 with a pendant of lower label on each vertex (0-3, 1-4, 2-5): every
-    # walk, from a pendant or from the triangle, takes a pendant second and dead-ends there
+    # walk of the batch dive, from a pendant or from the triangle, takes a pendant second and dead-ends there
     blue = np.zeros((6, 6), bool)
     for i, j in ((3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)):
         blue[i, j] = blue[j, i] = True
     g = from_blue_matrix(blue)
-    assert _dive((1 << g.n) - 1, 3, g.blue_rows) is None
+    assert _dive_batch(np.array(g.blue_rows, np.uint64).reshape(1, g.n, 1), 3).tolist() == [False]
     assert find_mono_clique(g, 3, "blue") == (3, 4, 5)
 
 
@@ -237,9 +229,9 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
     attempts, d, p = 4, 8, 0.3
     seen, validated = [], []
 
-    def recording(g, ell, k, dived=False, verdict=cliques._verdict):
+    def recording(g, ell, k, verdict=cliques._verdict):
         seen.append(g)  # each attempt's one verdict
-        verdict(g, ell, k, dived)
+        verdict(g, ell, k)
         return len(seen) == attempts  # the last attempt "verifies"
 
     def validating(g, post_init=ColoredGraph.__post_init__):
@@ -275,37 +267,43 @@ def test_batch_packed_attempts_equal_validated_graphs(sampler, n, monkeypatch):
 
 @pytest.mark.parametrize("sampler", ["geometric", "binomial"])
 def test_blind_engine_makes_the_search_claim_a_witness(sampler, monkeypatch):
-    # every attempt's verdict goes through the batch dive, then the complete search (red, the batch dive's
-    # misses) and find_mono_clique (blue): blinding them certifies the first attempt even where no witness
-    # exists (R(4, 4) = 18)
+    # every attempt's verdict goes through the batch dive, then find_mono_clique (red, then blue):
+    # blinding both certifies the first attempt even where no witness exists (R(4, 4) = 18)
     import gaussian_ramsey.cliques as cliques
 
     params = {"d": 64, "p": 0.5}
     assert search_witness(18, 4, 4, sampler, params, 3, RngStream(61)) is None
     monkeypatch.setattr(cliques, "_dive_batch", settle_none)
-    monkeypatch.setattr(cliques, "_search", lambda P, need, adj, non_adj: None)
     monkeypatch.setattr(cliques, "find_mono_clique", lambda g, size, color: None)
     cert = search_witness(18, 4, 4, sampler, params, 3, RngStream(61))
     assert cert.checked and cert.graph.provenance["attempt"] == 0
 
 
-def test_a_miss_checks_red_by_the_complete_search_alone(monkeypatch):
-    # the batch dive has walked every greedy walk for a red K_ell, so the search's misses run _dive for
-    # blue only; verify_witness, which has no batch dive, still dives for red first
+def test_a_miss_and_verify_witness_make_the_same_clique_calls(monkeypatch):
+    # a search miss decides as verify_witness does on its rows: find_mono_clique for red, then for blue
+    # unless red settles, in that order and with the same answers
     import gaussian_ramsey.cliques as cliques
 
-    dived = []
+    misses, calls = [], []
 
-    def recording(P, size, rows, dive=cliques._dive):
-        dived.append(size)
-        return dive(P, size, rows)
+    def verdict_recording(g, ell, k, verdict=cliques._verdict):
+        misses.append(g.blue_rows)
+        return verdict(g, ell, k)
 
-    monkeypatch.setattr(cliques, "_dive", recording)
+    def find_recording(g, size, color, find=cliques.find_mono_clique):
+        found = find(g, size, color)
+        calls.append((g.blue_rows, size, color, found))
+        return found
+
+    monkeypatch.setattr(cliques, "_verdict", verdict_recording)
+    monkeypatch.setattr(cliques, "find_mono_clique", find_recording)
     search_witness(10, 5, 3, "binomial", {"p": 0.5}, 40, RngStream(62))
-    assert dived and set(dived) == {3}
-    dived.clear()
-    assert not verify_witness(ColoredGraph(10, (0,) * 10), 5, 3).checked  # all red: the dive finds a K_5
-    assert dived == [5]
+    searched, by_search = list(misses), list(calls)
+    assert searched and {color for _, _, color, _ in by_search} == {"red", "blue"}
+    calls.clear()
+    for rows in searched:
+        verify_witness(ColoredGraph(10, rows), 5, 3)
+    assert calls == by_search
 
 
 @pytest.mark.parametrize("ell, k", [(6, 3), (3, 6), (6, 6)])  # a clique size above n = 5
@@ -574,8 +572,8 @@ def _oracle_graphs():
 @pytest.mark.parametrize("g", _oracle_graphs())
 def test_search_meets_the_networkx_clique_number(g):
     # omega from networkx's maximal-clique enumeration: the engine finds an
-    # omega-clique and proves that no (omega + 1)-clique exists, in each color;
-    # the branch-and-bound alone finds one too, where the greedy dive would answer first
+    # omega-clique and proves that no (omega + 1)-clique exists, in each color,
+    # by the complete branch-and-bound alone: no greedy walk answers first
     nx = pytest.importorskip("networkx")
     for color in ("red", "blue"):
         rows = g.blue_rows if color == "blue" else g.red_rows
@@ -583,8 +581,8 @@ def test_search_meets_the_networkx_clique_number(g):
         graph.add_nodes_from(range(g.n))
         graph.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n) if rows[i] >> j & 1)
         omega = max(len(c) for c in nx.find_cliques(graph))
-        for found in (find_mono_clique(g, omega, color), engine_search(g, omega, color)):
-            assert found is not None and len(set(found)) == omega, (color, omega)
-            assert all(rows[i] >> j & 1 for i, j in combinations(found, 2))
+        found = find_mono_clique(g, omega, color)
+        assert found is not None and len(set(found)) == omega, (color, omega)
+        assert all(rows[i] >> j & 1 for i, j in combinations(found, 2))
         if omega < g.n:
             assert find_mono_clique(g, omega + 1, color) is None, (color, omega)

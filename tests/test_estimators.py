@@ -269,6 +269,33 @@ def test_scaling_memory_is_flat_in_the_number_of_dimensions(capsys):
     assert peak(40) <= peak(2) + (1 << 20)
 
 
+@pytest.mark.parametrize(
+    "argv, one, many",
+    [
+        ("estimate --kind density --n 64 --d 1024 --p 0.4", 1024, 4096),  # a triangular batch: 49.8 MiB
+        ("estimate --kind clique --r 5 --d 256 --p 0.4 --color red --sampler bartlett", 8192, 32768),
+        ("estimate --kind clique --r 3 --d 64 --p 0.4 --color red --sampler direct", 8192, 32768),
+        ("validate --check norm_concentration --d 400 --delta 0.3", 1 << 22, (1 << 23) + 1),  # 64 MiB a batch
+    ],
+    ids=["density", "clique-bartlett", "clique-direct", "norm-concentration"],
+)
+def test_memory_is_flat_in_the_trial_count(argv, one, many, capsys):
+    # a batch draws into the buffers the last one left, so several batches peak where one does
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            main(f"{argv} --trials {trials} --seed 1".split())  # exit 1 where a red count is underpowered
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        config = json.loads(capsys.readouterr().out)["result"].get("config", {})
+        assert config.get("batch", one) == one  # one batch, and several for the larger count
+        return top
+
+    peak(one)  # imports and caches first
+    assert peak(many) <= peak(one) + (1 << 18)
+
+
 @pytest.mark.parametrize("restrict", [False, True], ids=["plain", "spec"])
 @pytest.mark.parametrize("sampler", ["bartlett", "direct"])
 def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(sampler, restrict):

@@ -1,5 +1,5 @@
 """Property tests: the clique engine against brute force and under relabeling,
-the greedy dive's walks, adjacency thresholding against a per-pair loop, and
+the batch dive's greedy walks, adjacency thresholding against a per-pair loop, and
 text round-trips.
 
 Examples are derandomized and no example database is kept, so every run
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
-    _dive,
+    _dive_batch,
     certificate_from_text,
     certificate_to_text,
     find_mono_clique,
@@ -93,15 +93,15 @@ def test_find_mono_clique_is_relabel_invariant(g, data):
 
 
 @_SETTINGS
-@given(graphs(max_n=12), st.data())
-def test_dive_gives_none_or_a_clique_of_the_requested_size_in_its_candidates(g, data):
-    P = data.draw(st.integers(0, (1 << g.n) - 1))
+@given(graphs(max_n=12))
+def test_batch_dive_settles_a_matrix_only_if_it_holds_a_clique_of_that_size(g):
     for rows in (g.blue_rows, g.red_rows):
+        words = np.array(rows, np.uint64).reshape(1, g.n, 1)
         for size in range(1, g.n + 1):
-            walk = _dive(P, size, rows)
-            if walk is not None:
-                assert len(set(walk)) == len(walk) == size and all(P >> v & 1 for v in walk), size
-                assert all(rows[i] >> j & 1 for i, j in combinations(walk, 2)), size
+            if _dive_batch(words, size)[0]:
+                assert any(
+                    all(rows[i] >> j & 1 for i, j in combinations(sub, 2)) for sub in combinations(range(g.n), size)
+                ), size
 
 
 @st.composite
