@@ -138,13 +138,17 @@ def find_mono_clique(g: ColoredGraph | _Attempt, size: int, color: str) -> tuple
     return is a proof of absence.  Which clique is returned when several
     exist is unspecified.  Graphs beyond the word budget raise
     CapabilityError instead of silently taking exponential time (and the
-    recursion stays within Python's limit).
+    recursion stays within Python's limit); a row that holds its own vertex,
+    on which _search would never return, raises ValueError.
     """
     capability_check(g.n)
     if not 1 <= size <= g.n:
         raise ValueError(f"size must lie in [1, {g.n}], got {size}")
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
+    for v, (blue, red) in enumerate(zip(g.blue_rows, g.red_rows)):
+        if (blue | red) >> v & 1:
+            raise ValueError(f"vertex {v} is adjacent to itself")
     rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
     found = _search((1 << g.n) - 1, size, rows, other)
     return None if found is None else tuple(sorted(found))

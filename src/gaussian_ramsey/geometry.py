@@ -11,9 +11,9 @@ basis aligned with the prefix spans, that is, the Cholesky factor of its
 Gram matrix, so the two samplers induce the same joint law of inner
 products (and hence the same random graph).  Triangular batches are drawn
 batch-last, (r, r, batch), in one consumption order (_bartlett_rows), and
-bartlett_prefix_norms reads them where they lie.  The graph itself connects
-i ~ j (blue) precisely when <x_i, x_j> >= -c_p/sqrt(d), inclusive at
-equality.
+bartlett_prefix_norms reads them where they lie; the diagonal is drawn as
+Gamma((d - i)/2) variates, chisquare's own draws halved.  The graph joins
+i ~ j (blue) precisely when <x_i, x_j> >= -c_p/sqrt(d), inclusive at equality.
 
 A sequence is *perfect* for a given spec when every vector's norm lies in
 (1 - delta, 1 + delta) and every prefix-span projection is short.  Both
@@ -166,7 +166,8 @@ def _bartlett_rows(batch: int, r: int, d: int, gen, out=None) -> np.ndarray:
     Gaussian entries, row-major over the triangle, then the r diagonal chi entries.
     out, when given, is (L, normals) of shapes (r, r, batch) and (batch, C(r,2)): the normals
     are drawn and scaled in normals, then moved into L's lower triangle by one row scatter, and
-    the chi-square draws go to L's diagonal, which one divide and one sqrt finish; L is returned.
+    the diagonal is drawn in place as Gamma((d - i)/2) variates, chisquare(d - i)'s own draws halved,
+    so in its order and to its bits, and one divide by d/2 and one sqrt finish it; L is returned.
     L's upper triangle is not written, so it holds whatever it held: the pair kernel
     and bartlett_prefix_norms read the lower triangle only.  Without out, L is a fresh array
     with a zero upper triangle.
@@ -179,9 +180,9 @@ def _bartlett_rows(batch: int, r: int, d: int, gen, out=None) -> np.ndarray:
         lower = gen.standard_normal((batch, r * (r - 1) // 2), out=normals)
         flat[_strict_lower(r)] = np.divide(lower, math.sqrt(d), out=lower).T
     diagonal = flat[:: r + 1]
-    for i in range(r):
-        diagonal[i] = gen.chisquare(d - i, size=batch)
-    np.sqrt(np.divide(diagonal, d, out=diagonal), out=diagonal)
+    for i in range(r):  # chisquare takes no out
+        gen.standard_gamma((d - i) / 2, size=batch, out=diagonal[i])
+    np.sqrt(np.divide(diagonal, d / 2, out=diagonal), out=diagonal)
     return L
 
 

@@ -6,7 +6,9 @@ solvers from plain interval bisection (p_C's ulp check at 50 digits, in
 log space), and the deep-tail Mills ratio from
 its asymptotic series with an explicit truncation error, and the graph
 bit layouts from per-pair loops over the rows, and the greedy walks of
-the search's batch dive one attempt at a time on Python-int rows.  Frozen
+the search's batch dive one attempt at a time on Python-int rows, and
+the witness search attempt by attempt, each built by from_blue_matrix
+and decided by verify_witness (reference_search).  Frozen
 constants in the tests were computed with these functions at 30 decimal
 digits.
 The r = 3 clique probabilities come from a quadrature over the triangular
@@ -21,6 +23,10 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.special import gammaincinv, ndtr, ndtri, owens_t
+
+from gaussian_ramsey import estimators
+from gaussian_ramsey.cliques import ATTEMPT_BATCH, verify_witness
+from gaussian_ramsey.graphs import from_blue_matrix
 
 
 def cdf_quad(t: float, dps: int = 30) -> float:
@@ -136,6 +142,36 @@ def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
             Q &= rows[u]
         if len(walk) == size:
             return walk
+    return None
+
+
+def reference_search(n, ell, k, sampler, params, max_attempts, stream):
+    """search_witness's certificate (or None) by its definition: the same batches and draws, then
+    every attempt in order as its own graph, decided by verify_witness.
+
+    No packing of a batch, no batch dive and no thread workspace: a geometric batch is drawn by a
+    pair plan with a fresh workspace, a binomial one as uniforms, blue where at least p.
+    """
+    p = float(params["p"])
+    provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
+    if sampler == "geometric":
+        c_p, _, batch, draw = estimators._pair_plan(n, int(params["d"]), p, cap=ATTEMPT_BATCH)
+        provenance.update(d=int(params["d"]), c_p=c_p)
+    else:
+        batch = estimators._batch_size(n * n, ATTEMPT_BATCH)
+
+        def draw(gen, count):
+            return (gen.random((count, n * (n - 1) // 2)) >= p).T, True
+
+    upper = np.triu_indices(n, 1)
+    for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
+        pairs = draw(sub.generator(), count)[0]
+        for t in range(count):
+            blue = np.zeros((n, n), bool)
+            blue[upper] = pairs[:, t]
+            cert = verify_witness(from_blue_matrix(blue, dict(provenance, attempt=bi * batch + t)), ell, k)
+            if cert.checked:
+                return cert
     return None
 
 

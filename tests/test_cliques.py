@@ -1,6 +1,7 @@
 """Exact clique search, witness verification, and the sampling search."""
 
 import math
+import signal
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -12,6 +13,7 @@ from gaussian_ramsey import cliques
 from gaussian_ramsey.cli import parse_config, run
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
+    _Attempt,
     _dive_batch,
     certificate_from_text,
     certificate_to_text,
@@ -115,6 +117,26 @@ def test_size_one_and_domain():
         find_mono_clique(g, 6, "red")
     with pytest.raises(ValueError):
         find_mono_clique(g, 3, "green")
+
+
+@pytest.mark.parametrize("looped", ["red", "blue"])
+def test_a_row_holding_its_own_vertex_is_refused_not_searched(looped):
+    # the search colors with the other color's rows: a vertex in its own row would never leave the candidates
+    looped_rows, plain_rows = (0b11, 0b01), (0, 0)  # row 0 holds bit 0
+    g = _Attempt(2, plain_rows, looped_rows) if looped == "red" else _Attempt(2, looped_rows, plain_rows)
+    asked = "blue" if looped == "red" else "red"
+
+    def hung(signum, frame):
+        raise AssertionError("find_mono_clique did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="vertex 0 is adjacent to itself"):
+            find_mono_clique(g, 2, asked)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_capability_error():

@@ -166,21 +166,24 @@ def _bartlett_rows_by_row(batch, r, d, gen):
 @pytest.mark.parametrize("r", [1, 2, 3, 18, 25, 64])
 def test_bartlett_rows_are_the_row_by_row_draw_bit_for_bit(r, workspace):
     # one scatter of the scaled normals and one divide and sqrt over the diagonal consume the generator
-    # as the row-by-row draw does and write its bits; into a workspace, the upper triangle keeps what it held
-    batch, d, seed = 37, 64, 12
-    ref_gen, gen = RngStream(seed).generator(), RngStream(seed).generator()
-    reference = _bartlett_rows_by_row(batch, r, d, ref_gen)
-    if workspace:
-        out = np.full((r, r, batch), np.nan), np.full((batch, r * (r - 1) // 2), np.nan)
-        L = _bartlett_rows(batch, r, d, gen, out=out)
-        assert L is out[0]
-        upper = np.triu(np.ones((r, r), bool), 1)
-        assert np.isnan(L[upper]).all()
-        L[upper] = 0.0
-    else:
-        L = _bartlett_rows(batch, r, d, gen)
-    assert np.array_equal(L.view(np.uint64), reference.view(np.uint64))
-    assert gen.random() == ref_gen.random()  # the same draws, no more
+    # as the row-by-row chi-square draw does and write its bits; into a workspace, the upper triangle
+    # keeps what it held.  d = r takes the last row's gamma shape (d - i)/2 down to 1/2, and odd d
+    # gives half-integer shapes on every other row
+    batch, seed = 37, 12
+    for d in sorted({r, 2 * r + 1, 64, 1024}):
+        ref_gen, gen = RngStream(seed).generator(), RngStream(seed).generator()
+        reference = _bartlett_rows_by_row(batch, r, d, ref_gen)
+        if workspace:
+            out = np.full((r, r, batch), np.nan), np.full((batch, r * (r - 1) // 2), np.nan)
+            L = _bartlett_rows(batch, r, d, gen, out=out)
+            assert L is out[0]
+            upper = np.triu(np.ones((r, r), bool), 1)
+            assert np.isnan(L[upper]).all()
+            L[upper] = 0.0
+        else:
+            L = _bartlett_rows(batch, r, d, gen)
+        assert np.array_equal(L.view(np.uint64), reference.view(np.uint64)), d
+        assert gen.random() == ref_gen.random()  # the same draws, no more
 
 
 def test_bartlett_strict_upper_zero_and_domain():

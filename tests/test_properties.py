@@ -1,6 +1,6 @@
 """Property tests: the clique engine against brute force and under relabeling,
-the batch dive's greedy walks, adjacency thresholding against a per-pair loop, and
-text round-trips.
+the batch dive's greedy walks, the witness search against its attempt-by-attempt
+definition, adjacency thresholding against a per-pair loop, and text round-trips.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
@@ -19,10 +19,12 @@ from gaussian_ramsey.cliques import (
     certificate_from_text,
     certificate_to_text,
     find_mono_clique,
+    search_witness,
 )
 from gaussian_ramsey.geometry import adjacency
 from gaussian_ramsey.graphs import ColoredGraph, from_blue_matrix, graph_from_text, graph_to_text
-from oracles import pack_blue_rows
+from gaussian_ramsey.sampling import RngStream
+from oracles import pack_blue_rows, reference_search
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -102,6 +104,30 @@ def test_batch_dive_settles_a_matrix_only_if_it_holds_a_clique_of_that_size(g):
                 assert any(
                     all(rows[i] >> j & 1 for i, j in combinations(sub, 2)) for sub in combinations(range(g.n), size)
                 ), size
+
+
+@st.composite
+def searches(draw):
+    """search_witness arguments over one to three words; half on small graphs, where witnesses are common."""
+    small = draw(st.booleans())
+    n = draw(st.integers(1, 12) if small else st.integers(1, 130) | st.sampled_from([64, 65, 128, 129, 130]))
+    if draw(st.booleans()):
+        sampler, params = "geometric", {"p": draw(st.floats(0.01, 0.5)), "d": draw(st.integers(1, 200))}
+    else:
+        sampler, params = "binomial", {"p": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))}
+    size = st.sampled_from(range(1, 7))  # uniform: st.integers would favour size 1, which never finds a witness
+    return n, draw(size), draw(size), sampler, params, draw(st.integers(1, 30))
+
+
+@_SETTINGS
+@given(searches(), st.integers(0, 2**32))
+def test_search_witness_is_the_attempt_by_attempt_search(case, seed):
+    # the batch packing, the batch dive and the thread workspace change how attempts are decided, not which one wins
+    expected = reference_search(*case, RngStream(seed))
+    found = search_witness(*case, RngStream(seed))
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert certificate_to_text(found) == certificate_to_text(expected)
 
 
 @st.composite

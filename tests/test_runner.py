@@ -75,9 +75,14 @@ def _record_draws(monkeypatch) -> list[int]:
             sizes.append(int(np.prod(size if out is None else out.shape)))
             return super().standard_normal(size, *args, **kwargs)
 
-        def chisquare(self, df, size=None):
+        def chisquare(self, df, size=None):  # the validators' draws
             sizes.append(int(np.prod(size)))
             return super().chisquare(df, size)
+
+        def standard_gamma(self, shape, size=None, *args, **kwargs):  # the triangular diagonal's draws
+            out = kwargs.get("out")
+            sizes.append(int(np.prod(size if out is None else out.shape)))
+            return super().standard_gamma(shape, size, *args, **kwargs)
 
         def random(self, size=None, *args, **kwargs):
             out = kwargs.get("out")
