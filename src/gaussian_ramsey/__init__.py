@@ -8,7 +8,13 @@ the two equivalent samplers (direct clouds and the triangular
 re-coordinatization), Monte-Carlo estimators with confidence intervals,
 empirical validators for the supporting concentration inequalities, and an
 exact witness-coloring search with an independent certificate verifier.
+
+Only geometry and estimators import numpy at module level, and their names
+here are resolved on first access (the module __getattr__ below), so
+importing the package, and checking a certificate, loads no numpy.
 """
+
+import importlib
 
 from gaussian_ramsey.analytic import (
     AnalyticBounds,
@@ -31,25 +37,6 @@ from gaussian_ramsey.sampling import (
     truncated_mean,
 )
 from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, graph_from_text, graph_to_text
-from gaussian_ramsey.geometry import (
-    PerfectCheck,
-    PerfectSpec,
-    PointCloud,
-    TriangularSample,
-    adjacency,
-    extract_perfect,
-    gram,
-    gram_from_bartlett,
-    is_perfect,
-    sample_bartlett,
-    sample_cloud,
-)
-from gaussian_ramsey.estimators import (
-    EstimateResult,
-    correction_scaling,
-    estimate_clique_prob,
-    estimate_edge_density,
-)
 from gaussian_ramsey.validators import validate_bound
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
@@ -106,3 +93,26 @@ __all__ = [
     "validate_bound",
     "verify_witness",
 ]
+
+#: geometry's and estimators' names in __all__, each imported on its first access (__getattr__).
+_DEFERRED = {
+    **dict.fromkeys(
+        ("PerfectCheck", "PerfectSpec", "PointCloud", "TriangularSample", "adjacency", "extract_perfect", "gram",
+         "gram_from_bartlett", "is_perfect", "sample_bartlett", "sample_cloud"),
+        "geometry",
+    ),
+    **dict.fromkeys(("EstimateResult", "correction_scaling", "estimate_clique_prob", "estimate_edge_density"),
+                    "estimators"),
+}
+
+
+def __getattr__(name: str):
+    """A name of _DEFERRED from its module, kept here once imported; any other name is an AttributeError."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_DEFERRED[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

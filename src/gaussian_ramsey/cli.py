@@ -26,6 +26,11 @@ estimate prints its warning as one "warning:" line on stderr, every call.
 
 The GAUSSIAN_RAMSEY_OUT environment variable, when set, anchors relative
 output paths.
+
+Importing this module loads no numpy.  sample, estimate and scaling import
+the estimators and geometry in their handlers, validate and search load
+numpy when they are called, solve and bounds load it with scipy.special,
+and verify never loads it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ import warnings
 from dataclasses import dataclass
 
 import gaussian_ramsey
-from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp, solve_pC, std_normal_pdf, union_bound_report
 from gaussian_ramsey.cliques import (
     certificate_from_text,
@@ -49,8 +53,6 @@ from gaussian_ramsey.cliques import (
     search_witness,
     verify_witness,
 )
-from gaussian_ramsey.estimators import correction_scaling, estimate_clique_prob, estimate_edge_density
-from gaussian_ramsey.geometry import PerfectSpec
 from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_words, _row_tuples, graph_to_text
 from gaussian_ramsey.sampling import RngStream
 from gaussian_ramsey.validators import CHECKS, validate_bound
@@ -428,6 +430,8 @@ def _run_bounds(params: dict):
 
 
 def _run_sample(params: dict):
+    from gaussian_ramsey import estimators
+
     n, d, p, seed = params["n"], params["d"], params["p"], params["seed"]
     if n < 1:
         raise ValueError(f"vertex count must be positive, got n={n}")
@@ -446,6 +450,9 @@ def _run_sample(params: dict):
 
 
 def _run_estimate(params: dict):
+    from gaussian_ramsey.estimators import estimate_clique_prob, estimate_edge_density
+    from gaussian_ramsey.geometry import PerfectSpec
+
     stream = RngStream(params["seed"])
     threads = params.get("threads", 1)
     kind = params["kind"]
@@ -463,17 +470,8 @@ def _run_estimate(params: dict):
             spec = PerfectSpec.from_params(2.0, params["r"], params["d"], params["p"])
         with warnings.catch_warnings(record=True) as caught:  # the library's warnings, every call
             warnings.simplefilter("always", UserWarning)
-            est = estimate_clique_prob(
-                params["r"],
-                params["d"],
-                params["p"],
-                params["color"],
-                trials=params["trials"],
-                stream=stream,
-                sampler=params.get("sampler"),
-                perfect_spec=spec,
-                threads=threads,
-            )
+            est = estimate_clique_prob(params["r"], params["d"], params["p"], params["color"], trials=params["trials"],
+                                       stream=stream, sampler=params.get("sampler"), perfect_spec=spec, threads=threads)
         for w in caught:  # in the CLI's one-line form; any other category goes out as it came
             if issubclass(w.category, UserWarning):
                 print(f"warning: {w.message}", file=sys.stderr)
@@ -489,6 +487,8 @@ def _run_validate(params: dict):
 
 
 def _run_scaling(params: dict):
+    from gaussian_ramsey.estimators import correction_scaling
+
     stream = RngStream(params["seed"])
     report = correction_scaling(
         params["r"],

@@ -32,16 +32,19 @@ call: the pair plan draws into it, a binomial batch draws its uniforms into
 its "square" buffer, and the packing's bool scratch is carved from that
 buffer, dead once the pair mask exists.  So a thread that searches again
 maps no fresh pages, and after a call holds at most one batch's arrays.
+
+Only the search draws and packs, so only _dive_batch (numpy) and
+search_witness (numpy and the estimators) import them, inside the function,
+and the first search makes _WORKSPACE.  Checking a certificate, and reading
+or writing one, loads neither.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
-from gaussian_ramsey import estimators
 from gaussian_ramsey.graphs import (
     WORD_BITS,
     ColoredGraph,
@@ -60,11 +63,24 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 #: a batch would exceed the estimators' per-batch element budget.
 ATTEMPT_BATCH = 256
 _Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # an attempt the batch dive left open: all the engine reads
-#: the search's buffers: each thread's own (threading.local), kept for the thread's life, not one call.
-_WORKSPACE = estimators._Workspace()
+#: the search's buffers (an estimators._Workspace, made by the first search): each thread's own
+#: (threading.local), kept for the thread's life, not one call.
+_WORKSPACE = None
+_WORKSPACE_LOCK = threading.Lock()
 
 
-def _dive_batch(words: np.ndarray, size: int) -> np.ndarray:
+def _workspace():
+    """_WORKSPACE, made by the first call; the lock keeps it one workspace whichever threads search first."""
+    global _WORKSPACE
+    with _WORKSPACE_LOCK:
+        if _WORKSPACE is None:
+            from gaussian_ramsey import estimators
+
+            _WORKSPACE = estimators._Workspace()
+    return _WORKSPACE
+
+
+def _dive_batch(words, size: int):
     """For each matrix of row words (count, n, words), whether a greedy walk finds a clique of size vertices.
 
     Each start vertex of a matrix begins a walk that keeps adding the lowest
@@ -77,6 +93,8 @@ def _dive_batch(words: np.ndarray, size: int) -> np.ndarray:
     holds candidates after size - 2 steps takes one more vertex, and so
     holds size vertices.  False proves nothing.
     """
+    import numpy as np
+
     count, n, width = words.shape
     if size == 1:
         return np.ones(count, bool)
@@ -203,6 +221,10 @@ def search_witness(
     params {p}.  The attempt index of the returned certificate is recorded
     in the graph provenance.
     """
+    import numpy as np
+
+    from gaussian_ramsey import estimators
+
     capability_check(n)
     if n < 1:
         raise ValueError(f"vertex count must be positive, got n={n}")
@@ -215,20 +237,21 @@ def search_witness(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got p={p}")
     base_provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
+    workspace = _workspace()
     if sampler == "geometric":
         d = int(params["d"])
-        c_p, _, batch, draw = estimators._pair_plan(n, d, p, cap=ATTEMPT_BATCH, workspace=_WORKSPACE)
+        c_p, _, batch, draw = estimators._pair_plan(n, d, p, cap=ATTEMPT_BATCH, workspace=workspace)
         base_provenance.update(d=d, c_p=c_p)
     else:
         batch = estimators._batch_size(n * n, ATTEMPT_BATCH)
 
         def draw(gen, count):  # blue with probability 1 - p, drawn in order
-            return (gen.random(out=_WORKSPACE.take("square", (count, n * (n - 1) // 2))) >= p).T, True
+            return (gen.random(out=workspace.take("square", (count, n * (n - 1) // 2))) >= p).T, True
 
     width = _words_for(n) * WORD_BITS
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
         pairs = draw(sub.generator(), count)[0]
-        bits = _WORKSPACE.take("square", (count, n, width), bool)  # the draw's floats are dead once its mask exists
+        bits = workspace.take("square", (count, n, width), bool)  # the draw's floats are dead once its mask exists
         blue, red = _pack_words(n, pairs, bits)  # both colors at once; rows need no validation
         misses = np.arange(count) if ell > n else np.flatnonzero(~_dive_batch(red, ell))  # a red K_ell settles
         for t, blue_rows, red_rows in zip(misses.tolist(), _row_tuples(blue[misses], n), _row_tuples(red[misses], n)):

@@ -11,6 +11,12 @@ its fixed width of lowercase hex digits, only empty lines may follow the
 last row, and the header is exactly as it re-serializes: unique keys, in
 serialization order, with canonical values.  Writing is as strict:
 provenance that would not parse back as given is refused.
+
+Building, validating, relabeling, parsing and writing a graph run in pure
+Python, so the certificate side of the package (cliques, and the CLI's
+verify) never loads numpy.  Only the batch packers (_pack_table,
+_pack_words, from_blue_matrix), which the samplers and the witness search
+call, import it, inside the function.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 WORD_BITS = 64
 
@@ -64,17 +68,20 @@ class ColoredGraph:
         object.__setattr__(self, "blue_rows", tuple(int(r) for r in self.blue_rows))
         if len(self.blue_rows) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.blue_rows)}")
-        full = (1 << self.n) - 1
+        n = self.n
+        full = (1 << n) - 1
         for i, row in enumerate(self.blue_rows):
             if row & ~full:
-                raise ValueError(f"row {i} has bits beyond vertex {self.n - 1}")
+                raise ValueError(f"row {i} has bits beyond vertex {n - 1}")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        blue = _unpack(self.blue_rows, self.n)
-        mismatch = blue != blue.T
-        if mismatch.any():
-            # symmetric with a zero diagonal: the first hit in row-major order has i < j
-            i, j = np.argwhere(mismatch)[0]
+        # n * n bits, the last row first and each row's highest bit first: the matrix with vertex v renamed
+        # n - 1 - v, symmetric iff this one is, and so iff it equals its transpose, read as its columns in order
+        rows, spec = self.blue_rows, f"0{n}b"
+        bits = "".join([format(row, spec) for row in reversed(rows)])
+        if bits != "".join([bits[j::n] for j in range(n)]):
+            # the error names the first asymmetric pair in row-major order, so it scans for it
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if (rows[i] >> j ^ rows[j] >> i) & 1)
             raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
 
     @functools.cached_property
@@ -92,15 +99,10 @@ class ColoredGraph:
         """The same coloring with vertex i renamed perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {list(perm)}")
-        inv = np.argsort(perm)
-        return from_blue_matrix(_unpack(self.blue_rows, self.n)[np.ix_(inv, inv)], dict(self.provenance))
-
-
-def _unpack(rows, n: int) -> np.ndarray:
-    """Boolean matrix of rows in [0, 2**n); the inverse of _row_tuples over _pack_words's blue rows for one matrix."""
-    width = (n + 7) // 8
-    data = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
-    return np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+        perm, rows = [int(v) for v in perm], [0] * self.n
+        for i, row in enumerate(self.blue_rows):
+            rows[perm[i]] = sum(1 << perm[j] for j in range(self.n) if row >> j & 1)
+        return ColoredGraph(self.n, tuple(rows), dict(self.provenance))
 
 
 def _size_table(build):
@@ -121,15 +123,17 @@ def _size_table(build):
 
 
 @_size_table
-def _pack_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pack_table(n: int) -> tuple:
     """np.triu_indices(n, 1), and the words of the full row and of each row's diagonal bit."""
+    import numpy as np
+
     width = _words_for(n) * WORD_BITS
     full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
     diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
     return *np.triu_indices(n, 1), full, diag
 
 
-def _pack_words(n: int, pairs: np.ndarray, bits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _pack_words(n: int, pairs, bits=None) -> tuple:
     """Blue and red rows of batch-last pair masks, (C(n,2), count) over i < j, as uint64 words (count, n, words).
 
     Each mask is scattered to both triangles of rows padded to whole 64-bit
@@ -141,6 +145,8 @@ def _pack_words(n: int, pairs: np.ndarray, bits: np.ndarray | None = None) -> tu
     The indices and words that depend on n alone come from a kept table
     (_pack_table).
     """
+    import numpy as np
+
     i, j, full, diag = _pack_table(n)
     bits = np.empty((pairs.shape[1], n, _words_for(n) * WORD_BITS), bool) if bits is None else bits
     bits.fill(False)
@@ -150,7 +156,7 @@ def _pack_words(n: int, pairs: np.ndarray, bits: np.ndarray | None = None) -> tu
     return blue, (~blue & full) ^ diag
 
 
-def _row_tuples(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
+def _row_tuples(words, n: int) -> list[tuple[int, ...]]:
     """One tuple of n row ints per matrix of words, (count, n, words per row).
 
     A row of one word is its int as is; wider rows join their words, lowest first.
@@ -164,6 +170,8 @@ def _row_tuples(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
 
 def from_blue_matrix(blue, provenance: dict | None = None) -> ColoredGraph:
     """Build a graph from a boolean n x n matrix; only the upper triangle is read."""
+    import numpy as np
+
     blue = np.asarray(blue, dtype=bool)
     if blue.ndim != 2 or blue.shape[0] != blue.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {blue.shape}")
@@ -235,7 +243,8 @@ def graph_from_text(text: str, magic: str = _MAGIC) -> ColoredGraph:
     if any(body[n:]):
         raise ValueError(f"unexpected content after the {n} adjacency rows")
     width = _words_for(n) * (WORD_BITS // 4)
+    hex_row = re.compile(f"[0-9a-f]{{{width}}}")
     for i, line in enumerate(body[:n]):
-        if not re.fullmatch(f"[0-9a-f]{{{width}}}", line):
+        if not hex_row.fullmatch(line):
             raise ValueError(f"row {i} is not {width} lowercase hex digits: {line!r}")
     return ColoredGraph(n, tuple(int(line, 16) for line in body[:n]), header)

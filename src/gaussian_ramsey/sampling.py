@@ -5,15 +5,15 @@ keyed by (master_seed, stream_id).  Identical keys reproduce identical
 sample sequences bit for bit; distinct stream ids give statistically
 independent streams.  Trials of the Monte-Carlo estimators are keyed by
 stream id, which makes per-trial work order-independent and lets thread
-counts change throughput without changing results.
+counts change throughput without changing results.  numpy is imported by
+the functions that make a generator or draw, so a stream value costs no
+numpy until it draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from gaussian_ramsey.analytic import std_normal_cdf, std_normal_pdf
 
@@ -29,8 +29,10 @@ class RngStream:
         if self.master_seed < 0:
             raise ValueError(f"seed must be non-negative, got seed={self.master_seed}")
 
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the origin of this stream."""
+    def generator(self):
+        """Fresh numpy Generator (PCG64) positioned at the origin of this stream."""
+        import numpy as np
+
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(seq))
 
@@ -39,13 +41,15 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_id + k)
 
 
-def as_generator(stream: RngStream | np.random.Generator) -> np.random.Generator:
+def as_generator(stream):
     """Accept either a stream value or a live generator.
 
     A stream value always yields a generator at its origin; a generator is
     used as-is (and advances), which is how multi-draw trials thread one
     source through several sampling calls.
     """
+    import numpy as np
+
     if isinstance(stream, np.random.Generator):
         return stream
     return stream.generator()
@@ -88,6 +92,7 @@ def sample_truncated(spec: TruncatedSpec, stream, size=None, out=None):
     side constraint by construction.  out, a C-contiguous array of shape
     size, takes the draws and every step between, with the same bits.
     """
+    import numpy as np
     from scipy.special import ndtr, ndtri
 
     gen = as_generator(stream)

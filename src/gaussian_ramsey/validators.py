@@ -39,22 +39,23 @@ the keys CHECKS names, runs the check and appends the check name, the
 parameter echo, the trial count and the stream to its record.  Trials
 run in the estimators' batch runner, so memory is bounded per batch:
 frequency checks add hit counts, moment checks merge batch moments.
+Importing this module loads no numpy, so the CLI reads CHECKS for its
+schema for free: each check, and validate_bound for its trial count,
+imports numpy, the estimators or geometry inside the function.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from gaussian_ramsey import estimators
 from gaussian_ramsey.analytic import solve_cp, std_normal_cdf, std_normal_pdf
-from gaussian_ramsey.geometry import PerfectSpec, _edge_threshold
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated, truncated_mean
 
 
 def _batches(stream: RngStream, trials: int, per_trial: int, worker) -> list:
     """Per-batch results of worker(gen, count) over the trial budget, in batch order."""
+    from gaussian_ramsey import estimators
+
     batch = estimators._batch_size(per_trial, None)  # no cap: it would repartition every record above 8192 trials
     return estimators._map_batches(trials, batch, stream, 1, worker)
 
@@ -68,9 +69,9 @@ def _rate(hits: int, trials: int) -> tuple[float, float]:
 def _moments(vals) -> tuple[int, float, float]:
     """One batch as (count, sum, squared deviations from the batch mean); the deviations overwrite vals."""
     total = float(vals.sum())
-    dev = np.subtract(vals, total / len(vals), out=vals)
-    dev *= dev
-    return len(vals), total, float(dev.sum())
+    vals -= total / len(vals)
+    vals *= vals
+    return len(vals), total, float(vals.sum())
 
 
 def _merged_mean(parts) -> tuple[float, float]:
@@ -97,6 +98,10 @@ def _one_sided(empirical: float, bound: float, se: float, vacuous: bool, **extra
 
 
 def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
+    import numpy as np
+
+    from gaussian_ramsey import estimators
+
     d, delta = estimators._count(int(params["d"]), "d", "dimension"), float(params["delta"])
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -111,6 +116,9 @@ def _norm_concentration(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
+    from gaussian_ramsey import estimators
+    from gaussian_ramsey.geometry import PerfectSpec
+
     s, p, C = int(params["s"]), float(params["p"]), float(params["C"])
     if not C > 1.0:  # the clique ratio k/ell, as solve and bounds require
         raise ValueError(f"C must exceed 1, got C={C}")
@@ -135,6 +143,8 @@ def _projection_tail(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
+    import numpy as np
+
     sigma2, lam = float(params["sigma2"]), float(params["lam"])
     if sigma2 <= 0.0:
         raise ValueError(f"variance proxy must be positive, got sigma2={sigma2}")
@@ -154,6 +164,10 @@ def _exp_square_moment(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
+    import numpy as np
+
+    from gaussian_ramsey import estimators
+
     d, k, lam = estimators._count(int(params["d"]), "d", "dimension"), int(params["k"]), float(params["lam"])
     cutoffs = np.asarray(params["cutoffs"], dtype=float)
     if cutoffs.shape != (k,):
@@ -184,6 +198,8 @@ def _quadratic_moment(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
+    from gaussian_ramsey import estimators
+
     freedom, t = estimators._count(int(params["freedom"]), "freedom", "degrees of freedom"), float(params["t"])
     if t < 0.0:
         raise ValueError(f"deviation parameter must be nonnegative, got t={t}")
@@ -210,6 +226,9 @@ def _chi_square_tail(params: dict, trials: int, stream: RngStream) -> dict:
 
 
 def _conditional_edge(params: dict, trials: int, stream: RngStream) -> dict:
+    from gaussian_ramsey import estimators
+    from gaussian_ramsey.geometry import _edge_threshold
+
     p, d = float(params["p"]), estimators._count(int(params["d"]), "d", "dimension")
     inner, diag = float(params["inner"]), float(params["diag"])
     if diag <= 0.0:
@@ -258,6 +277,8 @@ CHECKS = {
 
 def validate_bound(name: str, params: dict, trials: int, stream: RngStream) -> dict:
     """Run one check of CHECKS on params; see the module docstring."""
+    from gaussian_ramsey import estimators
+
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
     reads = CHECKS[name][1]

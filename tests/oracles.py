@@ -5,7 +5,8 @@ normal cdf comes from adaptive quadrature of the density (no erf), the
 solvers from plain interval bisection (p_C's ulp check at 50 digits, in
 log space), and the deep-tail Mills ratio from
 its asymptotic series with an explicit truncation error, and the graph
-bit layouts from per-pair loops over the rows, and the greedy walks of
+bit layouts from per-pair loops over the rows (the symmetry check from
+a numpy unpack against the transpose), and the greedy walks of
 the search's batch dive one attempt at a time on Python-int rows, and
 the witness search attempt by attempt, each built by from_blue_matrix
 and decided by verify_witness (reference_search).  Frozen
@@ -184,6 +185,23 @@ def first_asymmetric_pair(rows) -> tuple[int, int] | None:
             if (rows[i] >> j & 1) != (rows[j] >> i & 1):
                 return (i, j)
     return None
+
+
+def numpy_symmetry_error(rows, n: int) -> str | None:
+    """The asymmetry error of rows in [0, 2**n) with no diagonal bit, or None for symmetric rows, by numpy.
+
+    The rows are unpacked to a boolean matrix and compared with its transpose;
+    the first hit in row-major order is named.  The mismatch is symmetric with
+    a zero diagonal, so that hit has i < j.
+    """
+    width = (n + 7) // 8
+    data = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    blue = np.unpackbits(data.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+    mismatch = blue != blue.T
+    if not mismatch.any():
+        return None
+    i, j = np.argwhere(mismatch)[0]
+    return f"adjacency not symmetric at pair ({i}, {j})"
 
 
 def relabel_rows(rows, perm) -> tuple[int, ...]:

@@ -311,7 +311,7 @@ def test_only_user_warnings_take_the_one_line_form(capsys, monkeypatch):
         warnings.warn("overflow in a draw", RuntimeWarning)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr("gaussian_ramsey.cli.estimate_clique_prob", noisy)
+    monkeypatch.setattr("gaussian_ramsey.estimators.estimate_clique_prob", noisy)  # the handler imports it per call
     with pytest.warns(RuntimeWarning, match="overflow in a draw"):
         code, _, err = run_main(_UNDERPOWERED.split(), capsys)
     assert code == 1 and err.startswith("warning: binomial reference") and "overflow" not in err
@@ -376,6 +376,48 @@ def test_verify_and_half_probability_search_never_load_scipy(tmp_path):
     golden = (Path(__file__).parent / "golden" / "estimate-density.txt").read_text(encoding="utf-8")
     assert report["density"] == [0, golden]
     assert report["special-after-density"]
+
+
+_NO_NUMPY = """
+import contextlib, io, json, sys
+import gaussian_ramsey, gaussian_ramsey.cli as cli
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return [cli.main(argv), out.getvalue(), err.getvalue()]
+
+report = {name: run(["verify", "--in", name + ".txt"]) for name in ("cert", "unchecked", "malformed")}
+report["loaded"] = [m for m in ("numpy", "gaussian_ramsey.geometry", "gaussian_ramsey.estimators") if m in sys.modules]
+report["search"] = run(sys.argv[1].split())
+print(json.dumps(report))
+"""
+
+
+def test_verify_never_loads_numpy(tmp_path):
+    # only geometry and estimators import numpy at module level, and neither a certificate nor its check needs them
+    golden = Path(__file__).parent / "golden"
+    search = "search --n 12 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 1000 --seed 1028"
+    record = (golden / "search-geometric-n12-44.txt").read_text(encoding="utf-8")
+    head = "%gaussian-ramsey-certificate v1\nn=4\nell=3\nk=3\n--\n"
+    (tmp_path / "cert.txt").write_text(record.split("\n", 1)[1], encoding="utf-8")  # checked
+    (tmp_path / "unchecked.txt").write_text(head + "".join(f"{row:016x}\n" for row in (14, 13, 11, 7)))  # blue K_4
+    (tmp_path / "malformed.txt").write_text(head + "".join(f"{row:016x}\n" for row in (2, 0, 0, 0)))  # 0-1 one way
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, search],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gaussian_ramsey.__file__))),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["cert"] == [0, (golden / "verify-n12-44.txt").read_text(encoding="utf-8"), ""]
+    assert report["unchecked"][0] == 1 and json.loads(report["unchecked"][1])["result"]["checked"] is False
+    assert report["malformed"] == [1, "", "error: adjacency not symmetric at pair (0, 1)\n"]
+    assert report["loaded"] == []
+    assert report["search"] == [0, record, ""]
 
 
 def test_csv_format(capsys):

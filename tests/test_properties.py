@@ -1,15 +1,18 @@
 """Property tests: the clique engine against brute force and under relabeling,
 the batch dive's greedy walks, the witness search against its attempt-by-attempt
-definition, adjacency thresholding against a per-pair loop, and text round-trips.
+definition, adjacency thresholding against a per-pair loop, the graph symmetry
+check against a numpy one, and text round-trips.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
 """
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,7 @@ from gaussian_ramsey.cliques import (
 from gaussian_ramsey.geometry import adjacency
 from gaussian_ramsey.graphs import ColoredGraph, from_blue_matrix, graph_from_text, graph_to_text
 from gaussian_ramsey.sampling import RngStream
-from oracles import pack_blue_rows, reference_search
+from oracles import numpy_symmetry_error, pack_blue_rows, reference_search
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -182,3 +185,30 @@ def test_certificate_text_round_trip(g, provenance, ell, k, checked):
     back = certificate_from_text(text)
     assert (back.n, back.ell, back.k, back.graph, back.checked) == (g.n, ell, k, graph, False)
     assert certificate_to_text(back) == text
+
+
+@st.composite
+def symmetric_rows_and_a_flip(draw):
+    """n in 1..200 (rows of one to four words) and the rows of a symmetric coloring, with no entry flipped or one
+    off the diagonal: anywhere, or in row or column n - 1 or beside a word boundary, which the positions favor."""
+    n = draw(st.integers(1, 200))
+    upper = np.triu(RngStream(draw(st.integers(0, 2**32))).generator().random((n, n)) < draw(st.floats(0.0, 1.0)), 1)
+    rows = list(pack_blue_rows(upper))
+    if n > 1 and draw(st.booleans()):
+        edges = [v for v in (0, n - 1, 63, 64, 127, 128, 191, 192) if v < n]
+        i = draw(st.one_of(st.integers(0, n - 1), st.sampled_from(edges)))
+        j = draw(st.one_of(st.integers(0, n - 1), st.sampled_from(edges)).filter(lambda j: j != i))
+        rows[i] ^= 1 << j
+    return n, tuple(rows)
+
+
+@_SETTINGS
+@given(symmetric_rows_and_a_flip())
+def test_symmetry_check_accepts_and_rejects_as_the_numpy_one(case):
+    n, rows = case
+    error = numpy_symmetry_error(rows, n)
+    if error is None:
+        assert ColoredGraph(n, rows).blue_rows == rows
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            ColoredGraph(n, rows)

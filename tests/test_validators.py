@@ -83,12 +83,12 @@ def test_projection_tail_has_the_exact_chi_square_law(monkeypatch):
     # far out), so the spec is stubbed to alpha = sqrt(s / ell): the threshold t = s / d.
     # Bounds fixed before the first run: the check's frequency and that of s drawn
     # coordinates each within 4 SE of gammaincc(s/2, d t/2).
-    import gaussian_ramsey.validators as validators
+    import gaussian_ramsey.geometry as geometry  # the check imports PerfectSpec from it on each call
 
     d, ell, s, trials = 100, 4, 8, 10**5
     alpha, t = math.sqrt(s / ell), s / d
     stub = SimpleNamespace(from_params=lambda C, ell, d, p: SimpleNamespace(alpha_proj=alpha))
-    monkeypatch.setattr(validators, "PerfectSpec", stub)
+    monkeypatch.setattr(geometry, "PerfectSpec", stub)
     rec = validate_bound("projection_tail", {"d": d, "ell": ell, "s": s, "p": 0.38, "C": 2.0}, trials, RngStream(45))
     coords = RngStream(45, 1).generator().standard_normal((trials, s)) / math.sqrt(d)
     exact = gammaincc(s / 2, d * t / 2)
