@@ -40,7 +40,6 @@ import functools
 import json
 import math
 import os
-import secrets
 import sys
 import warnings
 from dataclasses import dataclass
@@ -561,6 +560,7 @@ def run(config: ExperimentConfig) -> tuple[int, str]:
     """Execute a resolved config; returns (exit_status, rendered_records)."""
     params = dict(config.parameters)
     if "seed" in _COMMANDS[config.command]["keys"] and params.get("seed") is None:
+        import secrets  # only a run without --seed loads it (hmac and hashlib with it)
         params["seed"] = secrets.randbits(63)  # drawn once, and echoed like a given seed
     try:
         result, passed, artifact = _HANDLERS[config.command](params)

@@ -3,10 +3,12 @@
 The clique search is a branch-and-bound over packed adjacency bitmasks,
 run directly on the graph's blue or red rows, with the k_min rule of BBMC
 (San Segundo, Rodriguez-Losada & Jimenez 2011).  At each node that still
-needs k vertices it greedily colors only the k - 1 lowest independent
-classes of the candidate set, returns at once if the candidates run out
-first, and branches on every vertex left over, from the highest label
-down, dropping each from the candidates after its branch.  The search
+needs k vertices it greedily colors the candidate set from the highest
+label down, each vertex read off int.bit_length() and its bit off _BIT_OF,
+keeps only the first k - 1 independent classes, returns at once if the
+candidates run out first, and branches on every vertex left over, from the
+lowest label up, dropping each from the candidates after its branch: BBMC
+run on the relabeling v -> n - 1 - v, with the same node count.  The search
 stays complete: the vertices never branched on lie in k - 1 independent
 sets, so they cannot complete the clique.  Popcount prunes the rest.  It
 returns some clique of the requested size, or None with the guarantee
@@ -46,6 +48,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from gaussian_ramsey.graphs import (
+    MAX_WORDS,
     WORD_BITS,
     ColoredGraph,
     _pack_words,
@@ -62,6 +65,8 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 #: attempts sampled per derived stream in search_witness, at most; fewer when
 #: a batch would exceed the estimators' per-batch element budget.
 ATTEMPT_BATCH = 256
+#: 1 << v for every vertex the word cap allows, looked up by _search's coloring steps.
+_BIT_OF = tuple(1 << v for v in range(MAX_WORDS * WORD_BITS))
 _Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # an attempt the batch dive left open: all the engine reads
 #: the search's buffers (an estimators._Workspace, made by the first search): each thread's own
 #: (threading.local), kept for the thread's life, not one call.
@@ -116,10 +121,13 @@ def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -
 
     non_adj[v] holds the vertices other than v that are not adjacent to v
     (the other color's row).  The caller ensures P has at least need
-    vertices.  BBMC's k_min rule: greedily color only the need - 1 lowest
+    vertices.  BBMC's k_min rule: greedily color only the first need - 1
     independent classes of P and branch on the vertices left over; a clique
     within need - 1 independent sets has at most need - 1 vertices, so every
-    clique of size need holds a branched vertex.
+    clique of size need holds a branched vertex.  Coloring runs from the
+    highest label down, a step reading its vertex off bit_length() and its
+    bit from _BIT_OF (two new ints, where isolating cand & -cand made four),
+    and branching from the lowest up: BBMC on the labels v -> n - 1 - v.
     """
     if need == 1:
         return [(P & -P).bit_length() - 1]
@@ -128,16 +136,16 @@ def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -
     for _ in range(need):
         cand = branch
         while cand:
-            bit = cand & -cand
-            branch ^= bit
-            cand &= non_adj[bit.bit_length() - 1]
+            v = cand.bit_length() - 1
+            branch ^= _BIT_OF[v]
+            cand &= non_adj[v]
         if not branch:
             return None
-    # from the highest label down, each vertex dropped from P after its branch
+    # from the lowest label up (highest-first on the mirrored labels), each vertex dropped from P after its branch
     while branch:
-        v = branch.bit_length() - 1
-        bit = 1 << v
+        bit = branch & -branch
         branch ^= bit
+        v = bit.bit_length() - 1
         Q = P & adj[v]
         if Q.bit_count() >= need:
             found = _search(Q, need, adj, non_adj)

@@ -8,6 +8,8 @@ its asymptotic series with an explicit truncation error, and the graph
 bit layouts from per-pair loops over the rows (the symmetry check from
 a numpy unpack against the transpose), and the greedy walks of
 the search's batch dive one attempt at a time on Python-int rows, and
+the clique engine's branch-and-bound as first written, lowest-first
+coloring and all, with a node counter (reference_clique_search), and
 the witness search attempt by attempt, each built by from_blue_matrix
 and decided by verify_witness (reference_search).  Frozen
 constants in the tests were computed with these functions at 30 decimal
@@ -144,6 +146,48 @@ def _dive(P: int, size: int, rows: tuple[int, ...]) -> list[int] | None:
         if len(walk) == size:
             return walk
     return None
+
+
+def reference_clique_search(rows, other, size: int) -> tuple[list[int] | None, int]:
+    """(size pairwise-adjacent vertices of rows, or None if there are none; the nodes searched), by BBMC
+    as the engine first ran it: the k_min coloring from the lowest label up, each vertex isolated as
+    cand & -cand, and branching from the highest label down.
+
+    other[v] holds the vertices other than v that are not adjacent to v.  Each call of the recursion
+    is one node.
+    """
+    nodes = 0
+
+    def search(P, need):
+        nonlocal nodes
+        nodes += 1
+        if need == 1:
+            return [(P & -P).bit_length() - 1]
+        need -= 1
+        branch = P
+        for _ in range(need):
+            cand = branch
+            while cand:
+                bit = cand & -cand
+                branch ^= bit
+                cand &= other[bit.bit_length() - 1]
+            if not branch:
+                return None
+        while branch:
+            v = branch.bit_length() - 1
+            bit = 1 << v
+            branch ^= bit
+            Q = P & rows[v]
+            if Q.bit_count() >= need:
+                found = search(Q, need)
+                if found is not None:
+                    found.append(v)
+                    return found
+            P ^= bit
+        return None
+
+    found = search((1 << len(rows)) - 1, size)
+    return found, nodes
 
 
 def reference_search(n, ell, k, sampler, params, max_attempts, stream):

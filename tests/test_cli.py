@@ -388,14 +388,18 @@ def run(argv):
         return [cli.main(argv), out.getvalue(), err.getvalue()]
 
 report = {name: run(["verify", "--in", name + ".txt"]) for name in ("cert", "unchecked", "malformed")}
-report["loaded"] = [m for m in ("numpy", "gaussian_ramsey.geometry", "gaussian_ramsey.estimators") if m in sys.modules]
+report["loaded"] = [
+    m for m in ("numpy", "gaussian_ramsey.geometry", "gaussian_ramsey.estimators", "secrets", "hmac", "_hashlib")
+    if m in sys.modules
+]
 report["search"] = run(sys.argv[1].split())
 print(json.dumps(report))
 """
 
 
 def test_verify_never_loads_numpy(tmp_path):
-    # only geometry and estimators import numpy at module level, and neither a certificate nor its check needs them
+    # only geometry and estimators import numpy at module level, and neither a certificate nor its check needs them;
+    # nor secrets (hmac and _hashlib with it), which only a run without --seed draws from
     golden = Path(__file__).parent / "golden"
     search = "search --n 12 --ell 4 --k 4 --sampler geometric --d 64 --p 0.5 --max-attempts 1000 --seed 1028"
     record = (golden / "search-geometric-n12-44.txt").read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
-"""Property tests: the clique engine against brute force and under relabeling,
+"""Property tests: the clique engine against brute force, under relabeling and
+against the first engine on mirrored labels node for node,
 the batch dive's greedy walks, the witness search against its attempt-by-attempt
 definition, adjacency thresholding against a per-pair loop, the graph symmetry
 check against a numpy one, and text round-trips.
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussian_ramsey import cliques
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
     _dive_batch,
@@ -27,7 +29,7 @@ from gaussian_ramsey.cliques import (
 from gaussian_ramsey.geometry import adjacency
 from gaussian_ramsey.graphs import ColoredGraph, from_blue_matrix, graph_from_text, graph_to_text
 from gaussian_ramsey.sampling import RngStream
-from oracles import numpy_symmetry_error, pack_blue_rows, reference_search
+from oracles import numpy_symmetry_error, pack_blue_rows, reference_clique_search, reference_search, relabel_rows
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -107,6 +109,41 @@ def test_batch_dive_settles_a_matrix_only_if_it_holds_a_clique_of_that_size(g):
                 assert any(
                     all(rows[i] >> j & 1 for i, j in combinations(sub, 2)) for sub in combinations(range(g.n), size)
                 ), size
+
+
+@st.composite
+def graphs_at_densities(draw):
+    """(graph, size, color) over one to three words, at densities 0.1, 0.5, 0.9 and drawn ones."""
+    n = draw(st.integers(1, 130) | st.sampled_from([64, 65, 128, 129, 130]))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0))
+    blue = np.triu(np.random.default_rng(draw(st.integers(0, 2**32))).random((n, n)) < density, 1)
+    return from_blue_matrix(blue | blue.T), draw(st.integers(1, min(n, 9))), draw(st.sampled_from(["red", "blue"]))
+
+
+@_SETTINGS
+@given(graphs_at_densities())
+def test_the_engine_is_the_first_engine_on_the_mirrored_labels_node_for_node(case):
+    # coloring from the highest label down and branching from the lowest up is the lowest-first
+    # engine run on the relabeling v -> n - 1 - v: the same verdict, and as many calls of _search
+    g, size, color = case
+    rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
+    mirror = [g.n - 1 - v for v in range(g.n)]
+    expected, nodes = reference_clique_search(relabel_rows(rows, mirror), relabel_rows(other, mirror), size)
+    calls = []
+    search = cliques._search
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cliques, "_search", counted)  # the recursion resolves the module name too
+        found = find_mono_clique(g, size, color)
+    assert (found is None) == (expected is None)
+    assert len(calls) == nodes
+    if found is not None:
+        assert len(set(found)) == size
+        assert all(rows[i] >> j & 1 for i, j in combinations(found, 2))
 
 
 @st.composite
