@@ -10,11 +10,12 @@ candidates run out first, and branches on every vertex left over, from the
 lowest label up, dropping each from the candidates after its branch: BBMC
 run on the relabeling v -> n - 1 - v, with the same node count.  The search
 stays complete: the vertices never branched on lie in k - 1 independent
-sets, so they cannot complete the clique.  Popcount prunes the rest.  It
-returns some clique of the requested size, or None with the guarantee
-that none exists.  Completeness is what makes a verified certificate
-meaningful: a coloring of K_n with no red K_ell and no blue K_k
-establishes R(ell, k) > n.
+sets, so they cannot complete the clique.  No size test is needed: a
+leftover is adjacent to a vertex of each class, so each child holds the
+k - 1 it needs.  It returns some clique of the requested size, or None
+with the guarantee that none exists.  Completeness is what makes a
+verified certificate meaningful: a coloring of K_n with no red K_ell and
+no blue K_k establishes R(ell, k) > n.
 
 The witness search walks the estimators' one batch partition
 (estimators._partition) and samples colorings (geometric or binomial) a
@@ -65,8 +66,8 @@ _CERT_MAGIC = "%gaussian-ramsey-certificate v1"
 #: attempts sampled per derived stream in search_witness, at most; fewer when
 #: a batch would exceed the estimators' per-batch element budget.
 ATTEMPT_BATCH = 256
-#: 1 << v for every vertex the word cap allows, looked up by _search's coloring steps.
-_BIT_OF = tuple(1 << v for v in range(MAX_WORDS * WORD_BITS))
+#: 1 << v at index v + 1, its bit_length(), for every vertex the word cap allows; entry 0 is unused.
+_BIT_OF = (0, *(1 << v for v in range(MAX_WORDS * WORD_BITS)))
 _Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # an attempt the batch dive left open: all the engine reads
 #: the search's buffers (an estimators._Workspace, made by the first search): each thread's own
 #: (threading.local), kept for the thread's life, not one call.
@@ -119,24 +120,25 @@ def _dive_batch(words, size: int):
 def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -> list[int] | None:
     """need vertices of P that are pairwise adjacent in adj, or None if P holds none.
 
-    non_adj[v] holds the vertices other than v that are not adjacent to v
-    (the other color's row).  The caller ensures P has at least need
-    vertices.  BBMC's k_min rule: greedily color only the first need - 1
-    independent classes of P and branch on the vertices left over; a clique
-    within need - 1 independent sets has at most need - 1 vertices, so every
-    clique of size need holds a branched vertex.  Coloring runs from the
-    highest label down, a step reading its vertex off bit_length() and its
-    bit from _BIT_OF (two new ints, where isolating cand & -cand made four),
+    adj and non_adj are indexed by bit_length(), vertex v's row at v + 1;
+    non_adj's row holds the vertices other than v not adjacent to v.  BBMC's
+    k_min rule: color only the first need - 1 independent classes of P and
+    branch on the vertices left over, since the classes hold at most need - 1
+    vertices of a clique.  The recursion keeps need vertices in P or more: a
+    leftover is adjacent to the vertex of each class whose row dropped it,
+    and class vertices stay in P.  Coloring runs from the highest label down
     and branching from the lowest up: BBMC on the labels v -> n - 1 - v.
     """
     if need == 1:
         return [(P & -P).bit_length() - 1]
     need -= 1
     branch = P
-    for _ in range(need):
+    passes = need
+    while passes:
+        passes -= 1
         cand = branch
         while cand:
-            v = cand.bit_length() - 1
+            v = cand.bit_length()
             branch ^= _BIT_OF[v]
             cand &= non_adj[v]
         if not branch:
@@ -145,13 +147,11 @@ def _search(P: int, need: int, adj: tuple[int, ...], non_adj: tuple[int, ...]) -
     while branch:
         bit = branch & -branch
         branch ^= bit
-        v = bit.bit_length() - 1
-        Q = P & adj[v]
-        if Q.bit_count() >= need:
-            found = _search(Q, need, adj, non_adj)
-            if found is not None:
-                found.append(v)
-                return found
+        v = bit.bit_length()
+        found = _search(P & adj[v], need, adj, non_adj)
+        if found is not None:
+            found.append(v - 1)
+            return found
         P ^= bit
     return None
 
@@ -176,7 +176,7 @@ def find_mono_clique(g: ColoredGraph | _Attempt, size: int, color: str) -> tuple
         if (blue | red) >> v & 1:
             raise ValueError(f"vertex {v} is adjacent to itself")
     rows, other = (g.blue_rows, g.red_rows) if color == "blue" else (g.red_rows, g.blue_rows)
-    found = _search((1 << g.n) - 1, size, rows, other)
+    found = _search((1 << g.n) - 1, size, (0, *rows), (0, *other))
     return None if found is None else tuple(sorted(found))
 
 

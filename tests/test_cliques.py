@@ -25,7 +25,7 @@ from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.geometry import _bartlett_rows, adjacency, gram, gram_batch, sample_cloud, sample_cloud_batch
 from gaussian_ramsey.graphs import CapabilityError, ColoredGraph, _pack_words, _row_tuples, from_blue_matrix
 from gaussian_ramsey.sampling import RngStream
-from oracles import _dive
+from oracles import _dive, reference_clique_search, relabel_rows
 
 
 def brute_has_clique(g: ColoredGraph, size: int, color: str) -> bool:
@@ -543,6 +543,26 @@ def test_paley_absence_proofs_under_relabeling(q):
             found = find_mono_clique(h, omega, color)
             assert found is not None and len(set(found)) == omega, color
             assert all(rows[i] >> j & 1 for i, j in combinations(found, 2)), color
+
+
+@pytest.mark.parametrize("color", ["red", "blue"])
+def test_a_benchmark_sized_absence_proof_searches_the_first_engines_tree(color, monkeypatch):
+    # Paley(101) under a seeded relabeling, as witness-verify proves it: no K6 of either color,
+    # and one call of _search per node of the lowest-first engine on the mirrored labels
+    h = paley(101).relabeled(list(RngStream(101).generator().permutation(101)))
+    rows, other = (h.blue_rows, h.red_rows) if color == "blue" else (h.red_rows, h.blue_rows)
+    mirror = [100 - v for v in range(101)]
+    expected, nodes = reference_clique_search(relabel_rows(rows, mirror), relabel_rows(other, mirror), 6)
+    calls = []
+    search = cliques._search
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(cliques, "_search", counted)  # the recursion resolves the module name too
+    assert find_mono_clique(h, 6, color) is None and expected is None
+    assert len(calls) == nodes
 
 
 def test_verify_skips_the_blue_search_after_a_red_clique(monkeypatch):

@@ -1,8 +1,8 @@
 """Property tests: the clique engine against brute force, under relabeling and
-against the first engine on mirrored labels node for node,
-the batch dive's greedy walks, the witness search against its attempt-by-attempt
-definition, adjacency thresholding against a per-pair loop, the graph symmetry
-check against a numpy one, and text round-trips.
+against the first engine on mirrored labels node for node, every node entered
+with the candidates it needs, the batch dive's greedy walks, the witness search
+against its attempt-by-attempt definition, adjacency thresholding against a
+per-pair loop, the graph symmetry check against a numpy one, and text round-trips.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
@@ -144,6 +144,26 @@ def test_the_engine_is_the_first_engine_on_the_mirrored_labels_node_for_node(cas
     if found is not None:
         assert len(set(found)) == size
         assert all(rows[i] >> j & 1 for i, j in combinations(found, 2))
+
+
+@_SETTINGS
+@given(graphs_at_densities())
+def test_every_node_is_entered_with_as_many_candidates_as_it_needs(case):
+    # a leftover vertex is adjacent to a vertex of each of the need - 1 classes, and class vertices
+    # stay candidates, so no node needs a size test before it recurses
+    g, size, color = case
+    short = []
+    search = cliques._search
+
+    def checked(P, need, adj, non_adj):
+        if P.bit_count() < need:
+            short.append((P.bit_count(), need))
+        return search(P, need, adj, non_adj)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cliques, "_search", checked)
+        find_mono_clique(g, size, color)
+    assert short == []
 
 
 @st.composite
