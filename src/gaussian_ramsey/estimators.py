@@ -18,7 +18,10 @@ Its draw is the one pair kernel, _pair_batch: a batch's blue pair mask,
 batch-last (C(n,2), count), which the density sums per cloud; one draw
 counts red and blue cliques (correction_scaling samples once).  A triangular
 batch is drawn batch-last (geometry._bartlett_rows, the one consumption
-order) and the kernel computes only its pairs i < j from those rows.
+order) and the kernel computes only its pairs i < j from those rows; with
+no perfect spec it stops before the last row's chi entry, which only that
+row's norm reads: the skipped draw is the batch's last, and each batch has
+a generator of its own, so no drawn bit moves.
 Each thread that draws a plan's batches holds one _Workspace for the plan:
 its first batch makes the float arrays of a batch, every later batch writes
 into them, and they grow only for a draw of more trials than they hold, so
@@ -230,8 +233,11 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
     projections) is taken from the workspace ws, a fresh one when none is given; only the masks are
     new.  The products go to the normals' buffer, "normals", which is dead once the rows hold the
     scaled normals.  The Gram and the triangular rows, n * n doubles a trial either way, take one
-    buffer, "square", which the search reuses once the mask is drawn.  The random draws do not depend
-    on the spec, so runs sharing a stream are coupled trial by trial.
+    buffer, "square", which the search reuses once the mask is drawn.  Without a spec nothing reads the
+    norms, so the triangular rows stop one chi draw short (geometry._bartlett_rows with norms=False):
+    the last row's diagonal enters no pair i < j, and its draw would be the batch's last.  So every
+    value drawn without a spec is drawn with one, to the same bits: runs sharing a stream are coupled
+    trial by trial.
     """
     ws = _Workspace() if ws is None else ws
     pairs = n * (n - 1) // 2
@@ -250,7 +256,7 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
         triangular = np.moveaxis(_cholesky(grams), 0, -1) if spec is not None else None  # clouds', batch-last
     else:  # "bartlett": _pair_plan has checked the name and n <= d
         out = ws.take("square", (n, n, count)), ws.take("normals", (count, pairs))
-        triangular = L = _bartlett_rows(count, n, d, gen, out=out)
+        triangular = L = _bartlett_rows(count, n, d, gen, out=out, norms=spec is not None)
         products = ws.take("normals", (pairs, count))
         start = 0
         for i in range(n - 1):

@@ -12,7 +12,10 @@ Gram matrix, so the two samplers induce the same joint law of inner
 products (and hence the same random graph).  Triangular batches are drawn
 batch-last, (r, r, batch), in one consumption order (_bartlett_rows), and
 bartlett_prefix_norms reads them where they lie; the diagonal is drawn as
-Gamma((d - i)/2) variates, chisquare's own draws halved.  The graph joins
+Gamma((d - i)/2) variates, chisquare's own draws halved.  A caller that reads
+no norms draws all but the last diagonal entry, a prefix of that order: the
+last vector's component off the others' span enters its norm but no pair,
+so out's L[r-1, r-1] is left unwritten.  The graph joins
 i ~ j (blue) precisely when <x_i, x_j> >= -c_p/sqrt(d), inclusive at equality.
 
 A sequence is *perfect* for a given spec when every vector's norm lies in
@@ -159,7 +162,7 @@ def sample_cloud_batch(batch: int, n: int, d: int, gen, out: np.ndarray | None =
     return np.divide(clouds, math.sqrt(d), out=clouds)
 
 
-def _bartlett_rows(batch: int, r: int, d: int, gen, out=None) -> np.ndarray:
+def _bartlett_rows(batch: int, r: int, d: int, gen, out=None, *, norms: bool = True) -> np.ndarray:
     """(r, r, batch) independent triangular samples, batch-last: entry (i, j) is one length-batch vector.
 
     The package's one consumption order: one (batch, C(r,2)) draw of the strictly-lower
@@ -171,6 +174,10 @@ def _bartlett_rows(batch: int, r: int, d: int, gen, out=None) -> np.ndarray:
     L's upper triangle is not written, so it holds whatever it held: the pair kernel
     and bartlett_prefix_norms read the lower triangle only.  Without out, L is a fresh array
     with a zero upper triangle.
+    norms=False, for a caller that reads pairs but no norms, stops after the first r - 1 diagonal
+    entries and leaves L[r-1, r-1] unwritten (zero without out): no pair reads it, since pair (i, j)
+    reads columns k <= i < r - 1 only.  What is drawn is a prefix of the one consumption order, so
+    every entry written has the bits of the full draw, which leaves the generator one draw short.
     """
     if r > d:
         raise ValueError(f"row count {r} exceeds ambient dimension {d}")
@@ -179,8 +186,8 @@ def _bartlett_rows(batch: int, r: int, d: int, gen, out=None) -> np.ndarray:
     if r > 1:
         lower = gen.standard_normal((batch, r * (r - 1) // 2), out=normals)
         flat[_strict_lower(r)] = np.divide(lower, math.sqrt(d), out=lower).T
-    diagonal = flat[:: r + 1]
-    for i in range(r):  # chisquare takes no out
+    diagonal = flat[:: r + 1][: r if norms else r - 1]
+    for i in range(len(diagonal)):  # chisquare takes no out
         gen.standard_gamma((d - i) / 2, size=batch, out=diagonal[i])
     np.sqrt(np.divide(diagonal, d / 2, out=diagonal), out=diagonal)
     return L

@@ -463,9 +463,9 @@ def test_scaling_counts_both_colors_in_one_draw(monkeypatch, sampler, threads):
         sizes["normals"].append(batch * n * d)
         return cloud(batch, n, d, gen, out=out)
 
-    def count_bartlett(batch, r, d, gen, out=None):
+    def count_bartlett(batch, r, d, gen, **kwargs):
         sizes["triangular"].append(batch)
-        return bartlett(batch, r, d, gen, out=out)
+        return bartlett(batch, r, d, gen, **kwargs)
 
     monkeypatch.setattr(estimators, "sample_cloud_batch", count_cloud)
     monkeypatch.setattr(estimators, "_bartlett_rows", count_bartlett)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gaussian_ramsey import estimators
+from gaussian_ramsey.cli import main
 from gaussian_ramsey.cliques import search_witness
 from gaussian_ramsey.estimators import STREAM_STRIDE, correction_scaling, estimate_clique_prob, estimate_edge_density
-from gaussian_ramsey.geometry import PerfectSpec
+from gaussian_ramsey.geometry import PerfectSpec, sample_bartlett
 from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated
 from gaussian_ramsey.validators import validate_bound
 
@@ -129,8 +130,8 @@ def test_no_draw_spans_more_than_one_batch(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "sampler, params, elements, draws",
-    # n = 18 <= d = 64: a triangular batch, one draw of its lower triangles and one chi draw per row
-    [("geometric", {"p": 0.5, "d": 64}, estimators._trial_elements(18, 64, "bartlett"), 1 + 18),
+    # n = 18 <= d = 64: a triangular batch, one draw of its lower triangles and one chi draw per row the pairs read
+    [("geometric", {"p": 0.5, "d": 64}, estimators._trial_elements(18, 64, "bartlett"), 1 + 17),
      ("binomial", {"p": 0.5}, 18 * 18, 1)],
     ids=["geometric", "binomial"],
 )
@@ -141,6 +142,48 @@ def test_search_batches_stay_within_the_element_budget(monkeypatch, sampler, par
     assert search_witness(18, 4, 4, sampler, params, 20, RngStream(5)) is None
     assert len(sizes) == 7 * draws
     assert max(sizes) <= 3 * elements
+
+
+def _triangular_ledger(count, r, norms):
+    """One triangular batch's draw sizes: its strictly-lower normals, then one chi draw per diagonal entry read,
+    every one when the norms are read, else all but L[r-1, r-1], which no pair reads."""
+    return [count * math.comb(r, 2)] * (r > 1) + [count] * (r if norms else r - 1)
+
+
+@pytest.mark.filterwarnings("ignore:binomial reference")  # 250 trials underpower the estimate; only draws count here
+@pytest.mark.parametrize("perfect", [False, True], ids=["unrestricted", "perfect"])
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_clique_batches_draw_a_chi_entry_per_row_read(monkeypatch, r, perfect):
+    # 100 trials a batch: 250 trials are three batches, the last one short
+    monkeypatch.setattr(estimators, "_BATCH_ELEMENTS", 100 * r * r)
+    sizes = _record_draws(monkeypatch)
+    spec = PerfectSpec(alpha_proj=1.0, delta=0.5, ell=r, d=16) if perfect else None
+    estimate_clique_prob(r, 16, 0.4, "blue", trials=250, stream=RngStream(6), sampler="bartlett", perfect_spec=spec)
+    assert sizes == sum((_triangular_ledger(count, r, perfect) for count in (100, 100, 50)), [])
+
+
+_UNRESTRICTED = {
+    # (run, trials a batch, r, batches)
+    "scaling": (lambda s: correction_scaling(3, 0.4, [8, 16], 250, s, sampler="bartlett"), 250, 3, 2),
+    "density": (lambda s: estimate_edge_density(6, 8, 0.4, 250, s), 250, 6, 1),
+    "search": (lambda s: search_witness(18, 4, 4, "geometric", {"p": 0.5, "d": 64}, 20, s), 20, 18, 1),
+    "sample": (lambda s: main(["sample", "--n", "7", "--d", "16", "--p", "0.4", "--seed", "6"]), 1, 7, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNRESTRICTED))
+def test_unrestricted_triangular_batches_skip_the_last_chi_entry(monkeypatch, name):
+    run, count, r, batches = _UNRESTRICTED[name]
+    sizes = _record_draws(monkeypatch)
+    run(RngStream(6))
+    assert sizes == _triangular_ledger(count, r, False) * batches
+
+
+def test_sample_bartlett_draws_every_chi_entry(monkeypatch):
+    sizes = _record_draws(monkeypatch)
+    sample = sample_bartlett(5, 16, RngStream(6))
+    assert sizes == _triangular_ledger(1, 5, True)
+    assert np.all(np.diag(sample.M) > 0)
 
 
 def test_batch_size_refuses_a_trial_over_the_cap():
