@@ -435,7 +435,7 @@ def _run_sample(params: dict):
     if n < 1:
         raise ValueError(f"vertex count must be positive, got n={n}")
     c_p, _, _, draw = estimators._pair_plan(n, d, p)  # refuses a bad d or an oversized trial before the draw
-    blue = draw(RngStream(seed).generator(), 1)[0]
+    blue = draw(RngStream(seed).generator(), 1, estimators._Workspace())[0]
     graph = ColoredGraph(n, _row_tuples(_pack_words(n, blue)[0], n)[0], {"d": d, "p": p, "c_p": c_p, "seed": seed})
     result = {
         "n": n,

@@ -30,21 +30,19 @@ an attempt cannot verify.  Only its misses become Python-int rows
 verify_witness uses too.  So the lowest verifying attempt, which a seed
 determines, is the same as without the batch dive; only it gets a
 provenance dict and a validated graph.  Its float and bool arrays live in
-one per-thread workspace (_WORKSPACE) kept for the thread's life, not one
-call: the pair plan draws into it, a binomial batch draws its uniforms into
-its "square" buffer, and the packing's bool scratch is carved from that
-buffer, dead once the pair mask exists.  So a thread that searches again
-maps no fresh pages, and after a call holds at most one batch's arrays.
+estimators._THREAD_WORKSPACE, kept for the thread's life, not one call:
+both samplers draw into it, a binomial batch its uniforms into its "square"
+buffer, and the packing's bool scratch is carved from that buffer, dead
+once the pair mask exists.  So a thread that searches again maps no fresh
+pages, and after a call holds at most one batch's arrays.
 
 Only the search draws and packs, so only _dive_batch (numpy) and
-search_witness (numpy and the estimators) import them, inside the function,
-and the first search makes _WORKSPACE.  Checking a certificate, and reading
-or writing one, loads neither.
+search_witness (numpy and the estimators) import them, inside the function.
+Checking a certificate, and reading or writing one, loads neither.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -69,21 +67,6 @@ ATTEMPT_BATCH = 256
 #: 1 << v at index v + 1, its bit_length(), for every vertex the word cap allows; entry 0 is unused.
 _BIT_OF = (0, *(1 << v for v in range(MAX_WORDS * WORD_BITS)))
 _Attempt = namedtuple("_Attempt", "n blue_rows red_rows")  # an attempt the batch dive left open: all the engine reads
-#: the search's buffers (an estimators._Workspace, made by the first search): each thread's own
-#: (threading.local), kept for the thread's life, not one call.
-_WORKSPACE = None
-_WORKSPACE_LOCK = threading.Lock()
-
-
-def _workspace():
-    """_WORKSPACE, made by the first call; the lock keeps it one workspace whichever threads search first."""
-    global _WORKSPACE
-    with _WORKSPACE_LOCK:
-        if _WORKSPACE is None:
-            from gaussian_ramsey import estimators
-
-            _WORKSPACE = estimators._Workspace()
-    return _WORKSPACE
 
 
 def _dive_batch(words, size: int):
@@ -245,20 +228,20 @@ def search_witness(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got p={p}")
     base_provenance = {"p": p, "seed": stream.master_seed, "sampler": sampler}
-    workspace = _workspace()
+    workspace = estimators._THREAD_WORKSPACE
     if sampler == "geometric":
         d = int(params["d"])
-        c_p, _, batch, draw = estimators._pair_plan(n, d, p, cap=ATTEMPT_BATCH, workspace=workspace)
+        c_p, _, batch, draw = estimators._pair_plan(n, d, p, cap=ATTEMPT_BATCH)
         base_provenance.update(d=d, c_p=c_p)
     else:
         batch = estimators._batch_size(n * n, ATTEMPT_BATCH)
 
-        def draw(gen, count):  # blue with probability 1 - p, drawn in order
-            return (gen.random(out=workspace.take("square", (count, n * (n - 1) // 2))) >= p).T, True
+        def draw(gen, count, ws):  # blue with probability 1 - p, drawn in order
+            return (gen.random(out=ws.take("square", (count, n * (n - 1) // 2))) >= p).T, True
 
     width = _words_for(n) * WORD_BITS
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
-        pairs = draw(sub.generator(), count)[0]
+        pairs = draw(sub.generator(), count, workspace)[0]
         bits = workspace.take("square", (count, n, width), bool)  # the draw's floats are dead once its mask exists
         blue, red = _pack_words(n, pairs, bits)  # both colors at once; rows need no validation
         misses = np.arange(count) if ell > n else np.flatnonzero(~_dive_batch(red, ell))  # a red K_ell settles

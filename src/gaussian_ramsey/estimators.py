@@ -22,13 +22,14 @@ order) and the kernel computes only its pairs i < j from those rows; with
 no perfect spec it stops before the last row's chi entry, which only that
 row's norm reads: the skipped draw is the batch's last, and each batch has
 a generator of its own, so no drawn bit moves.
-Each thread that draws a plan's batches holds one _Workspace for the plan:
-its first batch makes the float arrays of a batch, every later batch writes
-into them, and they grow only for a draw of more trials than they hold, so
-a batch allocates only its masks.  An estimator's workspace goes with its
-plan, since one kept for the process would hold the largest plan's arrays
-under every later call's own temporaries (the validators'); search_witness,
-whose calls allocate little else, keeps one for its thread's life.
+_map_plans hands every batch of a call one _Workspace, each thread its own
+buffers: a thread's first batch makes the float arrays of a batch, every
+later batch writes into them, and they grow only for a draw of more trials
+than they hold, so a batch allocates only its masks.  The workspace ends
+with the call, since one kept for the process would hold the largest plan's
+arrays under every later call's own temporaries (the validators');
+search_witness, which walks _partition itself and allocates little else,
+keeps _THREAD_WORKSPACE for its thread's life.
 Success counting is exact integer arithmetic; probabilities are reported
 in the log domain alongside the raw counts, so estimates of p^C(r,2)-sized
 events never multiply raw tiny floats.
@@ -44,9 +45,8 @@ a triangular trial, which holds r * r + C(r,2) (2r more under a perfect
 spec) and a mask byte per pair, so a triangular batch holds up to about 1.7
 times the budget; a direct batch draws, scales and multiplies its clouds one
 slab of _SLAB_ELEMENTS doubles (256 KiB) at a time, so it holds its Gram, its
-mask and one slab, not its clouds.  Those arrays live in the thread's workspace
-for the plan's duration (correction_scaling's plans share one; the search's lives
-as long as its thread), not for one batch.
+mask and one slab, not its clouds.  Those arrays live in the workspace for
+the runner call (the search's for its thread's life), not for one batch.
 """
 
 from __future__ import annotations
@@ -124,16 +124,19 @@ def _partition(trials: int, batch: int, stream: RngStream):
 def _map_plans(plans, threads: int) -> list[list]:
     """Run every batch of every plan (trials, batch, stream, worker) on one pool; each plan's results in batch order.
 
-    Batch (sub, count) of _partition(trials, batch, stream) is worker(sub.generator(), count).  The
-    jobs are made lazily, in plan order, then batch order, and go _IN_FLIGHT at a time to min(threads,
-    batches over all plans, usable CPUs) threads, so no thread idles between plans.
+    Batch (sub, count) of _partition(trials, batch, stream) is worker(sub.generator(), count, ws), where ws
+    is the call's one _Workspace: every plan of the call shares it, each thread sees buffers of its own, and
+    it lives as long as the call.  The jobs are made lazily, in plan order, then batch order, and go
+    _IN_FLIGHT at a time to min(threads, batches over all plans, usable CPUs) threads, so no thread idles
+    between plans.
     """
     jobs = ((pi, sub, count) for pi, (trials, batch, stream, _) in enumerate(plans)
             for sub, count in _partition(trials, batch, stream))
+    ws = _Workspace()
 
     def run(job):
         pi, sub, count = job
-        return pi, plans[pi][3](sub.generator(), count)
+        return pi, plans[pi][3](sub.generator(), count, ws)
 
     workers = min(threads, sum(-(-trials // batch) for trials, batch, _, _ in plans), _usable_cpus())
     parts = [[] for _ in plans]
@@ -142,11 +145,6 @@ def _map_plans(plans, threads: int) -> list[list]:
             for pi, result in (pool.map if pool else map)(run, chunk):  # one thread: no pool at all
                 parts[pi].append(result)
     return parts
-
-
-def _map_batches(trials: int, batch: int, stream: RngStream, threads: int, worker):
-    """Run worker(gen, count) over every batch of one plan (see _map_plans); results in order."""
-    return _map_plans([(trials, batch, stream, worker)], threads)[0]
 
 
 def _binomial_interval(successes: int, trials: int, se: float | None = None) -> tuple[float, float]:
@@ -221,7 +219,11 @@ class _Workspace(threading.local):
         return buffer.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
-def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
+#: search_witness's workspace, kept for each thread's life: the one exception to _map_plans's rule.
+_THREAD_WORKSPACE = _Workspace()
+
+
+def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws):
     """Blue mask of every pair i < j, batch-last (C(n,2), count), and the perfect mask (True without a spec).
 
     Row i's pairs j > i fill whole rows of the mask (np.triu_indices order), read off the direct
@@ -230,16 +232,14 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
     thresholds.  Direct clouds are drawn, scaled and multiplied into the batch's Gram one slab of at
     most _SLAB_ELEMENTS doubles at a time, with the bits of one whole draw.  Every float array of the
     batch (the slab and the Gram, or the triangular rows and their normals, and the norms and
-    projections) is taken from the workspace ws, a fresh one when none is given; only the masks are
-    new.  The products go to the normals' buffer, "normals", which is dead once the rows hold the
-    scaled normals.  The Gram and the triangular rows, n * n doubles a trial either way, take one
-    buffer, "square", which the search reuses once the mask is drawn.  Without a spec nothing reads the
-    norms, so the triangular rows stop one chi draw short (geometry._bartlett_rows with norms=False):
-    the last row's diagonal enters no pair i < j, and its draw would be the batch's last.  So every
-    value drawn without a spec is drawn with one, to the same bits: runs sharing a stream are coupled
-    trial by trial.
+    projections) is taken from the workspace ws; only the masks are new.  The products go to the
+    normals' buffer, "normals", which is dead once the rows hold the scaled normals.  The Gram and
+    the triangular rows, n * n doubles a trial either way, take one buffer, "square", which the
+    search reuses once the mask is drawn.  Without a spec nothing reads the norms, so the triangular
+    rows stop one chi draw short (geometry._bartlett_rows with norms=False): the last row's diagonal
+    enters no pair i < j, and its draw would be the batch's last.  So every value drawn without a
+    spec is drawn with one, to the same bits: runs sharing a stream are coupled trial by trial.
     """
-    ws = _Workspace() if ws is None else ws
     pairs = n * (n - 1) // 2
     if sampler == "direct":
         step = max(1, _SLAB_ELEMENTS // (n * d))
@@ -270,15 +270,13 @@ def _pair_batch(gen, count, n, d, threshold, sampler, spec, ws=None):
     return blue, spec.admits(*norms).all(axis=0)
 
 
-def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH, workspace=None):
+def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH):
     """(c_p, sampler, batch, draw) for n vectors in R^d at red probability p: the one place a
     sampler is chosen (if none is named, "bartlett" when n <= d, else "direct").
 
     It checks d and the sampler and sizes the batch (_batch_size, at most cap) before any draw;
-    draw(gen, count) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d) (geometry._edge_threshold).
-    Every draw of the plan on one thread writes into that thread's one workspace (a fresh one unless
-    the caller hands its plans one), which its first draw sizes (to the plan's batch, unless that
-    draw is the plan's short last batch) and which grows only for a draw of more trials than it holds.
+    draw(gen, count, ws) is _pair_batch's (blue, perfect) at the threshold -c_p/sqrt(d)
+    (geometry._edge_threshold), drawn into the workspace ws.
     """
     _count(d, "d", "dimension")  # geometry._edge_threshold takes sqrt(d) as a double
     if sampler is None:
@@ -288,10 +286,9 @@ def _pair_plan(n, d, p, sampler=None, spec=None, cap=_MAX_BATCH, workspace=None)
     c_p = solve_cp(p)
     threshold = _edge_threshold(c_p, d)
     batch = _batch_size(_trial_elements(n, d, sampler), cap)
-    workspace = _Workspace() if workspace is None else workspace
 
-    def draw(gen, count):
-        return _pair_batch(gen, count, n, d, threshold, sampler, spec, workspace)
+    def draw(gen, count, ws):
+        return _pair_batch(gen, count, n, d, threshold, sampler, spec, ws)
 
     return c_p, sampler, batch, draw
 
@@ -310,11 +307,11 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     _count(trials, "trials", "trial count")
     pairs_per_cloud = n * (n - 1) // 2
 
-    def worker(gen, count):
-        edges = draw(gen, count)[0].sum(axis=0)
+    def worker(gen, count, ws):
+        edges = draw(gen, count, ws)[0].sum(axis=0)
         return int(edges.sum()), int((edges.astype(np.int64) ** 2).sum())
 
-    edges_total, edges_sq_total = map(sum, zip(*_map_batches(trials, batch, stream, threads, worker)))
+    edges_total, edges_sq_total = map(sum, zip(*_map_plans([(trials, batch, stream, worker)], threads)[0]))
 
     se = None  # pairs within one cloud share vertices: use the spread of cloud-level counts
     if n > 2 and trials > 1:
@@ -337,13 +334,13 @@ def estimate_edge_density(n: int, d: int, p: float, trials: int, stream: RngStre
     return _estimate(edges_total, total_pairs, trials, stream, config, se)
 
 
-def _clique_plan(r, d, p, trials, stream, sampler, spec, workspace=None):
+def _clique_plan(r, d, p, trials, stream, sampler, spec):
     """c_p, the pair plan's sampler, and the plan (trials, batch, stream, worker) whose batches count
     (red, blue) cliques of r vectors; with a spec, perfect draws only."""
-    c_p, sampler, batch, draw = _pair_plan(r, d, p, sampler, spec, workspace=workspace)
+    c_p, sampler, batch, draw = _pair_plan(r, d, p, sampler, spec)
 
-    def worker(gen, count):
-        blue, perfect = draw(gen, count)
+    def worker(gen, count, ws):
+        blue, perfect = draw(gen, count, ws)
         return int((~blue.any(axis=0) & perfect).sum()), int((blue.all(axis=0) & perfect).sum())
 
     return c_p, sampler, (trials, batch, stream, worker)
@@ -377,7 +374,7 @@ def estimate_clique_prob(
     """
     if r < 1:
         raise ValueError(f"clique size must be positive, got r={r}")
-    c_p, sampler, (_, batch, _, worker) = _clique_plan(r, d, p, trials, stream, sampler, perfect_spec)
+    c_p, sampler, plan = _clique_plan(r, d, p, trials, stream, sampler, perfect_spec)
     if color not in ("red", "blue"):
         raise ValueError(f"color must be 'red' or 'blue', got {color!r}")
     _count(trials, "trials", "trial count")
@@ -389,7 +386,7 @@ def estimate_clique_prob(
             "estimate will be noise-dominated",
             stacklevel=2,
         )
-    red, blue = map(sum, zip(*_map_batches(trials, batch, stream, threads, worker)))
+    red, blue = map(sum, zip(*_map_plans([plan], threads)[0]))
     config = {
         "op": "clique_prob",
         "r": r,
@@ -401,7 +398,7 @@ def estimate_clique_prob(
         "restrict_perfect": perfect_spec is not None,
         "trials": trials,
         "stream_id": stream.stream_id,
-        "batch": batch,
+        "batch": plan[1],
     }
     if perfect_spec is not None:
         config.update(alpha_proj=perfect_spec.alpha_proj, delta=perfect_spec.delta, spec_ell=perfect_spec.ell)
@@ -430,16 +427,16 @@ def correction_scaling(
     One draw per dimension (stream slot 2*di*STREAM_STRIDE; the odd slots go unused) serves both
     colors, so red and blue are coupled.  Each fit and its standard errors use one color's counts
     only, so the coupling leaves them unaffected; no red-blue difference is reported.  The batches
-    of every dimension run on one pool and draw into one workspace, with the sampler that the
-    first (smallest) dimension's plan picks when none is named.
+    of every dimension run in one _map_plans call, with the sampler that the first (smallest)
+    dimension's plan picks when none is named.
     """
     if r not in (3, 4):
         raise ValueError(f"scaling diagnostic supports r in {{3, 4}}, got {r}")
     if len(dims) < 2 or any(a >= b for a, b in zip(dims, dims[1:])):
         raise ValueError(f"dims must be at least two strictly ascending dimensions, got {list(dims)}")
-    ws, plans = _Workspace(), []
+    plans = []
     for di, d in enumerate(dims):  # every plan solves the same c_p, and later plans take the first one's sampler
-        c_p, sampler, plan = _clique_plan(r, d, p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None, ws)
+        c_p, sampler, plan = _clique_plan(r, d, p, trials, stream.offset(2 * di * STREAM_STRIDE), sampler, None)
         plans.append(plan)
     _count(trials, "trials", "trial count")
     a = std_normal_pdf(c_p)

@@ -53,11 +53,11 @@ from gaussian_ramsey.sampling import RngStream, TruncatedSpec, sample_truncated,
 
 
 def _batches(stream: RngStream, trials: int, per_trial: int, worker) -> list:
-    """Per-batch results of worker(gen, count) over the trial budget, in batch order."""
+    """Per-batch results of worker(gen, count) over the trial budget, in batch order, drawn into fresh arrays."""
     from gaussian_ramsey import estimators
 
     batch = estimators._batch_size(per_trial, None)  # no cap: it would repartition every record above 8192 trials
-    return estimators._map_batches(trials, batch, stream, 1, worker)
+    return estimators._map_plans([(trials, batch, stream, lambda gen, count, ws: worker(gen, count))], 1)[0]
 
 
 def _rate(hits: int, trials: int) -> tuple[float, float]:

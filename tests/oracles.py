@@ -205,12 +205,12 @@ def reference_search(n, ell, k, sampler, params, max_attempts, stream):
     else:
         batch = estimators._batch_size(n * n, ATTEMPT_BATCH)
 
-        def draw(gen, count):
+        def draw(gen, count, ws):
             return (gen.random((count, n * (n - 1) // 2)) >= p).T, True
 
     upper = np.triu_indices(n, 1)
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
-        pairs = draw(sub.generator(), count)[0]
+        pairs = draw(sub.generator(), count, estimators._Workspace())[0]
         for t in range(count):
             blue = np.zeros((n, n), bool)
             blue[upper] = pairs[:, t]

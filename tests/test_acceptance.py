@@ -27,6 +27,7 @@ from gaussian_ramsey.analytic import (
 from gaussian_ramsey.cli import ExperimentConfig, run
 from gaussian_ramsey.cliques import search_witness, verify_witness
 from gaussian_ramsey.estimators import (
+    _Workspace,
     _pair_batch,
     _usable_cpus,
     correction_scaling,
@@ -251,8 +252,8 @@ def test_criterion_08_perfectness_machinery():
     # per-trial coupling: the draws do not depend on the restriction, so the
     # same stream yields identical success masks and a pointwise sub-event
     threshold = -solve_cp(0.38) / 16.0
-    with_spec, perfect = _pair_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", rspec)
-    without_spec, _ = _pair_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", None)
+    with_spec, perfect = _pair_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", rspec, _Workspace())
+    without_spec, _ = _pair_batch(RngStream(803).generator(), 4096, 5, 256, threshold, "bartlett", None, _Workspace())
     with_spec, without_spec = with_spec.all(axis=0), without_spec.all(axis=0)  # blue 5-cliques
     assert (with_spec == without_spec).all()
     assert (with_spec & perfect).sum() < with_spec.sum()  # the restriction bites

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gaussian_ramsey import cliques
+from gaussian_ramsey import cliques, estimators
 from gaussian_ramsey.cli import parse_config, run
 from gaussian_ramsey.cliques import (
     WitnessCertificate,
@@ -406,11 +406,11 @@ def test_a_search_thread_keeps_one_batch_and_no_more():
 
     def calls():
         status, _, kept = _traced(_search_argv(n, "geometric", 300))
-        buffers = dict(cliques._WORKSPACE._buffers)
+        buffers = dict(estimators._THREAD_WORKSPACE._buffers)
         for smaller, sampler in ((25, "binomial"), (18, "geometric"), (18, "binomial")):
             assert _traced(_search_argv(smaller, sampler, 300))[0] == 1
-            assert cliques._WORKSPACE._buffers.keys() == buffers.keys()
-            assert all(cliques._WORKSPACE._buffers[name] is buffer for name, buffer in buffers.items())
+            assert estimators._THREAD_WORKSPACE._buffers.keys() == buffers.keys()
+            assert all(estimators._THREAD_WORKSPACE._buffers[name] is buffer for name, buffer in buffers.items())
         return status, kept, sum(buffer.nbytes for buffer in buffers.values())
 
     _on_a_new_thread(lambda: _traced(_search_argv(n, "geometric", 300)))  # imports and caches first

@@ -17,6 +17,7 @@ from gaussian_ramsey.cliques import ATTEMPT_BATCH, search_witness
 from gaussian_ramsey.estimators import (
     STREAM_STRIDE,
     _pair_batch,
+    _Workspace,
     correction_scaling,
     estimate_clique_prob,
     estimate_edge_density,
@@ -88,7 +89,7 @@ def test_red_probability_nonincreasing_in_r():
 def test_perfect_restriction_is_subevent_per_trial():
     spec = PerfectSpec(alpha_proj=4.0, delta=0.25, ell=3, d=100)
     gen = RngStream(8).generator()
-    blue, perfect = _pair_batch(gen, 20000, 3, 100, -0.00253, "bartlett", spec)
+    blue, perfect = _pair_batch(gen, 20000, 3, 100, -0.00253, "bartlett", spec, _Workspace())
     success = ~blue.any(axis=0)  # red triangles
     restricted = success & perfect
     assert restricted.sum() <= success.sum()
@@ -129,7 +130,8 @@ def test_triangular_pair_kernel_matches_the_gram_gather(r):
     spec = PerfectSpec(alpha_proj=1.0, delta=0.1, ell=r, d=d)
     admitted = 0
     for seed in range(30, 35):
-        blue, perfect = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, "bartlett", spec)
+        gen = RngStream(seed).generator()
+        blue, perfect = _pair_batch(gen, count, r, d, threshold, "bartlett", spec, _Workspace())
         blue = blue.T  # trial by trial, as the reference gathers it
         ref_blue, ref_perfect = _gram_gather_reference(seed, count, r, d, threshold, spec)
         assert blue.shape == (count, r * (r - 1) // 2) and blue.dtype == bool
@@ -154,7 +156,7 @@ def test_pair_mask_is_batch_last_and_bit_identical(r, sampler, monkeypatch):
         return greater_equal(values, *args, **kwargs)
 
     monkeypatch.setattr(np, "greater_equal", recording)
-    blue = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, sampler, None)[0]
+    blue = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, sampler, None, _Workspace())[0]
     monkeypatch.undo()
     assert blue.shape == (r * (r - 1) // 2, count) and blue.dtype == bool and blue.flags.c_contiguous
     if sampler == "direct":
@@ -175,7 +177,7 @@ def test_direct_pair_batch_holds_about_the_doubles_it_counts():
     gen = RngStream(3).generator()
     tracemalloc.start()
     try:
-        blue = _pair_batch(gen, 1, 600, 16, 0.0, "direct", None)[0].T  # a view: allocates nothing
+        blue = _pair_batch(gen, 1, 600, 16, 0.0, "direct", None, _Workspace())[0].T  # a view: allocates nothing
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,7 +210,7 @@ def test_direct_slabs_are_the_whole_batch_bit_for_bit(monkeypatch, n, d, count, 
         return slabs[-1]
 
     monkeypatch.setattr(estimators, "gram_batch", recording)
-    blue, perfect = _pair_batch(RngStream(seed).generator(), count, n, d, threshold, "direct", spec)
+    blue, perfect = _pair_batch(RngStream(seed).generator(), count, n, d, threshold, "direct", spec, _Workspace())
     step = max(1, estimators._SLAB_ELEMENTS // (n * d))
     assert [len(slab) for slab in slabs] == [min(step, count - start) for start in range(0, count, step)]
     assert np.array_equal(np.concatenate(slabs).view(np.uint64), grams.view(np.uint64))
@@ -222,10 +224,10 @@ def test_direct_batch_holds_one_slab_not_its_clouds():
     # 256 KiB slab at a time, it holds its Grams, its pair mask and one slab
     _, _, batch, draw = estimators._pair_plan(3, 1024, 0.4, "direct")
     assert batch == 1365
-    gen = RngStream(7).generator()
+    gen, ws = RngStream(7).generator(), _Workspace()
     tracemalloc.start()
     try:
-        draw(gen, batch)
+        draw(gen, batch, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,18 +235,19 @@ def test_direct_batch_holds_one_slab_not_its_clouds():
 
 
 def test_a_triangular_plan_allocates_no_rows_after_its_first_batch():
-    # the plan's first batch on a thread makes that thread's workspace and later batches write into it,
+    # the first batch into a workspace makes its buffers and later batches write into them,
     # so a second batch allocates its masks, its chi-square draws and the spec's comparisons, under
     # the 1.6 MB of one (r, r, batch) array
     r, d = 5, 256
     spec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=r, d=d)
     _, _, batch, draw = estimators._pair_plan(r, d, 0.38, "bartlett", spec)
     assert batch == 8192
-    draw(RngStream(1).generator(), batch)
+    ws = _Workspace()
+    draw(RngStream(1).generator(), batch, ws)
     gen = RngStream(2).generator()
     tracemalloc.start()
     try:
-        draw(gen, batch)
+        draw(gen, batch, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,13 +307,15 @@ def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(sampler, restrict):
     n, d, batch, short = 5, 64, 300, 77  # direct: slabs of 102 clouds, so both batches end on a short slab
     threshold = -estimators.solve_cp(0.38) / math.sqrt(d)
     spec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=n, d=d) if restrict else None
-    workspace = estimators._Workspace()
+    workspace = _Workspace()
     _pair_batch(RngStream(50).generator(), batch, n, d, threshold, sampler, spec, workspace)  # makes its buffers
     for buffer in workspace._buffers.values():
         buffer.fill(np.nan)
     for seed, count in ((51, batch), (52, short)):
         blue, perfect = _pair_batch(RngStream(seed).generator(), count, n, d, threshold, sampler, spec, workspace)
-        fresh_blue, fresh_perfect = _pair_batch(RngStream(seed).generator(), count, n, d, threshold, sampler, spec)
+        fresh_blue, fresh_perfect = _pair_batch(
+            RngStream(seed).generator(), count, n, d, threshold, sampler, spec, _Workspace()
+        )
         assert np.array_equal(blue, fresh_blue)
         assert np.array_equal(perfect, fresh_perfect)
         assert spec is None or 0 < fresh_perfect.sum() < count  # the spec admits some trials and refuses others
@@ -318,20 +323,23 @@ def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(sampler, restrict):
 
 def test_threads_drawing_one_plan_each_write_their_own_workspace():
     # eight threads on fewer cores draw one plan's batches at once, switching often: every batch's masks
-    # are those of fresh buffers, which a workspace shared between threads would not give
+    # are those of fresh buffers, which buffers shared between threads would not give
     r, d, count, seeds = 5, 64, 300, range(60, 92)
     spec = PerfectSpec(alpha_proj=1.2, delta=0.12, ell=r, d=d)
     c_p, _, _, draw = estimators._pair_plan(r, d, 0.38, "bartlett", spec)
+    ws = _Workspace()  # one for every thread, as the runner hands its call's batches
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            drawn = list(pool.map(lambda seed: draw(RngStream(seed).generator(), count), seeds, timeout=120))
+            drawn = list(pool.map(lambda seed: draw(RngStream(seed).generator(), count, ws), seeds, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     threshold = -c_p / math.sqrt(d)
     for seed, (blue, perfect) in zip(seeds, drawn):
-        fresh_blue, fresh_perfect = _pair_batch(RngStream(seed).generator(), count, r, d, threshold, "bartlett", spec)
+        fresh_blue, fresh_perfect = _pair_batch(
+            RngStream(seed).generator(), count, r, d, threshold, "bartlett", spec, _Workspace()
+        )
         assert np.array_equal(blue, fresh_blue)
         assert np.array_equal(perfect, fresh_perfect)
 
@@ -631,8 +639,8 @@ def test_search_colorings_have_one_law_under_both_samplers():
         A += A.transpose(0, 2, 1)
         return [np.rint(np.einsum("tij,tjk,tki->t", M, M, M) / 6) for M in (A, 1.0 - A - np.eye(n))]
 
-    tri = mono_triangles(triangular(RngStream(44).generator(), attempts)[0].T)
-    cloud = mono_triangles(direct(RngStream(44, 1).generator(), attempts)[0].T)
+    tri = mono_triangles(triangular(RngStream(44).generator(), attempts, _Workspace())[0].T)
+    cloud = mono_triangles(direct(RngStream(44, 1).generator(), attempts, _Workspace())[0].T)
     for t, c in zip(tri, cloud):
         assert abs(t.mean() - c.mean()) <= 4.0 * math.sqrt((t.var(ddof=1) + c.var(ddof=1)) / attempts)
         assert ks_2samp(t, c).pvalue > 0.01
@@ -647,9 +655,11 @@ def test_triangular_density_has_the_law_of_direct_clouds(n, d, seed):
     est = estimate_edge_density(n, d, 0.4, trials, RngStream(seed))
     assert est.config["batch"] >= trials  # one batch: batch 0's draws are every cloud of the estimate
     threshold = -est.config["c_p"] / math.sqrt(d)
-    triangular = _pair_batch(RngStream(seed).generator(), trials, n, d, threshold, "bartlett", None)[0].sum(axis=0)
+    gen = RngStream(seed).generator()
+    triangular = _pair_batch(gen, trials, n, d, threshold, "bartlett", None, _Workspace())[0].sum(axis=0)
     assert triangular.sum() == est.successes
-    direct = _pair_batch(RngStream(seed, 1).generator(), trials, n, d, threshold, "direct", None)[0].sum(axis=0)
+    gen = RngStream(seed, 1).generator()
+    direct = _pair_batch(gen, trials, n, d, threshold, "direct", None, _Workspace())[0].sum(axis=0)
     se = math.sqrt((triangular.var(ddof=1) + direct.var(ddof=1)) / trials) / pairs
     assert abs(est.point - direct.mean() / pairs) <= 4.0 * se
     assert ks_2samp(triangular, direct).pvalue > 0.01

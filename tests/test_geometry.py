@@ -304,7 +304,7 @@ def test_window_edges(monkeypatch):
 
     batch = np.stack([at_threshold, high, low])
     monkeypatch.setattr(estimators, "_bartlett_rows", lambda *args, **kwargs: np.moveaxis(batch, 0, -1))  # batch-last
-    _, perfect = estimators._pair_batch(None, 3, 2, 16, 0.0, "bartlett", spec)
+    _, perfect = estimators._pair_batch(None, 3, 2, 16, 0.0, "bartlett", spec, estimators._Workspace())
     assert perfect.tolist() == [True, False, False]
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussian_ramsey import cliques
+from gaussian_ramsey import cliques, estimators
 from gaussian_ramsey.cli import main, parse_config, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -153,7 +153,7 @@ def test_stale_search_buffers_leave_every_search_record_as_it_was(capsys):
     assert main(CASES["search-geometric-n70-5-12"][0].split()) == 1  # the widest rows: later packs carve from it
     capsys.readouterr()
     for name in (name for name in CASES if name.startswith("search-")):
-        for buffer in cliques._WORKSPACE._buffers.values():
+        for buffer in estimators._THREAD_WORKSPACE._buffers.values():
             buffer.view(np.uint8).fill(0xFF)
         argv, status = CASES[name]
         assert main(argv.split()) == status, name

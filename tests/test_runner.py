@@ -218,7 +218,7 @@ def pools(monkeypatch):
 
 
 def _counts(trials, batch, threads):
-    return estimators._map_batches(trials, batch, RngStream(1), threads, lambda gen, count: count)
+    return estimators._map_plans([(trials, batch, RngStream(1), lambda gen, count, ws: count)], threads)[0]
 
 
 def test_thread_clamp_to_cpu_count(pools):
@@ -260,9 +260,26 @@ def test_clamped_estimate_matches_serial(pools):
 
 def test_map_plans_returns_each_plan_in_batch_order(pools):
     stream = RngStream(1)
-    plans = [(5, 2, stream, lambda gen, count: ("a", count)), (3, 3, stream, lambda gen, count: ("b", count))]
+    plans = [(5, 2, stream, lambda gen, count, ws: ("a", count)), (3, 3, stream, lambda gen, count, ws: ("b", count))]
     assert estimators._map_plans(plans, 10**6) == [[("a", 2), ("a", 2), ("a", 1)], [("b", 3)]]
     assert pools == [3]
+
+
+def test_a_runner_call_hands_every_batch_of_its_plans_one_workspace(pools):
+    # the workspace lives as long as the call: every batch of both plans takes one buffer, which no batch after
+    # the first outgrows, and the next call makes its own.  Each result holds its ws, so no id() is reused.
+    def worker(gen, count, ws):
+        ws.take("x", (count,))
+        return ws, ws._buffers["x"]
+
+    stream = RngStream(1)
+    plans = [(5, 3, stream, worker), (4, 2, stream.offset(STREAM_STRIDE), worker)]
+    first, second = ([seen for part in estimators._map_plans(plans, 10**6) for seen in part] for _ in range(2))
+    assert len(first) == len(second) == 4
+    for seen in (first, second):
+        assert len({id(ws) for ws, _ in seen}) == len({id(buffer) for _, buffer in seen}) == 1
+    assert first[0][0] is not second[0][0]
+    assert pools == [3, 3]
 
 
 def test_runner_hands_the_pool_at_most_in_flight_jobs(monkeypatch):
@@ -289,7 +306,7 @@ def test_runner_hands_the_pool_at_most_in_flight_jobs(monkeypatch):
     monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
     stream = RngStream(8)
 
-    def worker(gen, count):
+    def worker(gen, count, ws):
         return count, int(gen.integers(1 << 32))
 
     plans = [(10**4, 1, stream, worker), (5, 2, stream.offset(STREAM_STRIDE), worker)]
