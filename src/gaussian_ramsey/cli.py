@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import gaussian_ramsey
 from gaussian_ramsey.analytic import solve_cp, solve_pC, std_normal_pdf, union_bound_report
@@ -225,8 +225,9 @@ def _flag(key: str) -> str:
     return "--in" if key == "infile" else "--" + key.replace("_", "-")
 
 
-@functools.cache  # one parser per process, built on first use; a parse keeps its state on its own namespace
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one set of parsers per process, built on first use; a parse keeps its state on its own namespace
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="gaussian-ramsey",
         description="Gaussian random geometric graphs for Ramsey lower bounds",
@@ -234,8 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=gaussian_ramsey.__version__)
     subs = parser.add_subparsers(dest="command")
+    commands = {}
     for name, table in _COMMANDS.items():
-        sub = subs.add_parser(name, allow_abbrev=False)
+        sub = commands[name] = subs.add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", action="append", help="flat key=value config file")
         for key, (tag, help_text) in {**table["keys"], **_COMMON_KEYS}.items():
             if tag == "flag":  # every occurrence is listed, so parse_config's one rule picks the last
@@ -244,22 +246,33 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar = "{" + tag.split(":", 1)[1] + "}" if tag.startswith("choice:") else None
                 how = {"action": "append", "type": functools.partial(_value, tag), "metavar": metavar}
             sub.add_argument(_flag(key), dest=key, help=help_text, **how)
-    return parser
+    return parser, commands
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Resolve argv plus optional config file into an ExperimentConfig.
 
-    Flags override file values; unknown file keys are rejected; required
-    keys must be present after the merge, and per-mode keys must be
-    exactly those the chosen mode reads.
+    An argv whose first word names a command goes straight to that
+    command's subparser, which is all the top-level parse would run; any
+    argument it leaves is reported by the top-level parser, as its own
+    parse reports it.  Every other argv (--version, -h, no command, an
+    unknown one) takes the top-level parse.  Flags override file values;
+    unknown file keys are rejected; required keys must be present after
+    the merge, and per-mode keys must be exactly those the chosen mode
+    reads.
     """
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
-    command = namespace.command
-    if command is None:
-        parser.print_usage(sys.stderr)
-        raise SystemExit(2)
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        command = argv[0]
+        namespace, extra = commands[command].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        namespace = parser.parse_args(argv)
+        command = namespace.command
+        if command is None:
+            parser.print_usage(sys.stderr)
+            raise SystemExit(2)
     table = _COMMANDS[command]
     keys = {**table["keys"], **_COMMON_KEYS}
 
@@ -336,7 +349,7 @@ def render_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return encode_basestring(obj)  # what json.dumps(obj, ensure_ascii=False) calls, without building an encoder
     if isinstance(obj, dict):
         inner = ",".join(f"{render_json(str(k))}:{render_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"

@@ -29,12 +29,13 @@ an attempt cannot verify.  Only its misses become Python-int rows
 (_Attempt) and are decided in order by _verdict, the witness rule
 verify_witness uses too.  So the lowest verifying attempt, which a seed
 determines, is the same as without the batch dive; only it gets a
-provenance dict and a validated graph.  Its float and bool arrays live in
-estimators._THREAD_WORKSPACE, kept for the thread's life, not one call:
-both samplers draw into it, a binomial batch its uniforms into its "square"
-buffer, and the packing's bool scratch is carved from that buffer, dead
-once the pair mask exists.  So a thread that searches again maps no fresh
-pages, and after a call holds at most one batch's arrays.
+provenance dict and a validated graph.  Its float arrays and the packer's
+byte planes live in estimators._THREAD_WORKSPACE, kept for the thread's
+life, not one call: both samplers draw into it, a binomial batch its
+uniforms into its "square" buffer, and the planes (graphs._pack_words:
+batch-last, one byte per attempt, row and column) are carved from that
+buffer, dead once the pair mask exists.  So a thread that searches again
+maps no fresh pages, and after a call holds at most one batch's arrays.
 
 Only the search draws and packs, so only _dive_batch (numpy) and
 search_witness (numpy and the estimators) import them, inside the function.
@@ -51,8 +52,8 @@ from gaussian_ramsey.graphs import (
     WORD_BITS,
     ColoredGraph,
     _pack_words,
+    _plane_shape,
     _row_tuples,
-    _words_for,
     capability_check,
     graph_from_text,
     graph_to_text,
@@ -239,11 +240,11 @@ def search_witness(
         def draw(gen, count, ws):  # blue with probability 1 - p, drawn in order
             return (gen.random(out=ws.take("square", (count, n * (n - 1) // 2))) >= p).T, True
 
-    width = _words_for(n) * WORD_BITS
     for bi, (sub, count) in enumerate(estimators._partition(max_attempts, batch, stream)):
         pairs = draw(sub.generator(), count, workspace)[0]
-        bits = workspace.take("square", (count, n, width), bool)  # the draw's floats are dead once its mask exists
-        blue, red = _pack_words(n, pairs, bits)  # both colors at once; rows need no validation
+        # the packer's byte planes, carved from the draw's floats, which are dead once its mask exists
+        planes = workspace.take("square", _plane_shape(n, count), np.uint8)
+        blue, red = _pack_words(n, pairs, planes)  # both colors at once; rows need no validation
         misses = np.arange(count) if ell > n else np.flatnonzero(~_dive_batch(red, ell))  # a red K_ell settles
         for t, blue_rows, red_rows in zip(misses.tolist(), _row_tuples(blue[misses], n), _row_tuples(red[misses], n)):
             if _verdict(_Attempt(n, blue_rows, red_rows), ell, k):

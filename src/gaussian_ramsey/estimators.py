@@ -341,7 +341,7 @@ def _clique_plan(r, d, p, trials, stream, sampler, spec):
 
     def worker(gen, count, ws):
         blue, perfect = draw(gen, count, ws)
-        return int((~blue.any(axis=0) & perfect).sum()), int((blue.all(axis=0) & perfect).sum())
+        return int(np.count_nonzero(~blue.any(axis=0) & perfect)), int(np.count_nonzero(blue.all(axis=0) & perfect))
 
     return c_p, sampler, (trials, batch, stream, worker)
 

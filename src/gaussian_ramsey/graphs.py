@@ -16,7 +16,10 @@ Building, validating, relabeling, parsing and writing a graph run in pure
 Python, so the certificate side of the package (cliques, and the CLI's
 verify) never loads numpy.  Only the batch packers (_pack_table,
 _pack_words, from_blue_matrix), which the samplers and the witness search
-call, import it, inside the function.
+call, import it, inside the function.  _pack_words packs a whole batch of
+pair masks at once: it copies each pair's mask into batch-last byte
+planes, one per row and column, folds each 8 planes into a byte per
+attempt word-wide, and transposes the bytes into each attempt's rows.
 """
 
 from __future__ import annotations
@@ -124,36 +127,56 @@ def _size_table(build):
 
 @_size_table
 def _pack_table(n: int) -> tuple:
-    """np.triu_indices(n, 1), and the words of the full row and of each row's diagonal bit."""
+    """The plane row of each pair (i, j) over i < j (np.triu_indices order), of (j, i) and of each (i, i), in planes
+    (n, 8 * ceil(n / 8), lanes) read as (rows, lanes); each row's words with every bit below n set but its own;
+    and the weights 1, 2, ..., 128 that fold 8 planes into a byte."""
     import numpy as np
 
-    width = _words_for(n) * WORD_BITS
-    full = np.packbits(np.arange(width) < n, bitorder="little").view("<u8")
-    diag = np.packbits(np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
-    return *np.triu_indices(n, 1), full, diag
+    columns, width = -(-n // 8) * 8, _words_for(n) * WORD_BITS
+    i, j = np.triu_indices(n, 1)
+    off = np.packbits((np.arange(width) < n) & ~np.eye(n, width, dtype=bool), axis=-1, bitorder="little").view("<u8")
+    weights = np.array([1 << k for k in range(8)], "<u8")
+    return i * columns + j, j * columns + i, np.arange(n) * (columns + 1), off, weights
 
 
-def _pack_words(n: int, pairs, bits=None) -> tuple:
+def _plane_shape(n: int, count: int) -> tuple[int, int, int]:
+    """_pack_words's byte planes for count masks on n vertices: (n, 8 * ceil(n / 8), count rounded up to 8s)."""
+    return n, -(-n // 8) * 8, -(-count // 8) * 8
+
+
+def _pack_words(n: int, pairs, planes=None) -> tuple:
     """Blue and red rows of batch-last pair masks, (C(n,2), count) over i < j, as uint64 words (count, n, words).
 
-    Each mask is scattered to both triangles of rows padded to whole 64-bit
-    words and packed in one pass; red is the complement off the diagonal,
-    taken on the same words.  Word j of a row holds vertices 64j to 64j + 63.
-    The rows are spread in bits, a bool scratch (count, n, 64 * words), fresh
-    when none is given and cleared by one fill whatever it holds, so the
-    diagonal and the padding columns, which the scatter never writes, are 0.
-    The indices and words that depend on n alone come from a kept table
-    (_pack_table).
+    Word j of a row holds vertices 64j to 64j + 63.  Each pair's mask row,
+    count bytes, is copied whole into batch-last byte planes
+    (n, 8 * ceil(n / 8), lanes) (_plane_shape), one plane per row and
+    column, lanes being count rounded up to a multiple of 8: pair (i, j) to
+    plane (i, j) and to plane (j, i).  The diagonal and the padding columns
+    are cleared, so the planes may hold anything before (fresh planes when
+    none are given).
+    Read as 64-bit words, 8 attempts a word, each 8 planes of a row fold
+    into one byte per attempt by one matmul with the weights 1, 2, ..., 128:
+    the bytes are 0 or 1, so the sum is the OR of the shifted planes, and no
+    carry reaches an attempt's byte.  One transpose turns the rows' bytes,
+    padded to whole words, into each attempt's rows.  Red is the complement
+    off the diagonal, one XOR of the same words.  The plane rows and the
+    words that depend on n alone come from a kept table (_pack_table).
     """
     import numpy as np
 
-    i, j, full, diag = _pack_table(n)
-    bits = np.empty((pairs.shape[1], n, _words_for(n) * WORD_BITS), bool) if bits is None else bits
-    bits.fill(False)
-    bits[:, i, j] = pairs.T
-    bits[:, j, i] = pairs.T
-    blue = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-    return blue, (~blue & full) ^ diag
+    upper, lower, diagonal, off, weights = _pack_table(n)
+    count, words = pairs.shape[1], _words_for(n)
+    _, columns, lanes = shape = _plane_shape(n, count)
+    planes = np.empty(shape, np.uint8) if planes is None else planes
+    rows = planes.reshape(n * columns, lanes)
+    rows[upper, :count] = rows[lower, :count] = pairs.view(np.uint8)
+    rows[diagonal] = 0
+    planes[:, n:] = 0
+    packed = np.zeros((n, 8 * words, lanes // 8), "<u8")  # each row's bytes, 8 attempts a word, padded to whole words
+    np.matmul(weights, planes.view("<u8").reshape(n, columns // 8, 8, lanes // 8), out=packed[:, : columns // 8])
+    blue = np.ascontiguousarray(packed.view(np.uint8).reshape(n * 8 * words, lanes).T).view("<u8")
+    blue = blue.reshape(lanes, n, words)[:count]
+    return blue, blue ^ off
 
 
 def _row_tuples(words, n: int) -> list[tuple[int, ...]]:

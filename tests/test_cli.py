@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 import gaussian_ramsey
-from gaussian_ramsey import estimators
+from gaussian_ramsey import cli, estimators
 from gaussian_ramsey.analytic import solve_cp
 from gaussian_ramsey.cli import (
     _COMMANDS,
@@ -1123,3 +1123,34 @@ def test_a_bad_config_line_is_a_usage_error(line, message, tmp_path, capsys):
     code, out, err = run_main(["estimate", "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
     assert err == f"usage error: {cfg}:3: {message}\n"
+
+
+def test_a_command_goes_straight_to_its_parser_with_the_bytes_of_the_top_level_parse(tmp_path, monkeypatch, capsys):
+    # every golden invocation, and each way a parse can stop, gives the same exit status, stdout and stderr when
+    # argv goes straight to its command's parser as when it takes the top-level parse; the top-level parser
+    # runs exactly when the first word names no command
+    from test_golden import CASES, CSV_CASES
+
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("C=2\nbogus=1\n", encoding="utf-8")
+    corpus = [argv.split() for argv, _ in {**CASES, **CSV_CASES}.values()] + [
+        ["--version"], ["-h"], ["solve", "--version"], ["search", "-h"],  # top-level and on a subcommand
+        [], ["bogus", "--C", "2"],  # no command, an unknown command
+        ["solve", "--C", "2", "--bogus", "1"], ["solve", "--C", "2", "stray"],  # an unknown flag and argument
+        ["sample", "--n", "5", "--d", "8", "--p", "0.4", "--se", "1"],  # a flag prefix
+        ["solve", "--C", "two"], ["solve", "--C", "nan"],  # a bad value, a NaN
+        ["solve", "--C", "3", "--C", "2"],  # a repeated flag
+        # a prefix of both --help and --version, which the top-level parser, abbreviating nothing, leaves over too
+        ["solve", "--C", "2", "--=1"], ["solve", "--C", "2", "--", "--=1"],
+        ["solve", "--config", str(bad_config)],  # a --config error
+    ]
+    parser, commands = cli._build_parser()
+    top_level, parse_args = [], parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))
+    for argv in corpus:
+        top_level.clear()
+        straight = run_main(argv, capsys)
+        assert bool(top_level) == (not argv or argv[0] not in commands), argv
+        with monkeypatch.context() as forced:
+            forced.setattr(cli, "_build_parser", lambda: (parser, {}))
+            assert run_main(argv, capsys) == straight, argv

@@ -338,8 +338,8 @@ def test_clique_sizes_above_n_decide_as_verify_witness_does(sampler, ell, k, mon
     n, attempts = 5, 40
     packed, dived = [], []
 
-    def recording(n, pairs, bits=None):
-        blue, red = _pack_words(n, pairs, bits)
+    def recording(n, pairs, planes=None):
+        blue, red = _pack_words(n, pairs, planes)
         packed.extend(_row_tuples(blue, n))
         return blue, red
 

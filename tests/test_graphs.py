@@ -13,6 +13,7 @@ from gaussian_ramsey.graphs import (
     ColoredGraph,
     _pack_table,
     _pack_words,
+    _plane_shape,
     capability_check,
     from_blue_matrix,
     graph_from_text,
@@ -52,7 +53,9 @@ def test_from_blue_matrix_matches_loop_packer():
 
 
 def _pack_words_uncached(n, pairs):
-    """_pack_words's blue and red words, every table rebuilt and a zeroed scratch."""
+    """_pack_words's blue and red words by the old algorithm, every table rebuilt: the masks scattered to both
+    triangles of a zeroed bool array (count, n, 64 * words), packed along its rows, red the complement off the
+    diagonal."""
     width = max(1, -(-n // 64)) * 64
     iu = np.triu_indices(n, 1)
     bits = np.zeros((pairs.shape[1], n, width), bool)
@@ -64,19 +67,22 @@ def _pack_words_uncached(n, pairs):
     return blue, (~blue & full) ^ diag
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130, 513])  # one-, two-, three- and nine-word rows
+# rows of one, two, three, eight and nine words, in whole and part bytes
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 25, 63, 64, 65, 70, 128, 130, 512, 513])
 def test_pack_words_matches_an_uncached_pack_over_a_dirty_scratch(n):
-    # the kept table and the one fill of the scratch give the words of a pack that builds everything afresh,
-    # whatever the scratch held (bytes of 0xFF), on a first and a later call; beyond the capability the
-    # table is built afresh, and a kept one is shared, so it is read-only
-    count = 7
-    pairs = RngStream(n).generator().random((n * (n - 1) // 2, count)) < 0.4
-    reference = _pack_words_uncached(n, pairs)
-    for _ in range(2):
-        scratch = np.full((count, n, max(1, -(-n // 64)) * 64), 0xFF, np.uint8).view(bool)
-        for bits in (scratch, None):
-            for words, expected in zip(_pack_words(n, pairs, bits), reference):
-                assert words.shape == (count, n, max(1, -(-n // 64))) and np.array_equal(words, expected)
+    # the byte planes give the words of the old scatter-and-packbits pack, which builds everything afresh, for
+    # batches whose lanes fill whole and part words, and for the same masks in either layout: batch-last rows,
+    # as the pair kernel draws them, and the transposed view of attempt-major rows, as the binomial search
+    # draws them; whatever the planes held (bytes of 0xFF), and with fresh planes; the first count's call builds
+    # the table, and the later ones read it.  Beyond the capability the table is built afresh, and a kept one is
+    # shared, so it is read-only
+    for count in (1, 7, 8, 9, 44, 256):
+        pairs = RngStream(n * 1000 + count).generator().integers(0, 5, (n * (n - 1) // 2, count), np.uint8) < 2
+        reference = _pack_words_uncached(n, pairs)
+        for layout in (pairs, np.ascontiguousarray(pairs.T).T):
+            for planes in (np.full(_plane_shape(n, count), 0xFF, np.uint8), None):
+                for words, expected in zip(_pack_words(n, layout, planes), reference):
+                    assert words.shape == (count, n, max(1, -(-n // 64))) and np.array_equal(words, expected)
     table = _pack_table(n)
     assert (table is _pack_table(n)) == (n <= MAX_WORDS * WORD_BITS)
     assert all(array.flags.writeable == (n > MAX_WORDS * WORD_BITS) for array in table)
